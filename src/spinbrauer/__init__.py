@@ -29,7 +29,6 @@ from .diagrams import (
 from .multiply import (
     StitchResolution,
     clifford_normalize,
-    evaluate_at,
     multiply_diagrams,
     multiply_elements,
     stitch_and_resolve,

@@ -21,7 +21,9 @@ as  -(D with the labels swapped) + 2 (D with the two ends joined),
 mirroring the anticommutation of the underlying fermionic operators. Joining
 two row vertices draws an arc or through string; joining a row vertex to a
 circuit-pair end hands the partner end's label to that vertex; joining ends
-of two different circuit pairs fuses them into one.
+of two different circuit pairs fuses them into one. Distinct rewrite paths
+meet at common intermediates, so each distinct intermediate is expanded only
+once, carrying the sum of the coefficients of all paths into it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "clifford_normalize",
     "multiply_diagrams",
     "multiply_elements",
-    "evaluate_at",
     "default_strategy",
     "ascending_strategy",
     "descending_strategy",
@@ -375,31 +376,59 @@ def clifford_normalize(
     Circuit pairs are resolved first (smallest-label pair, walking its upper
     label down); row labels are then sorted by the given strategy. The
     resulting element is independent of these choices.
+
+    Different rewrite paths reach the same intermediate again and again, so
+    the rewrites form a DAG over the states left by _drop_adjacent_pairs.
+    Each distinct state is expanded exactly once: a depth-first pass records
+    every state's two successors, then the coefficients flow through the
+    states in topological order, summed over all paths into a state before
+    they move on.
     """
-    acc: dict[SpinDiagram, DeltaPolynomial] = {}
-    stack: list[tuple[LabeledDiagram, DeltaPolynomial]] = [(d, coeff)]
+    # succ[s]: the (successor, factor) pairs of s, or None for a canonical s.
+    succ: dict[LabeledDiagram, Optional[tuple]] = {}
+    post_order: list[LabeledDiagram] = []
+    dropped, root = _drop_adjacent_pairs(d)
+    stack: list[tuple[LabeledDiagram, bool]] = [(root, False)]
     while stack:
-        cur, c = stack.pop()
-        dropped, cur = _drop_adjacent_pairs(cur)
-        if dropped:
-            c = c * DeltaPolynomial.delta(dropped)
+        cur, expanded = stack.pop()
+        if expanded:
+            post_order.append(cur)
+            continue
+        if cur in succ:
+            continue
         if cur.circuit_pairs:
             a, b = min(cur.circuit_pairs)
             i = b - 1
         else:
             pairs = _inverted_row_pairs(cur)
             if not pairs:
-                spin = cur.to_spin()
-                s = acc.get(spin, DeltaPolynomial.zero()) + c
-                if s:
-                    acc[spin] = s
-                else:
-                    acc.pop(spin, None)
+                succ[cur] = None
+                post_order.append(cur)
                 continue
             i = strategy(pairs)
-        stack.append((_swap_labels(cur, i), c * -1))
-        stack.append((_join_labels(cur, i), c * 2))
-    return AlgebraElement(d.n, acc)
+        swap_dropped, swapped = _drop_adjacent_pairs(_swap_labels(cur, i))
+        join_dropped, joined = _drop_adjacent_pairs(_join_labels(cur, i))
+        succ[cur] = (
+            (swapped, DeltaPolynomial({swap_dropped: -1})),
+            (joined, DeltaPolynomial({join_dropped: 2})),
+        )
+        stack += ((cur, True), (swapped, False), (joined, False))
+
+    # Reverse post-order is topological: every path into a state is summed
+    # before the state passes its coefficient on.
+    coeffs = {root: coeff * DeltaPolynomial.delta(dropped)}
+    terms: list[tuple[SpinDiagram, DeltaPolynomial]] = []
+    for cur in reversed(post_order):
+        c = coeffs.pop(cur, None)
+        if not c:
+            continue
+        successors = succ[cur]
+        if successors is None:
+            terms.append((cur.to_spin(), c))
+            continue
+        for nxt, factor in successors:
+            coeffs[nxt] = coeffs.get(nxt, DeltaPolynomial.zero()) + c * factor
+    return AlgebraElement(d.n, terms)
 
 
 def multiply_diagrams(
@@ -425,8 +454,3 @@ def multiply_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         for d2, c2 in b.terms.items():
             out = out + multiply_diagrams(d1, d2).scale(c1 * c2)
     return out
-
-
-def evaluate_at(a: AlgebraElement, N: int) -> AlgebraElement:
-    """Specialize delta := N throughout an element."""
-    return a.evaluate_at(N)

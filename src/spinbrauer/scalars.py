@@ -22,7 +22,11 @@ class DeltaPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        # The exact-type test spares dicts, the common case, an ABC check.
+        if type(coeffs) is dict or isinstance(coeffs, Mapping):
+            items = coeffs.items()
+        else:
+            items = coeffs
         table: dict[int, int] = {}
         for exp, c in items:
             exp = int(exp)
@@ -36,20 +40,29 @@ class DeltaPolynomial:
         self._coeffs = table
 
     @classmethod
+    def _wrap(cls, table: dict[int, int]) -> DeltaPolynomial:
+        """Adopt a table that already has no zero coefficients, unchecked."""
+        out = cls.__new__(cls)
+        out._coeffs = table
+        return out
+
+    @classmethod
     def zero(cls) -> DeltaPolynomial:
-        return cls()
+        return cls._wrap({})
 
     @classmethod
     def one(cls) -> DeltaPolynomial:
-        return cls({0: 1})
+        return cls._wrap({0: 1})
 
     @classmethod
     def constant(cls, k: int) -> DeltaPolynomial:
-        return cls({0: k})
+        return cls._wrap({0: int(k)} if k else {})
 
     @classmethod
     def delta(cls, power: int = 1) -> DeltaPolynomial:
-        return cls({power: 1})
+        if power < 0:
+            raise ValueError(f"negative exponent {power}")
+        return cls._wrap({int(power): 1})
 
     @property
     def degree(self) -> int:
@@ -73,10 +86,13 @@ class DeltaPolynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # A constant equals the int it holds, so it must hash like that int.
+        if self._coeffs.keys() <= {0}:
+            return hash(self._coeffs.get(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     def __neg__(self) -> DeltaPolynomial:
-        return DeltaPolynomial({e: -c for e, c in self._coeffs.items()})
+        return DeltaPolynomial._wrap({e: -c for e, c in self._coeffs.items()})
 
     def __add__(self, other: Union[DeltaPolynomial, int]) -> DeltaPolynomial:
         if isinstance(other, int):
@@ -90,9 +106,7 @@ class DeltaPolynomial:
                 table[e] = s
             else:
                 table.pop(e, None)
-        out = DeltaPolynomial.zero()
-        out._coeffs = table
-        return out
+        return DeltaPolynomial._wrap(table)
 
     __radd__ = __add__
 
@@ -104,7 +118,9 @@ class DeltaPolynomial:
 
     def __mul__(self, other: Union[DeltaPolynomial, int]) -> DeltaPolynomial:
         if isinstance(other, int):
-            return DeltaPolynomial({e: c * other for e, c in self._coeffs.items()})
+            if not other:
+                return DeltaPolynomial.zero()
+            return DeltaPolynomial._wrap({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, DeltaPolynomial):
             return NotImplemented
         table: dict[int, int] = {}
@@ -116,9 +132,7 @@ class DeltaPolynomial:
                     table[e] = s
                 else:
                     table.pop(e, None)
-        out = DeltaPolynomial.zero()
-        out._coeffs = table
-        return out
+        return DeltaPolynomial._wrap(table)
 
     __rmul__ = __mul__
 
@@ -203,26 +217,32 @@ class RootTwoNumber:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
+        # A rational element equals the int it holds, so it must hash alike.
+        if not self.b:
+            return hash(self.a)
         return hash((self.a, self.b))
 
     def __neg__(self) -> RootTwoNumber:
         return RootTwoNumber(-self.a, -self.b)
 
-    def __add__(self, other: Union[RootTwoNumber, int]) -> RootTwoNumber:
-        if isinstance(other, int):
-            other = RootTwoNumber(other)
-        if not isinstance(other, RootTwoNumber):
-            return NotImplemented
-        return RootTwoNumber(self.a + other.a, self.b + other.b)
+    def __add__(self, other: Union[RootTwoNumber, int, Fraction]) -> RootTwoNumber:
+        # Fraction is tested last: isinstance against it is an ABC check.
+        if isinstance(other, RootTwoNumber):
+            return RootTwoNumber(self.a + other.a, self.b + other.b)
+        if isinstance(other, (int, Fraction)):
+            return RootTwoNumber(self.a + other, self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union[RootTwoNumber, int]) -> RootTwoNumber:
-        if isinstance(other, int):
-            other = RootTwoNumber(other)
-        return RootTwoNumber(self.a - other.a, self.b - other.b)
+    def __sub__(self, other: Union[RootTwoNumber, int, Fraction]) -> RootTwoNumber:
+        if isinstance(other, RootTwoNumber):
+            return RootTwoNumber(self.a - other.a, self.b - other.b)
+        if isinstance(other, (int, Fraction)):
+            return RootTwoNumber(self.a - other, self.b)
+        return NotImplemented
 
-    def __rsub__(self, other: int) -> RootTwoNumber:
+    def __rsub__(self, other: Union[int, Fraction]) -> RootTwoNumber:
         return (-self) + other
 
     def __mul__(self, other: Union[RootTwoNumber, int, Fraction]) -> RootTwoNumber:

@@ -12,6 +12,7 @@ from spinbrauer.diagrams import (
     identity_diagram,
     involution,
 )
+from spinbrauer import multiply
 from spinbrauer.multiply import (
     ascending_strategy,
     clifford_normalize,
@@ -25,6 +26,35 @@ from spinbrauer.scalars import DeltaPolynomial
 
 D = DeltaPolynomial.delta
 BOTH_ISOLATED = SpinDiagram(1, (1,), (1,), (), (), ())
+STRATEGIES = (default_strategy, ascending_strategy, descending_strategy)
+
+
+def all_isolated(n):
+    row = tuple(range(1, n + 1))
+    return SpinDiagram(n, row, row, (), (), ())
+
+
+def isolated_heavy(rng, n, p):
+    """A random diagram whose vertices are each isolated with probability p."""
+    while True:
+        top_iso = [v for v in range(1, n + 1) if rng.random() < p]
+        bottom_iso = [v for v in range(1, n + 1) if rng.random() < p]
+        if len(top_iso) % 2 == len(bottom_iso) % 2:
+            break
+    top_rest = [v for v in range(1, n + 1) if v not in top_iso]
+    bottom_rest = [v for v in range(1, n + 1) if v not in bottom_iso]
+    rng.shuffle(top_rest)
+    rng.shuffle(bottom_rest)
+    # Both rests have the same parity, so the arcs use up each row exactly.
+    short = min(len(top_rest), len(bottom_rest))
+    t = short - 2 * rng.randrange(short // 2 + 1)
+    top_free, bottom_free = top_rest[t:], bottom_rest[t:]
+    return SpinDiagram(
+        n, tuple(top_iso), tuple(bottom_iso),
+        tuple(zip(top_free[::2], top_free[1::2])),
+        tuple(zip(bottom_free[::2], bottom_free[1::2])),
+        tuple(zip(top_rest[:t], bottom_rest[:t])),
+    )
 
 
 def test_stitch_both_isolated_closes_one_circuit():
@@ -149,12 +179,51 @@ def test_strategy_independence_on_all_one_and_two_strand_products():
         basis = enumerate_basis(n)
         for d1 in basis:
             for d2 in basis:
-                results = [
-                    multiply_diagrams(d1, d2, strategy)
-                    for strategy in (default_strategy, ascending_strategy,
-                                     descending_strategy)
-                ]
+                results = [multiply_diagrams(d1, d2, s) for s in STRATEGIES]
                 assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_strategy_independence_on_all_isolated_squares(n):
+    d = all_isolated(n)
+    results = [multiply_diagrams(d, d, s) for s in STRATEGIES]
+    assert results[0] == results[1] == results[2]
+    assert len(results[0]) == 1
+
+
+@pytest.mark.parametrize("n, p", [(5, 0.8), (6, 0.7)])
+def test_strategy_independence_on_isolated_heavy_products(n, p):
+    rng = random.Random(f"isolated-heavy/{n}")
+    for _ in range(25):
+        d1, d2 = isolated_heavy(rng, n, p), isolated_heavy(rng, n, p)
+        results = [multiply_diagrams(d1, d2, s) for s in STRATEGIES]
+        assert results[0] == results[1] == results[2]
+
+
+def test_all_isolated_square_at_n8():
+    d = all_isolated(8)
+    expected = (D(8) - 56 * D(7) + 1064 * D(6) - 8960 * D(5) + 37520 * D(4)
+                - 81536 * D(3) + 86784 * D(2) - 34816 * D(1))
+    assert multiply_diagrams(d, d).terms == {d: expected}
+
+
+def test_normal_form_expands_each_state_once(monkeypatch):
+    # A tree expansion of the n = 8 square makes 67,759 swaps; the distinct
+    # states number fewer than a hundred.
+    calls = {"swap": 0, "join": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(multiply, "_swap_labels", counted("swap", multiply._swap_labels))
+    monkeypatch.setattr(multiply, "_join_labels", counted("join", multiply._join_labels))
+    d = all_isolated(8)
+    multiply_diagrams(d, d)
+    assert 0 < calls["swap"] < 100
+    assert 0 < calls["join"] < 100
 
 
 def test_nonadjacent_circuit_collects_correction():

@@ -102,3 +102,43 @@ def test_field_laws(x, y, z):
 @given(root2s)
 def test_norm_multiplies_with_conjugate(x):
     assert x * x.conjugate() == RootTwoNumber(x.norm())
+
+
+@pytest.mark.parametrize("k", [-3, 0, 1, 7])
+def test_delta_constant_is_found_under_its_int_key(k):
+    c = DeltaPolynomial.constant(k)
+    assert c == k and hash(c) == hash(k)
+    assert {k: "x"}.get(c) == "x"
+    assert {c: "x"}.get(k) == "x"
+
+
+@pytest.mark.parametrize("k", [-3, 0, 1, 7])
+def test_root2_rational_int_is_found_under_its_int_key(k):
+    x = RootTwoNumber(k)
+    assert x == k and hash(x) == hash(k)
+    assert {k: "x"}.get(x) == "x"
+    assert {x: "x"}.get(k) == "x"
+
+
+@given(rationals, rationals, rationals)
+def test_root2_adds_and_subtracts_fractions(a, b, q):
+    x = RootTwoNumber(a, b)
+    assert x + q == q + x == x + RootTwoNumber(q)
+    assert x - q == x - RootTwoNumber(q)
+    assert q - x == RootTwoNumber(q) - x
+
+
+def test_root2_fraction_arithmetic_exact():
+    half = Fraction(1, 2)
+    assert RootTwoNumber(1, 1) - half == RootTwoNumber(half, 1)
+    assert RootTwoNumber(1, 1) + half == RootTwoNumber(Fraction(3, 2), 1)
+
+
+def test_root2_rejects_other_operand_types():
+    x = RootTwoNumber(1, 1)
+    assert x.__add__(1.5) is NotImplemented
+    assert x.__sub__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        x + 1.5
+    with pytest.raises(TypeError):
+        x - "1"
