@@ -9,7 +9,7 @@ integer polynomials in the loop parameter delta and the field Q(sqrt2).
 """
 
 from .scalars import DeltaPolynomial, RootTwoNumber
-from .linalg import LinearMap, matrix_rank, rank_of_vectors
+from .linalg import LinearMap, rank_of_vectors
 from .diagrams import (
     AlgebraElement,
     CellTriple,

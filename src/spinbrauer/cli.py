@@ -8,6 +8,7 @@ produce byte-identical output. Exit codes: 0 success, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .verify import (
     DEFAULT_DIMENSION_BOUND,
     ResourceBoundError,
     VerificationReport,
+    _check_bound,
 )
 
 __all__ = ["CliConfig", "load_config", "main", "run_command"]
@@ -154,48 +156,25 @@ def _partition_arg(path: str, config: CliConfig) -> tuple[tuple, tuple]:
     return blocks, chosen
 
 
-_REQUIRED_VERIFY_ARGS = {
-    "homomorphism": ("n", "N"),
-    "equivariance": ("N",),
-    "circuit": ("N",),
-    "clifford": ("N",),
-    "rank": ("n", "N"),
-    "brauer": ("n",),
-    "associativity": ("n",),
-    "filtration": ("n",),
-    "modmult": ("n",),
-    "cell-symmetry": ("n",),
-    "involution": ("n",),
-}
-
-
 def _run_verify(args, config: CliConfig, stream) -> int:
-    kwargs: dict = {}
-    check = args.check
-    missing = [f"--{name}" for name in _REQUIRED_VERIFY_ARGS[check]
-               if getattr(args, name) is None]
+    """Fill each check's parameters from the argparse dests of the same name.
+
+    Parameters without a default are required; seed and bound fall back to
+    the config.
+    """
+    check = CHECKS[args.check]
+    params = inspect.signature(check).parameters.values()
+    missing = [f"--{p.name}" for p in params
+               if p.default is p.empty and getattr(args, p.name) is None]
     if missing:
-        print(f"verify {check} requires {' '.join(missing)}", file=sys.stderr)
+        print(f"verify {args.check} requires {' '.join(missing)}", file=sys.stderr)
         return 2
-    seed = config.seed if args.seed is None else args.seed
-    bound = config.max_total_dimension if args.bound is None else args.bound
-    if check == "homomorphism":
-        kwargs = dict(n=args.n, N=args.N, mode=args.mode,
-                      samples=args.samples, seed=seed, bound=bound)
-    elif check == "equivariance":
-        kwargs = dict(N=args.N, map_kind=args.map_kind, bound=bound)
-    elif check == "circuit":
-        kwargs = dict(N=args.N, circuit_type=args.circuit_type, arcs=args.arcs,
-                      bound=bound)
-    elif check == "clifford":
-        kwargs = dict(N=args.N, bound=bound)
-    elif check == "rank":
-        kwargs = dict(n=args.n, N=args.N, bound=bound)
-    elif check in ("brauer", "filtration", "modmult", "cell-symmetry", "involution"):
-        kwargs = dict(n=args.n)
-    elif check == "associativity":
-        kwargs = dict(n=args.n, samples=args.samples, seed=seed)
-    report: VerificationReport = CHECKS[check](**kwargs)
+    kwargs = {p.name: getattr(args, p.name) for p in params}
+    fallback = {"seed": config.seed, "bound": config.max_total_dimension}
+    for name, value in fallback.items():
+        if name in kwargs and kwargs[name] is None:
+            kwargs[name] = value
+    report: VerificationReport = check(**kwargs)
     _emit(report.to_json(), stream)
     return 0 if report.passed else 1
 
@@ -240,12 +219,7 @@ def run_command(argv: Sequence[str], stream=None) -> int:
         if args.command == "realize":
             d = _read_diagram(args.diagram, config)
             space = SpaceSpec(args.N, d.n)
-            if space.total_dim > config.max_total_dimension:
-                print(
-                    f"total dimension {space.total_dim} exceeds bound "
-                    f"{config.max_total_dimension}", file=sys.stderr,
-                )
-                return 2
+            _check_bound(space, config.max_total_dimension)
             _emit(realize_diagram(d, space).to_json(), stream)
             return 0
 

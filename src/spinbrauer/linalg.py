@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .scalars import RootTwoNumber
 
-__all__ = ["LinearMap", "matrix_rank", "rank_of_vectors"]
+__all__ = ["LinearMap", "rank_of_vectors"]
 
 Column = dict[int, RootTwoNumber]
 
@@ -221,7 +221,3 @@ def rank_of_vectors(vectors: Iterable[Mapping[int, RootTwoNumber]]) -> int:
             assert lead not in v
     return len(pivots)
 
-
-def matrix_rank(m: LinearMap) -> int:
-    """Rank of a LinearMap over Q(sqrt2)."""
-    return m.rank()

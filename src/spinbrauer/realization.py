@@ -30,8 +30,6 @@ __all__ = [
     "omega_pairing",
     "so_basis",
     "act_so",
-    "act_so_v_only",
-    "invariant_vector",
     "act_gamma",
     "build_equivariant_map",
     "projection_map",
@@ -160,15 +158,64 @@ def omega_pairing(u: int, v: int, space: SpaceSpec) -> int:
     return 1 if v == u else 0
 
 
-# --- integer (a + b sqrt2) helpers used on hot paths ------------------------
+# --- per-basis-vector kernels of the spin blocks ----------------------------
+#
+# Coefficients on hot paths are integer pairs (a, b) standing for a + b sqrt2.
 
 
-def _pair_times_sqrt2(a: int, b: int) -> tuple[int, int]:
-    return 2 * b, a
+def _times(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a + b sqrt2)(c + d sqrt2) as an integer pair."""
+    return a * c + 2 * b * d, a * d + b * c
 
 
-def _r2(a: int, b: int) -> RootTwoNumber:
-    return RootTwoNumber(a, b)
+def _absorb(c: int, mask: int, space: SpaceSpec) -> Optional[tuple[int, int, int]]:
+    """Absorb one slot content into Delta, as the projection does.
+
+    w_i wedges and w_i* contracts mode i (each scaled by sqrt2); e acts by the
+    parity. Returns (a, b, new mask) for the factor a + b sqrt2, or None when
+    the basis vector is annihilated.
+    """
+    m = space.m
+    if c < m:
+        res = _wedge(c, mask)
+    elif c < 2 * m:
+        res = _contract(c - m, mask)
+    else:
+        return _parity(mask), 0, mask
+    if res is None:
+        return None
+    sign, mk = res
+    return 0, sign, mk
+
+
+def _emit(mask: int, space: SpaceSpec) -> list[tuple[int, int, int, int]]:
+    """Emit a new slot from Delta, as the injection does.
+
+    Each mode i gives w_i while contracting it (if occupied) or w_i* while
+    wedging it (each scaled by sqrt2); for odd N, e times the parity. Returns
+    the terms as (content, a, b, new mask).
+    """
+    m = space.m
+    out = []
+    for i0 in range(m):
+        if mask >> i0 & 1:
+            sign, mk = _contract(i0, mask)
+            out.append((i0, 0, sign, mk))
+        else:
+            sign, mk = _wedge(i0, mask)
+            out.append((m + i0, 0, sign, mk))
+    if space.odd:
+        out.append((2 * m, _parity(mask), 0, mask))
+    return out
+
+
+def _invariant_pairs(space: SpaceSpec) -> list[tuple[int, int]]:
+    """Content pairs of the invariant element sum w_i (x) w_i* + w_i* (x) w_i (+ e (x) e)."""
+    m = space.m
+    pairs = [(a, m + a) for a in range(m)] + [(m + a, a) for a in range(m)]
+    if space.odd:
+        pairs.append((2 * m, 2 * m))
+    return pairs
 
 
 # --- equivariant map primitives ---------------------------------------------
@@ -181,13 +228,11 @@ class EquivariantMapSpec:
     kind is one of "projection" (positions=(i,)), "injection" (positions=(j,)),
     "immersion" (positions=(i, j) in the codomain), "contraction"
     (positions=(i, j) in the domain) or "swap" (positions = the 1-based image
-    tuple of the slot permutation). order_label records the intended place in
-    a composite's total order; it does not change the single map's matrix.
+    tuple of the slot permutation).
     """
 
     kind: str
     positions: tuple[int, ...] = ()
-    order_label: int = 1
 
 
 def projection_map(space: SpaceSpec, i: int) -> LinearMap:
@@ -195,27 +240,14 @@ def projection_map(space: SpaceSpec, i: int) -> LinearMap:
     if not 1 <= i <= space.n:
         raise ValueError(f"projection slot {i} outside 1..{space.n}")
     cod = space.with_n(space.n - 1)
-    m = space.m
     cols: dict[int, dict[int, RootTwoNumber]] = {}
     for slots, mask in space.basis():
-        c = slots[i - 1]
+        res = _absorb(slots[i - 1], mask, space)
+        if res is None:
+            continue
+        a, b, mk = res
         rest = slots[: i - 1] + slots[i:]
-        if c < m:
-            res = _wedge(c, mask)
-            if res is None:
-                continue
-            sign, mk = res
-            val = _r2(0, sign)
-        elif c < 2 * m:
-            res = _contract(c - m, mask)
-            if res is None:
-                continue
-            sign, mk = res
-            val = _r2(0, sign)
-        else:
-            val = _r2(_parity(mask), 0)
-            mk = mask
-        cols[space.encode(slots, mask)] = {cod.encode(rest, mk): val}
+        cols[space.encode(slots, mask)] = {cod.encode(rest, mk): RootTwoNumber(a, b)}
     return LinearMap(space.total_dim, cod.total_dim, cols)
 
 
@@ -224,23 +256,12 @@ def injection_map(space: SpaceSpec, j: int) -> LinearMap:
     if not 1 <= j <= space.n + 1:
         raise ValueError(f"injection slot {j} outside 1..{space.n + 1}")
     cod = space.with_n(space.n + 1)
-    m = space.m
     cols: dict[int, dict[int, RootTwoNumber]] = {}
     for slots, mask in space.basis():
-        col: dict[int, RootTwoNumber] = {}
-        for i0 in range(m):
-            if mask >> i0 & 1:
-                sign, mk = _contract(i0, mask)
-                content = i0
-            else:
-                sign, mk = _wedge(i0, mask)
-                content = m + i0
-            out = slots[: j - 1] + (content,) + slots[j - 1:]
-            col[cod.encode(out, mk)] = _r2(0, sign)
-        if space.odd:
-            out = slots[: j - 1] + (2 * m,) + slots[j - 1:]
-            col[cod.encode(out, mask)] = _r2(_parity(mask), 0)
-        cols[space.encode(slots, mask)] = col
+        cols[space.encode(slots, mask)] = {
+            cod.encode(slots[: j - 1] + (c,) + slots[j - 1:], mk): RootTwoNumber(a, b)
+            for c, a, b, mk in _emit(mask, space)
+        }
     return LinearMap(space.total_dim, cod.total_dim, cols)
 
 
@@ -249,12 +270,9 @@ def immersion_map(space: SpaceSpec, i: int, j: int) -> LinearMap:
     if not 1 <= i < j <= space.n + 2:
         raise ValueError(f"immersion positions ({i},{j}) invalid for n={space.n}")
     cod = space.with_n(space.n + 2)
-    m = space.m
-    pairs = [(a, m + a) for a in range(m)] + [(m + a, a) for a in range(m)]
-    if space.odd:
-        pairs.append((2 * m, 2 * m))
+    pairs = _invariant_pairs(space)
     cols: dict[int, dict[int, RootTwoNumber]] = {}
-    one = _r2(1, 0)
+    one = RootTwoNumber(1)
     for slots, mask in space.basis():
         col: dict[int, RootTwoNumber] = {}
         for ca, cb in pairs:
@@ -277,7 +295,7 @@ def contraction_map(space: SpaceSpec, i: int, j: int) -> LinearMap:
         if not w:
             continue
         rest = tuple(c for k, c in enumerate(slots) if k not in (i - 1, j - 1))
-        cols[space.encode(slots, mask)] = {cod.encode(rest, mask): _r2(w, 0)}
+        cols[space.encode(slots, mask)] = {cod.encode(rest, mask): RootTwoNumber(w)}
     return LinearMap(space.total_dim, cod.total_dim, cols)
 
 
@@ -286,7 +304,7 @@ def swap_map(space: SpaceSpec, images: Sequence[int]) -> LinearMap:
     if sorted(images) != list(range(1, space.n + 1)):
         raise ValueError(f"{images} is not a permutation of 1..{space.n}")
     cols: dict[int, dict[int, RootTwoNumber]] = {}
-    one = _r2(1, 0)
+    one = RootTwoNumber(1)
     for slots, mask in space.basis():
         out = [0] * space.n
         for i, c in enumerate(slots):
@@ -398,7 +416,7 @@ def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[RootT
             r2 = _wedge(i - 1, mk)
             if r2:
                 s2, mk2 = r2
-                out.append((_r2(s1 * s2, 0), mk2))
+                out.append((RootTwoNumber(s1 * s2), mk2))
         return out
     if kind == "lowering":
         r = _contract(j - 1, mask)
@@ -407,7 +425,7 @@ def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[RootT
             r2 = _contract(i - 1, mk)
             if r2:
                 s2, mk2 = r2
-                out.append((_r2(s1 * s2, 0), mk2))
+                out.append((RootTwoNumber(s1 * s2), mk2))
         return out
     if kind == "mixed":
         r = _contract(j - 1, mask)
@@ -416,7 +434,7 @@ def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[RootT
             r2 = _wedge(i - 1, mk)
             if r2:
                 s2, mk2 = r2
-                out.append((_r2(s1 * s2, 0), mk2))
+                out.append((RootTwoNumber(s1 * s2), mk2))
         if i == j:
             out.append((RootTwoNumber(Fraction(-1, 2)), mask))
         return out
@@ -455,52 +473,12 @@ def act_so(sym: SoSymbol, space: SpaceSpec) -> LinearMap:
         for k, c in enumerate(slots):
             for coeff, nc in _v_action(sym, c, space):
                 out = slots[:k] + (nc,) + slots[k + 1:]
-                add(space.encode(out, mask), _r2(coeff, 0))
+                add(space.encode(out, mask), RootTwoNumber(coeff))
         for coeff, mk in _spin_action(sym, mask, space):
             add(space.encode(slots, mk), coeff)
         if col:
             cols[space.encode(slots, mask)] = col
     return LinearMap(space.total_dim, space.total_dim, cols)
-
-
-def act_so_v_only(sym: SoSymbol, N: int, num_slots: int) -> LinearMap:
-    """Derivation action on V^(x)num_slots alone (no spin factor)."""
-    space = SpaceSpec(N, num_slots)
-    dim = N**num_slots
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
-    for slots in itertools.product(range(N), repeat=num_slots):
-        code = 0
-        for v in slots:
-            code = code * N + v
-        col: dict[int, RootTwoNumber] = {}
-        for k, c in enumerate(slots):
-            for coeff, nc in _v_action(sym, c, space):
-                out = slots[:k] + (nc,) + slots[k + 1:]
-                ocode = 0
-                for v in out:
-                    ocode = ocode * N + v
-                s = col.get(ocode)
-                s = _r2(coeff, 0) if s is None else s + _r2(coeff, 0)
-                if s:
-                    col[ocode] = s
-                else:
-                    col.pop(ocode, None)
-        if col:
-            cols[code] = col
-    return LinearMap(dim, dim, cols)
-
-
-def invariant_vector(N: int) -> dict[int, RootTwoNumber]:
-    """The immersed element of V (x) V as a sparse vector (index c1*N + c2)."""
-    space = SpaceSpec(N, 0)
-    m = space.m
-    out: dict[int, RootTwoNumber] = {}
-    for a in range(m):
-        out[a * N + (m + a)] = _r2(1, 0)
-        out[(m + a) * N + a] = _r2(1, 0)
-    if space.odd:
-        out[2 * m * N + 2 * m] = _r2(1, 0)
-    return out
 
 
 def act_gamma(space: SpaceSpec) -> LinearMap:
@@ -548,73 +526,51 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
 
 
 def realize_diagram(d: SpinDiagram, space: SpaceSpec) -> LinearMap:
-    """The endomorphism of V^(x)n (x) Delta carried by a canonical diagram."""
+    """The endomorphism of V^(x)n (x) Delta carried by a canonical diagram.
+
+    Each basis vector goes through the building blocks in the order of the
+    module docstring, sharing the block maps' kernels; the integer-pair
+    coefficients of coinciding terms are summed before packing.
+    """
     if d.n != space.n:
         raise DiagramError(f"diagram has n={d.n}, space has n={space.n}")
-    n, m, odd = space.n, space.m, space.odd
     top_arcs = [(a - 1, b - 1) for a, b in d.top_arcs]
     top_iso = [v - 1 for v in d.top_isolated]
     bottom_iso = [v - 1 for v in d.bottom_isolated]
     bottom_arcs = [(a - 1, b - 1) for a, b in d.bottom_arcs]
     through = [(i - 1, j - 1) for i, j in d.through]
-    pairs = [(a, m + a) for a in range(m)] + [(m + a, a) for a in range(m)]
-    if odd:
-        pairs.append((2 * m, 2 * m))
+    pairs = _invariant_pairs(space)
+    # The spin kernels depend only on (content, mask), so tabulate them once.
+    masks = range(space.fock_dim)
+    absorbed = [[_absorb(c, mask, space) for mask in masks] for c in range(space.N)]
+    emitted = [_emit(mask, space) for mask in masks]
 
     cols: dict[int, dict[int, RootTwoNumber]] = {}
     for slots, mask in space.basis():
-        ca, cb = 1, 0  # coefficient a + b sqrt2
-        dead = False
-        for p, q in top_arcs:
-            if not omega_pairing(slots[p], slots[q], space):
-                dead = True
-                break
-        if dead:
+        if not all(omega_pairing(slots[p], slots[q], space) for p, q in top_arcs):
             continue
-        mk = mask
+        ca, cb, mk = 1, 0, mask  # coefficient ca + cb sqrt2
         for p in top_iso:
-            c = slots[p]
-            if c < m:
-                res = _wedge(c, mk)
-            elif c < 2 * m:
-                res = _contract(c - m, mk)
-            else:
-                ca, cb = _parity(mk) * ca, _parity(mk) * cb
-                continue
+            res = absorbed[slots[p]][mk]
             if res is None:
-                dead = True
+                ca = cb = 0
                 break
-            sign, mk = res
-            ca, cb = _pair_times_sqrt2(sign * ca, sign * cb)
-        if dead:
-            continue
+            a, b, mk = res
+            ca, cb = _times(ca, cb, a, b)
+        if not (ca or cb):
+            continue  # a top isolated vertex annihilated this basis vector
 
-        out0: list[Optional[int]] = [None] * n
+        out0: list[Optional[int]] = [None] * space.n
         for i, j in through:
             out0[j] = slots[i]
-
-        terms: list[tuple[int, int, int, tuple[Optional[int], ...]]] = [
-            (ca, cb, mk, tuple(out0))
-        ]
+        terms = [(ca, cb, mk, out0)]
         for p in bottom_iso:
             new_terms = []
             for ta, tb, tmask, tout in terms:
-                for i0 in range(m):
-                    if tmask >> i0 & 1:
-                        sign, mk2 = _contract(i0, tmask)
-                        content = i0
-                    else:
-                        sign, mk2 = _wedge(i0, tmask)
-                        content = m + i0
-                    na, nb = _pair_times_sqrt2(sign * ta, sign * tb)
+                for c, a, b, mk2 in emitted[tmask]:
                     o = list(tout)
-                    o[p] = content
-                    new_terms.append((na, nb, mk2, tuple(o)))
-                if odd:
-                    s = _parity(tmask)
-                    o = list(tout)
-                    o[p] = 2 * m
-                    new_terms.append((s * ta, s * tb, tmask, tuple(o)))
+                    o[p] = c
+                    new_terms.append((*_times(ta, tb, a, b), mk2, o))
             terms = new_terms
         for p, q in bottom_arcs:
             new_terms = []
@@ -622,18 +578,15 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec) -> LinearMap:
                 for cx, cy in pairs:
                     o = list(tout)
                     o[p], o[q] = cx, cy
-                    new_terms.append((ta, tb, tmask, tuple(o)))
+                    new_terms.append((ta, tb, tmask, o))
             terms = new_terms
 
         col: dict[int, tuple[int, int]] = {}
         for ta, tb, tmask, tout in terms:
             idx = space.encode(tout, tmask)  # type: ignore[arg-type]
             cur = col.get(idx)
-            if cur is None:
-                col[idx] = (ta, tb)
-            else:
-                col[idx] = (cur[0] + ta, cur[1] + tb)
-        packed = {r: _r2(a, b) for r, (a, b) in col.items() if a or b}
+            col[idx] = (ta, tb) if cur is None else (cur[0] + ta, cur[1] + tb)
+        packed = {r: RootTwoNumber(a, b) for r, (a, b) in col.items() if a or b}
         if packed:
             cols[space.encode(slots, mask)] = packed
     return LinearMap(space.total_dim, space.total_dim, cols)

@@ -23,18 +23,17 @@ from .diagrams import (
 from .linalg import LinearMap, rank_of_vectors
 from .multiply import multiply_diagrams, multiply_elements
 from .realization import (
+    EquivariantMapSpec,
     SpaceSpec,
     act_gamma,
     act_so,
-    act_so_v_only,
+    build_equivariant_map,
     contraction_map,
     immersion_map,
     injection_map,
-    invariant_vector,
     projection_map,
     realize_diagram,
     so_basis,
-    swap_map,
 )
 from .scalars import DeltaPolynomial, RootTwoNumber
 
@@ -155,20 +154,9 @@ _EQUIVARIANT_FAMILIES: dict[str, list[tuple[int, object]]] = {
     "contraction": [(2, (1, 2))],
     "swap": [(2, (2, 1))],
 }
-
-
-def _family_map(kind: str, space: SpaceSpec, pos) -> tuple[LinearMap, SpaceSpec]:
-    if kind == "projection":
-        return projection_map(space, pos), space.with_n(space.n - 1)
-    if kind == "injection":
-        return injection_map(space, pos), space.with_n(space.n + 1)
-    if kind == "immersion":
-        return immersion_map(space, *pos), space.with_n(space.n + 2)
-    if kind == "contraction":
-        return contraction_map(space, *pos), space.with_n(space.n - 2)
-    if kind == "swap":
-        return swap_map(space, pos), space
-    raise ValueError(f"unknown map kind {kind!r}")
+# Slots gained (or lost) by each kind of block: the codomain's n minus the domain's.
+_ARITY_CHANGE = {"projection": -1, "injection": 1, "immersion": 2,
+                 "contraction": -2, "swap": 0}
 
 
 def verify_equivariance(N: int, map_kind: str,
@@ -176,35 +164,41 @@ def verify_equivariance(N: int, map_kind: str,
     """Commutation with every so(N) basis element and the odd reflection.
 
     map_kind "invariant" instead checks that the immersed element of V (x) V
-    is annihilated by the so(N) action on the slots.
+    is annihilated by the so(N) action on the slots: the immersion into
+    n = 2 commutes with the so(N) action, whose spin parts cancel.
     """
     params = {"N": N, "map_kind": map_kind}
     if map_kind == "invariant":
-        vec = invariant_vector(N)
-        for sym in so_basis(SpaceSpec(N, 0)):
-            image = act_so_v_only(sym, N, 2).apply(vec)
-            if image:
+        vacuum, pair = SpaceSpec(N, 0), SpaceSpec(N, 2)
+        _check_bound(pair, bound)
+        iota = immersion_map(vacuum, 1, 2)
+        for sym in so_basis(vacuum):
+            if act_so(sym, pair) @ iota != iota @ act_so(sym, vacuum):
                 return VerificationReport(
                     "equivariance", params, False, {"symbol": repr(sym)}
                 )
         return VerificationReport("equivariance", params, True)
 
-    for n, pos in _EQUIVARIANT_FAMILIES[map_kind]:
-        dom = SpaceSpec(N, n)
+    family = [(SpaceSpec(N, n), SpaceSpec(N, n + _ARITY_CHANGE[map_kind]), pos)
+              for n, pos in _EQUIVARIANT_FAMILIES[map_kind]]
+    for dom, cod, _ in family:
         _check_bound(dom, bound)
-        fmap, cod = _family_map(map_kind, dom, pos)
+        _check_bound(cod, bound)
+    for dom, cod, pos in family:
+        positions = pos if isinstance(pos, tuple) else (pos,)
+        fmap = build_equivariant_map(EquivariantMapSpec(map_kind, positions), dom)
         for sym in so_basis(dom):
             lhs = fmap @ act_so(sym, dom)
             rhs = act_so(sym, cod) @ fmap
             if lhs != rhs:
                 return VerificationReport(
                     "equivariance", params, False,
-                    {"symbol": repr(sym), "n": n, "positions": repr(pos)},
+                    {"symbol": repr(sym), "n": dom.n, "positions": repr(pos)},
                 )
         if (fmap @ act_gamma(dom)) != (act_gamma(cod) @ fmap):
             return VerificationReport(
                 "equivariance", params, False,
-                {"symbol": "gamma", "n": n, "positions": repr(pos)},
+                {"symbol": "gamma", "n": dom.n, "positions": repr(pos)},
             )
     return VerificationReport("equivariance", params, True)
 
@@ -319,6 +313,7 @@ def verify_clifford_relation(N: int,
     plus twice the joined map (immersion, through string, contraction).
     """
     params = {"N": N}
+    _check_bound(SpaceSpec(N, 2), bound)  # the largest space any composite uses
     fails = []
 
     comp = _SlotComposer(N)

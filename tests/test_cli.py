@@ -4,6 +4,7 @@ import json
 import pytest
 
 from spinbrauer.cli import CliConfig, load_config, run_command
+from spinbrauer.verify import CHECKS
 
 
 def run(argv):
@@ -163,6 +164,57 @@ def test_verify_missing_flag_is_usage_error(capsys):
     code, _ = run(["verify", "homomorphism", "--N", "3"])
     assert code == 2
     assert "--n" in capsys.readouterr().err
+
+
+# Each check at its smallest size: the CLI arguments and the keyword
+# arguments they must reach the check with (CLI defaults included).
+SMALLEST_CHECKS = {
+    "homomorphism": (["--n", "1", "--N", "2"],
+                     dict(n=1, N=2, mode="exhaustive", samples=50, seed=0, bound=4096)),
+    "equivariance": (["--N", "2"], dict(N=2, map_kind="projection", bound=4096)),
+    "circuit": (["--N", "2"], dict(N=2, circuit_type="IV", arcs=0, bound=4096)),
+    "clifford": (["--N", "2"], dict(N=2, bound=4096)),
+    "rank": (["--n", "1", "--N", "2"], dict(n=1, N=2, bound=4096)),
+    "brauer": (["--n", "1"], dict(n=1)),
+    "associativity": (["--n", "1"], dict(n=1, samples=50, seed=0)),
+    "filtration": (["--n", "1"], dict(n=1)),
+    "modmult": (["--n", "1"], dict(n=1)),
+    "cell-symmetry": (["--n", "1"], dict(n=1)),
+    "involution": (["--n", "1"], dict(n=1)),
+}
+
+
+def test_smallest_checks_cover_every_check():
+    assert set(SMALLEST_CHECKS) == set(CHECKS)
+
+
+@pytest.mark.parametrize("name", sorted(SMALLEST_CHECKS))
+def test_verify_cli_matches_direct_call(name):
+    argv, kwargs = SMALLEST_CHECKS[name]
+    code, out = run(["verify", name, *argv])
+    report = CHECKS[name](**kwargs)
+    assert code == (0 if report.passed else 1)
+    assert out == json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("argv,dim,bound", [
+    (["clifford", "--N", "6", "--bound", "100"], 288, 100),
+    (["equivariance", "--N", "5", "--map-kind", "invariant", "--bound", "10"], 100, 10),
+    (["equivariance", "--N", "8", "--map-kind", "immersion"], 8192, 4096),
+])
+def test_verify_over_bound_is_usage_error(argv, dim, bound, capsys):
+    code, out = run(["verify", *argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"total dimension {dim} exceeds bound {bound}\n"
+
+
+def test_realize_over_bound_is_usage_error(fixtures_dir, tmp_path, capsys):
+    cfg = tmp_path / "spinbrauer.toml"
+    cfg.write_text("max_total_dimension = 100\n")
+    code, out = run(["--config", str(cfg), "realize",
+                     str(fixtures_dir / "five_vertex_datum.json"), "--N", "3"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "total dimension 486 exceeds bound 100\n"
 
 
 def test_identical_invocations_are_byte_identical(fixtures_dir):

@@ -13,6 +13,7 @@ from spinbrauer.diagrams import (
     involution,
 )
 from spinbrauer import multiply
+from spinbrauer.cellular import phi_ell
 from spinbrauer.multiply import (
     ascending_strategy,
     clifford_normalize,
@@ -254,3 +255,15 @@ def test_involution_antiautomorphism():
                 {involution(d): c for d, c in multiply_diagrams(d1, d2).terms.items()},
             )
             assert lhs == multiply_diagrams(involution(d2), involution(d1))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="swapping the pairing's arguments changes its scalar from n = 3 on: "
+    "here phi_1(v1, v2) = 2(delta - 2) and phi_1(v2, v1) = 2 delta (times the "
+    "identity); a cellular datum needs the anti-involution of ROADMAP item 4",
+)
+def test_cell_symmetry_at_three():
+    v1 = (((1,), (2,), (3,)), ((1,),))
+    v2 = (((1,), (2,), (3,)), ((3,),))
+    assert phi_ell(1, v2, v1) == phi_ell(1, v1, v2).inverted()

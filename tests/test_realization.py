@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinbrauer.diagrams import SpinDiagram, identity_diagram
+from spinbrauer.diagrams import SpinDiagram, enumerate_basis, identity_diagram
 from spinbrauer.linalg import LinearMap
 from spinbrauer.multiply import multiply_diagrams
 from spinbrauer.realization import (
@@ -11,19 +11,19 @@ from spinbrauer.realization import (
     SpaceSpec,
     act_gamma,
     act_so,
-    act_so_v_only,
     apply_fock_operator,
     build_equivariant_map,
     contraction_map,
     immersion_map,
     injection_map,
-    invariant_vector,
     omega_pairing,
     projection_map,
     realize_diagram,
+    so_basis,
     swap_map,
 )
 from spinbrauer.scalars import RootTwoNumber
+from spinbrauer.verify import _SlotComposer
 
 ONE = RootTwoNumber(1)
 SQRT2 = RootTwoNumber(0, 1)
@@ -172,12 +172,13 @@ def test_projection_of_injection_scales_by_dimension(N):
 
 
 def test_invariant_vector_annihilated():
+    # so(N) kills the immersed element of V (x) V, so the immersion commutes
+    # with the action: the spin parts on both sides cancel.
     for N in (3, 4):
-        vecN = invariant_vector(N)
-        from spinbrauer.realization import so_basis
-
-        for sym in so_basis(SpaceSpec(N, 0)):
-            assert act_so_v_only(sym, N, 2).apply(vecN) == {}
+        vacuum, pair = SpaceSpec(N, 0), SpaceSpec(N, 2)
+        iota = immersion_map(vacuum, 1, 2)
+        for sym in so_basis(vacuum):
+            assert act_so(sym, pair) @ iota == iota @ act_so(sym, vacuum)
 
 
 def test_contracting_an_injected_slot_is_a_projection():
@@ -259,3 +260,43 @@ def test_realize_matches_composite_on_product():
             lhs = lhs + realize_diagram(d, space).scale(RootTwoNumber(c.eval_at(N)))
         rhs = realize_diagram(bottom, space) @ realize_diagram(top, space)
         assert lhs == rhs
+
+
+class _DiagramComposer(_SlotComposer):
+    """The slot composer started on n named slots instead of none."""
+
+    def __init__(self, N, names):
+        super().__init__(N)
+        self.slots = list(names)
+        self.matrix = LinearMap.identity(self._space().total_dim)
+
+    def rename(self, new_names):
+        """Route each slot to its new name through one swap_map."""
+        new = sorted(new_names[s] for s in self.slots)
+        images = [new.index(new_names[s]) + 1 for s in self.slots]
+        self.matrix = swap_map(self._space(), images) @ self.matrix
+        self.slots = new
+
+
+def block_composite(d, N):
+    """The product of the block maps a diagram stands for, in the documented order."""
+    comp = _DiagramComposer(N, range(1, d.n + 1))
+    for a, b in d.top_arcs:
+        comp.contract(a, b)
+    for v in d.top_isolated:
+        comp.project(v)
+    comp.rename(dict(d.through))
+    for v in d.bottom_isolated:
+        comp.inject(v)
+    for a, b in d.bottom_arcs:
+        comp.immerse(a, b)
+    assert comp.slots == list(range(1, d.n + 1))
+    return comp.matrix
+
+
+@pytest.mark.parametrize("N,max_n", [(3, 3), (4, 2), (5, 2)])
+def test_realize_equals_block_composite(N, max_n):
+    for n in range(max_n + 1):
+        space = SpaceSpec(N, n)
+        for d in enumerate_basis(n):
+            assert realize_diagram(d, space) == block_composite(d, N), d
