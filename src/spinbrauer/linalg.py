@@ -1,12 +1,18 @@
 """Sparse exact linear algebra over Q(sqrt2): maps, composition, rank.
 
-A LinearMap is stored column-wise; every stored entry is nonzero. Composition
-has an integer fast path (entries of diagram realizations always lie in
-Z[sqrt2]) and a generic Fraction path; the two agree exactly.
+A LinearMap is stored column-wise as integer pairs (a, b) over one positive
+integer denominator per map: the entry is (a + b sqrt2) / den. Entries of
+diagram realizations lie in Z[sqrt2], so den is 1 there; the so(N) action
+and the odd reflection bring den = 2. The form is canonical (no stored zero,
+gcd(den, every a, every b) = 1, den = 1 for the zero map), so equal maps
+have equal storage. RootTwoNumber values appear only at the boundary: the
+public constructor, column, apply, entries, flatten and to_json.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .scalars import RootTwoNumber
@@ -14,12 +20,15 @@ from .scalars import RootTwoNumber
 __all__ = ["LinearMap", "rank_of_vectors"]
 
 Column = dict[int, RootTwoNumber]
+Pair = tuple[int, int]
+PairColumn = dict[int, Pair]
+_ZERO: Pair = (0, 0)
 
 
 class LinearMap:
     """An exact sparse linear map between based Q(sqrt2)-spaces."""
 
-    __slots__ = ("domain_dim", "codomain_dim", "_cols")
+    __slots__ = ("domain_dim", "codomain_dim", "_cols", "_den")
 
     def __init__(
         self,
@@ -27,39 +36,97 @@ class LinearMap:
         codomain_dim: int,
         columns: Mapping[int, Mapping[int, RootTwoNumber]] = (),
     ):
+        items = list(columns.items() if isinstance(columns, Mapping) else columns)
+        den = lcm(*(x.denominator for _, col in items for v in col.values()
+                    for x in (v.a, v.b)))
+        pairs = {j: {r: (int(v.a * den), int(v.b * den)) for r, v in col.items()}
+                 for j, col in items}
+        self._adopt(domain_dim, codomain_dim, pairs, den)
+
+    @classmethod
+    def _from_pairs(cls, domain_dim: int, codomain_dim: int,
+                    cols: dict[int, PairColumn], den: int = 1) -> LinearMap:
+        """Adopt pair columns over den (> 0); the dicts become the map's own."""
+        out = cls.__new__(cls)
+        out._adopt(domain_dim, codomain_dim, cols, den)
+        return out
+
+    def _adopt(self, domain_dim: int, codomain_dim: int,
+               cols: dict[int, PairColumn], den: int) -> None:
+        """Check indices, drop zero entries and empty columns, reduce den."""
         if domain_dim < 0 or codomain_dim < 0:
             raise ValueError("dimensions must be nonnegative")
-        object.__setattr__(self, "domain_dim", domain_dim)
-        object.__setattr__(self, "codomain_dim", codomain_dim)
-        cols: dict[int, Column] = {}
-        items = columns.items() if isinstance(columns, Mapping) else columns
-        for j, col in items:
-            if not 0 <= j < domain_dim:
-                raise ValueError(f"column index {j} out of range")
-            clean = {}
-            for r, v in col.items():
+        clean: dict[int, PairColumn] = {}
+        for j, col in cols.items():
+            if _ZERO in col.values():
+                col = {r: v for r, v in col.items() if v != _ZERO}
+            if col:
+                clean[j] = col
+        if cols:
+            for j in (min(cols), max(cols)):
+                if not 0 <= j < domain_dim:
+                    raise ValueError(f"column index {j} out of range")
+        if clean:
+            for r in (min(map(min, clean.values())), max(map(max, clean.values()))):
                 if not 0 <= r < codomain_dim:
                     raise ValueError(f"row index {r} out of range")
-                if v:
-                    clean[r] = v
-            if clean:
-                cols[j] = clean
-        object.__setattr__(self, "_cols", cols)
+        if den != 1:
+            g = gcd(den, *(x for col in clean.values() for v in col.values() for x in v))
+            if g != 1:
+                den //= g
+                clean = {j: {r: (a // g, b // g) for r, (a, b) in col.items()}
+                         for j, col in clean.items()}
+        object.__setattr__(self, "domain_dim", domain_dim)
+        object.__setattr__(self, "codomain_dim", codomain_dim)
+        object.__setattr__(self, "_cols", clean)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LinearMap is immutable")
 
     @classmethod
     def identity(cls, n: int) -> LinearMap:
-        one = RootTwoNumber(1)
-        return cls(n, n, {j: {j: one} for j in range(n)})
+        return cls._from_pairs(n, n, {j: {j: (1, 0)} for j in range(n)})
 
     @classmethod
     def zero(cls, domain_dim: int, codomain_dim: int) -> LinearMap:
-        return cls(domain_dim, codomain_dim, {})
+        return cls._from_pairs(domain_dim, codomain_dim, {})
+
+    @classmethod
+    def combination(cls, domain_dim: int, codomain_dim: int,
+                    terms: Iterable[tuple[int, LinearMap]]) -> LinearMap:
+        """The sum of c * m over integer coefficients c, in one pass."""
+        terms = [(c, m) for c, m in terms if c]
+        for _, m in terms:
+            if (m.domain_dim, m.codomain_dim) != (domain_dim, codomain_dim):
+                raise ValueError("dimension mismatch in sum")
+        den = lcm(*(m._den for _, m in terms))
+        cols: dict[int, PairColumn] = {}
+        for c, m in terms:
+            f = c * (den // m._den)
+            for j, col in m._cols.items():
+                tgt = cols.get(j)
+                if tgt is None:
+                    cols[j] = (dict(col) if f == 1 else
+                               {r: (a * f, b * f) for r, (a, b) in col.items()})
+                    continue
+                for r, (a, b) in col.items():
+                    cur = tgt.get(r)
+                    if cur is None:
+                        tgt[r] = (a * f, b * f)
+                    else:
+                        tgt[r] = (cur[0] + a * f, cur[1] + b * f)
+        return cls._from_pairs(domain_dim, codomain_dim, cols, den)
+
+    def _box(self, pair: Pair) -> RootTwoNumber:
+        a, b = pair
+        den = self._den
+        if den == 1:
+            return RootTwoNumber(a, b)
+        return RootTwoNumber(Fraction(a, den), Fraction(b, den))
 
     def column(self, j: int) -> Column:
-        return dict(self._cols.get(j, {}))
+        return {r: self._box(v) for r, v in self._cols.get(j, {}).items()}
 
     def nnz(self) -> int:
         return sum(len(c) for c in self._cols.values())
@@ -69,14 +136,30 @@ class LinearMap:
         for j in sorted(self._cols):
             col = self._cols[j]
             for r in sorted(col):
-                yield r, j, col[r]
+                yield r, j, self._box(col[r])
+
+    def first_difference(
+        self, other: LinearMap
+    ) -> Optional[tuple[int, int, RootTwoNumber, RootTwoNumber]]:
+        """The first (row, col, self's entry, other's entry) where the maps
+        differ, in entries() order; None when they are equal."""
+        if (self.domain_dim, self.codomain_dim) != (other.domain_dim, other.codomain_dim):
+            raise ValueError("dimension mismatch in comparison")
+        ds, do = self._den, other._den
+        for j in sorted(self._cols.keys() | other._cols.keys()):
+            mine, theirs = self._cols.get(j, {}), other._cols.get(j, {})
+            for r in sorted(mine.keys() | theirs.keys()):
+                (a, b), (c, d) = mine.get(r, _ZERO), theirs.get(r, _ZERO)
+                if a * do != c * ds or b * do != d * ds:
+                    return r, j, self._box((a, b)), other._box((c, d))
+        return None
 
     def apply(self, vec: Mapping[int, RootTwoNumber]) -> Column:
         out: Column = {}
         for j, c in vec.items():
             if not c:
                 continue
-            for r, v in self._cols.get(j, {}).items():
+            for r, v in self.column(j).items():
                 s = out.get(r)
                 s = v * c if s is None else s + v * c
                 if s:
@@ -85,78 +168,52 @@ class LinearMap:
                     out.pop(r, None)
         return out
 
-    def _int_cols(self) -> Optional[dict[int, list[tuple[int, int, int]]]]:
-        """Columns as (row, a, b) integer triples, or None if any entry is fractional."""
-        out: dict[int, list[tuple[int, int, int]]] = {}
-        for j, col in self._cols.items():
-            rows = []
-            for r, v in col.items():
-                if v.a.denominator != 1 or v.b.denominator != 1:
-                    return None
-                rows.append((r, v.a.numerator, v.b.numerator))
-            out[j] = rows
-        return out
-
     def compose(self, other: LinearMap) -> LinearMap:
         """self o other (apply `other` first)."""
         if other.codomain_dim != self.domain_dim:
             raise ValueError(
                 f"inner dimensions differ: {other.codomain_dim} vs {self.domain_dim}"
             )
-        left = self._int_cols()
-        right = other._int_cols()
-        if left is not None and right is not None:
-            cols: dict[int, Column] = {}
-            for j, rcol in right.items():
-                acc: dict[int, tuple[int, int]] = {}
-                for k, ca, cb in rcol:
-                    for r, va, vb in left.get(k, ()):
-                        na = va * ca + 2 * vb * cb
-                        nb = va * cb + vb * ca
-                        cur = acc.get(r)
-                        if cur is None:
-                            acc[r] = (na, nb)
-                        else:
-                            acc[r] = (cur[0] + na, cur[1] + nb)
-                col = {
-                    r: RootTwoNumber(a, b) for r, (a, b) in acc.items() if a or b
-                }
-                if col:
-                    cols[j] = col
-            return LinearMap(other.domain_dim, self.codomain_dim, cols)
-        cols = {}
-        for j in other._cols:
-            col = self.apply(other._cols[j])
-            if col:
-                cols[j] = col
-        return LinearMap(other.domain_dim, self.codomain_dim, cols)
+        left = self._cols
+        cols: dict[int, PairColumn] = {}
+        for j, rcol in other._cols.items():
+            acc: PairColumn = {}
+            for k, (c, d) in rcol.items():
+                lcol = left.get(k)
+                if lcol is None:
+                    continue
+                for r, (a, b) in lcol.items():
+                    cur = acc.get(r)
+                    if cur is None:
+                        acc[r] = (a * c + 2 * b * d, a * d + b * c)
+                    else:
+                        acc[r] = (cur[0] + a * c + 2 * b * d, cur[1] + a * d + b * c)
+            cols[j] = acc
+        return LinearMap._from_pairs(other.domain_dim, self.codomain_dim, cols,
+                                     self._den * other._den)
 
     def __matmul__(self, other: LinearMap) -> LinearMap:
         return self.compose(other)
 
     def __add__(self, other: LinearMap) -> LinearMap:
-        if (self.domain_dim, self.codomain_dim) != (other.domain_dim, other.codomain_dim):
-            raise ValueError("dimension mismatch in sum")
-        cols: dict[int, Column] = {j: dict(c) for j, c in self._cols.items()}
-        for j, col in other._cols.items():
-            tgt = cols.setdefault(j, {})
-            for r, v in col.items():
-                s = tgt.get(r)
-                s = v if s is None else s + v
-                if s:
-                    tgt[r] = s
-                else:
-                    tgt.pop(r, None)
-        return LinearMap(self.domain_dim, self.codomain_dim, cols)
+        return LinearMap.combination(self.domain_dim, self.codomain_dim,
+                                     ((1, self), (1, other)))
 
     def __sub__(self, other: LinearMap) -> LinearMap:
-        return self + other.scale(RootTwoNumber(-1))
+        return LinearMap.combination(self.domain_dim, self.codomain_dim,
+                                     ((1, self), (-1, other)))
 
     def scale(self, c: RootTwoNumber) -> LinearMap:
         if not c:
             return LinearMap.zero(self.domain_dim, self.codomain_dim)
-        cols = {j: {r: v * c for r, v in col.items()} for j, col in self._cols.items()}
-        return LinearMap(self.domain_dim, self.codomain_dim, cols)
+        cden = lcm(c.a.denominator, c.b.denominator)
+        p, q = int(c.a * cden), int(c.b * cden)
+        cols = {
+            j: {r: (a * p + 2 * b * q, a * q + b * p) for r, (a, b) in col.items()}
+            for j, col in self._cols.items()
+        }
+        return LinearMap._from_pairs(self.domain_dim, self.codomain_dim, cols,
+                                     self._den * cden)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearMap):
@@ -164,6 +221,7 @@ class LinearMap:
         return (
             self.domain_dim == other.domain_dim
             and self.codomain_dim == other.codomain_dim
+            and self._den == other._den
             and self._cols == other._cols
         )
 
@@ -178,7 +236,7 @@ class LinearMap:
         return out
 
     def rank(self) -> int:
-        return rank_of_vectors(self._cols.values())
+        return rank_of_vectors(self.column(j) for j in self._cols)
 
     def to_json(self) -> dict:
         return {
@@ -220,4 +278,3 @@ def rank_of_vectors(vectors: Iterable[Mapping[int, RootTwoNumber]]) -> int:
                     v.pop(i, None)
             assert lead not in v
     return len(pivots)
-

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .diagrams import DiagramError, SpinDiagram
-from .linalg import LinearMap
-from .scalars import RootTwoNumber
+from .linalg import LinearMap, PairColumn
 
 __all__ = [
     "SpaceSpec",
@@ -240,15 +238,15 @@ def projection_map(space: SpaceSpec, i: int) -> LinearMap:
     if not 1 <= i <= space.n:
         raise ValueError(f"projection slot {i} outside 1..{space.n}")
     cod = space.with_n(space.n - 1)
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
+    cols: dict[int, PairColumn] = {}
     for slots, mask in space.basis():
         res = _absorb(slots[i - 1], mask, space)
         if res is None:
             continue
         a, b, mk = res
         rest = slots[: i - 1] + slots[i:]
-        cols[space.encode(slots, mask)] = {cod.encode(rest, mk): RootTwoNumber(a, b)}
-    return LinearMap(space.total_dim, cod.total_dim, cols)
+        cols[space.encode(slots, mask)] = {cod.encode(rest, mk): (a, b)}
+    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols)
 
 
 def injection_map(space: SpaceSpec, j: int) -> LinearMap:
@@ -256,13 +254,13 @@ def injection_map(space: SpaceSpec, j: int) -> LinearMap:
     if not 1 <= j <= space.n + 1:
         raise ValueError(f"injection slot {j} outside 1..{space.n + 1}")
     cod = space.with_n(space.n + 1)
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
+    cols: dict[int, PairColumn] = {}
     for slots, mask in space.basis():
         cols[space.encode(slots, mask)] = {
-            cod.encode(slots[: j - 1] + (c,) + slots[j - 1:], mk): RootTwoNumber(a, b)
+            cod.encode(slots[: j - 1] + (c,) + slots[j - 1:], mk): (a, b)
             for c, a, b, mk in _emit(mask, space)
         }
-    return LinearMap(space.total_dim, cod.total_dim, cols)
+    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols)
 
 
 def immersion_map(space: SpaceSpec, i: int, j: int) -> LinearMap:
@@ -271,17 +269,16 @@ def immersion_map(space: SpaceSpec, i: int, j: int) -> LinearMap:
         raise ValueError(f"immersion positions ({i},{j}) invalid for n={space.n}")
     cod = space.with_n(space.n + 2)
     pairs = _invariant_pairs(space)
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
-    one = RootTwoNumber(1)
+    cols: dict[int, PairColumn] = {}
     for slots, mask in space.basis():
-        col: dict[int, RootTwoNumber] = {}
+        col: PairColumn = {}
         for ca, cb in pairs:
             out = list(slots)
             out.insert(i - 1, ca)
             out.insert(j - 1, cb)
-            col[cod.encode(out, mask)] = one
+            col[cod.encode(out, mask)] = (1, 0)
         cols[space.encode(slots, mask)] = col
-    return LinearMap(space.total_dim, cod.total_dim, cols)
+    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols)
 
 
 def contraction_map(space: SpaceSpec, i: int, j: int) -> LinearMap:
@@ -289,28 +286,27 @@ def contraction_map(space: SpaceSpec, i: int, j: int) -> LinearMap:
     if not 1 <= i < j <= space.n:
         raise ValueError(f"contraction positions ({i},{j}) invalid for n={space.n}")
     cod = space.with_n(space.n - 2)
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
+    cols: dict[int, PairColumn] = {}
     for slots, mask in space.basis():
         w = omega_pairing(slots[i - 1], slots[j - 1], space)
         if not w:
             continue
         rest = tuple(c for k, c in enumerate(slots) if k not in (i - 1, j - 1))
-        cols[space.encode(slots, mask)] = {cod.encode(rest, mask): RootTwoNumber(w)}
-    return LinearMap(space.total_dim, cod.total_dim, cols)
+        cols[space.encode(slots, mask)] = {cod.encode(rest, mask): (w, 0)}
+    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols)
 
 
 def swap_map(space: SpaceSpec, images: Sequence[int]) -> LinearMap:
     """Send slot i to slot images[i-1]; the spin factor is untouched."""
     if sorted(images) != list(range(1, space.n + 1)):
         raise ValueError(f"{images} is not a permutation of 1..{space.n}")
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
-    one = RootTwoNumber(1)
+    cols: dict[int, PairColumn] = {}
     for slots, mask in space.basis():
         out = [0] * space.n
         for i, c in enumerate(slots):
             out[images[i] - 1] = c
-        cols[space.encode(slots, mask)] = {space.encode(out, mask): one}
-    return LinearMap(space.total_dim, space.total_dim, cols)
+        cols[space.encode(slots, mask)] = {space.encode(out, mask): (1, 0)}
+    return LinearMap._from_pairs(space.total_dim, space.total_dim, cols)
 
 
 def build_equivariant_map(mapspec: EquivariantMapSpec, space: SpaceSpec) -> LinearMap:
@@ -404,11 +400,14 @@ def _v_action(sym: SoSymbol, c: int, space: SpaceSpec) -> list[tuple[int, int]]:
     raise ValueError(f"unknown so symbol kind {kind!r}")
 
 
-def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[RootTwoNumber, int]]:
-    """Action on one Fock basis vector of Delta."""
+def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[int, int, int]]:
+    """Action on one Fock basis vector of Delta.
+
+    Returns the terms as (a, b, new mask) for the coefficient (a + b sqrt2)/2:
+    the diagonal of a mixed symbol and the e-symbols carry halves.
+    """
     kind, i, j = sym.kind, sym.i, sym.j
-    half_sqrt2 = RootTwoNumber(0, Fraction(1, 2))
-    out: list[tuple[RootTwoNumber, int]] = []
+    out: list[tuple[int, int, int]] = []
     if kind == "raising":
         r = _wedge(j - 1, mask)
         if r:
@@ -416,7 +415,7 @@ def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[RootT
             r2 = _wedge(i - 1, mk)
             if r2:
                 s2, mk2 = r2
-                out.append((RootTwoNumber(s1 * s2), mk2))
+                out.append((2 * s1 * s2, 0, mk2))
         return out
     if kind == "lowering":
         r = _contract(j - 1, mask)
@@ -425,7 +424,7 @@ def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[RootT
             r2 = _contract(i - 1, mk)
             if r2:
                 s2, mk2 = r2
-                out.append((RootTwoNumber(s1 * s2), mk2))
+                out.append((2 * s1 * s2, 0, mk2))
         return out
     if kind == "mixed":
         r = _contract(j - 1, mask)
@@ -434,22 +433,22 @@ def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[RootT
             r2 = _wedge(i - 1, mk)
             if r2:
                 s2, mk2 = r2
-                out.append((RootTwoNumber(s1 * s2), mk2))
+                out.append((2 * s1 * s2, 0, mk2))
         if i == j:
-            out.append((RootTwoNumber(Fraction(-1, 2)), mask))
+            out.append((-1, 0, mask))
         return out
     if kind == "raising_e":
         s1 = _parity(mask)
         r = _wedge(i - 1, mask)
         if r:
             s2, mk = r
-            out.append((half_sqrt2 * (s1 * s2), mk))
+            out.append((0, s1 * s2, mk))
         return out
     if kind == "lowering_e":
         r = _contract(i - 1, mask)
         if r:
             s1, mk = r
-            out.append((half_sqrt2 * (s1 * _parity(mk)), mk))
+            out.append((0, s1 * _parity(mk), mk))
         return out
     raise ValueError(f"unknown so symbol kind {kind!r}")
 
@@ -458,27 +457,19 @@ def act_so(sym: SoSymbol, space: SpaceSpec) -> LinearMap:
     """Derivation action of an so(N) basis element on V^(x)n (x) Delta."""
     if (sym.kind in ("raising_e", "lowering_e")) and not space.odd:
         raise ValueError(f"{sym.kind} requires odd N")
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
+    cols: dict[int, PairColumn] = {}
     for slots, mask in space.basis():
-        col: dict[int, RootTwoNumber] = {}
-
-        def add(idx: int, val: RootTwoNumber) -> None:
-            s = col.get(idx)
-            s = val if s is None else s + val
-            if s:
-                col[idx] = s
-            else:
-                col.pop(idx, None)
-
-        for k, c in enumerate(slots):
-            for coeff, nc in _v_action(sym, c, space):
-                out = slots[:k] + (nc,) + slots[k + 1:]
-                add(space.encode(out, mask), RootTwoNumber(coeff))
-        for coeff, mk in _spin_action(sym, mask, space):
-            add(space.encode(slots, mk), coeff)
-        if col:
-            cols[space.encode(slots, mask)] = col
-    return LinearMap(space.total_dim, space.total_dim, cols)
+        # (output slots, output mask, a, b) with coefficient (a + b sqrt2)/2
+        terms = [(slots[:k] + (nc,) + slots[k + 1:], mask, 2 * coeff, 0)
+                 for k, c in enumerate(slots) for coeff, nc in _v_action(sym, c, space)]
+        terms += [(slots, mk, a, b) for a, b, mk in _spin_action(sym, mask, space)]
+        col: PairColumn = {}
+        for out, mk, a, b in terms:
+            idx = space.encode(out, mk)
+            ca, cb = col.get(idx, (0, 0))
+            col[idx] = (ca + a, cb + b)
+        cols[space.encode(slots, mask)] = col
+    return LinearMap._from_pairs(space.total_dim, space.total_dim, cols, 2)
 
 
 def act_gamma(space: SpaceSpec) -> LinearMap:
@@ -491,8 +482,7 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
     frozen here and asserted by the equivariance tests.
     """
     m = space.m
-    half_sqrt2 = RootTwoNumber(0, Fraction(1, 2))
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
+    cols: dict[int, PairColumn] = {}
 
     def gamma_v(c: int) -> tuple[int, int]:
         if c == 0:
@@ -508,18 +498,19 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
             s, nc = gamma_v(c)
             sign *= s
             out.append(nc)
+        # 1/sqrt2 = sqrt2/2, so each entry is the pair (0, +-1) over 2.
         if mask & 1:
             res = _contract(0, mask)
             assert res is not None
             s1, mk = res
-            val = half_sqrt2 * (-sign * s1)
+            b = -sign * s1
         else:
             res = _wedge(0, mask)
             assert res is not None
             s1, mk = res
-            val = half_sqrt2 * (sign * s1)
-        cols[space.encode(slots, mask)] = {space.encode(out, mk): val}
-    return LinearMap(space.total_dim, space.total_dim, cols)
+            b = sign * s1
+        cols[space.encode(slots, mask)] = {space.encode(out, mk): (0, b)}
+    return LinearMap._from_pairs(space.total_dim, space.total_dim, cols, 2)
 
 
 # --- realizing diagrams -------------------------------------------------------
@@ -528,65 +519,58 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
 def realize_diagram(d: SpinDiagram, space: SpaceSpec) -> LinearMap:
     """The endomorphism of V^(x)n (x) Delta carried by a canonical diagram.
 
-    Each basis vector goes through the building blocks in the order of the
-    module docstring, sharing the block maps' kernels; the integer-pair
-    coefficients of coinciding terms are summed before packing.
+    The building blocks act in the order of the module docstring, sharing
+    the block maps' kernels. Indices are computed arithmetically: content c
+    in slot p adds c * place[p] to an index, so each part of the diagram
+    contributes a list of index offsets, and a column is one choice from
+    each list. Top arcs choose paired contents, through strings copy a
+    content from the column to the row, and the top isolated vertices
+    absorb their contents into the mask in label order. The bottom isolated
+    vertices and arcs depend only on the mask that is left, so their terms
+    are tabulated once per mask.
     """
     if d.n != space.n:
         raise DiagramError(f"diagram has n={d.n}, space has n={space.n}")
-    top_arcs = [(a - 1, b - 1) for a, b in d.top_arcs]
-    top_iso = [v - 1 for v in d.top_isolated]
-    bottom_iso = [v - 1 for v in d.bottom_isolated]
-    bottom_arcs = [(a - 1, b - 1) for a, b in d.bottom_arcs]
-    through = [(i - 1, j - 1) for i, j in d.through]
+    N, fock = space.N, space.fock_dim
+    place = [N ** (space.n - 1 - p) * fock for p in range(space.n)]
+    partner = [next(v for v in range(N) if omega_pairing(u, v, space)) for u in range(N)]
     pairs = _invariant_pairs(space)
-    # The spin kernels depend only on (content, mask), so tabulate them once.
-    masks = range(space.fock_dim)
-    absorbed = [[_absorb(c, mask, space) for mask in masks] for c in range(space.N)]
-    emitted = [_emit(mask, space) for mask in masks]
 
-    cols: dict[int, dict[int, RootTwoNumber]] = {}
-    for slots, mask in space.basis():
-        if not all(omega_pairing(slots[p], slots[q], space) for p, q in top_arcs):
-            continue
-        ca, cb, mk = 1, 0, mask  # coefficient ca + cb sqrt2
-        for p in top_iso:
-            res = absorbed[slots[p]][mk]
-            if res is None:
-                ca = cb = 0
-                break
-            a, b, mk = res
-            ca, cb = _times(ca, cb, a, b)
-        if not (ca or cb):
-            continue  # a top isolated vertex annihilated this basis vector
+    arc_cols = [0]
+    for a, b in d.top_arcs:
+        arc_cols = [o + u * place[a - 1] + partner[u] * place[b - 1]
+                    for o in arc_cols for u in range(N)]
+    through = [(0, 0)]  # (column offset, row offset)
+    for i, j in d.through:
+        through = [(co + c * place[i - 1], ro + c * place[j - 1])
+                   for co, ro in through for c in range(N)]
+    top = [(mask, 1, 0, mask) for mask in range(fock)]  # (column offset, a, b, mask)
+    for v in d.top_isolated:
+        absorbed = []
+        for co, ca, cb, mask in top:
+            for c in range(N):
+                res = _absorb(c, mask, space)
+                if res is not None:
+                    a, b, mk = res
+                    absorbed.append((co + c * place[v - 1], *_times(ca, cb, a, b), mk))
+        top = absorbed
 
-        out0: list[Optional[int]] = [None] * space.n
-        for i, j in through:
-            out0[j] = slots[i]
-        terms = [(ca, cb, mk, out0)]
-        for p in bottom_iso:
-            new_terms = []
-            for ta, tb, tmask, tout in terms:
-                for c, a, b, mk2 in emitted[tmask]:
-                    o = list(tout)
-                    o[p] = c
-                    new_terms.append((*_times(ta, tb, a, b), mk2, o))
-            terms = new_terms
-        for p, q in bottom_arcs:
-            new_terms = []
-            for ta, tb, tmask, tout in terms:
-                for cx, cy in pairs:
-                    o = list(tout)
-                    o[p], o[q] = cx, cy
-                    new_terms.append((ta, tb, tmask, o))
-            terms = new_terms
+    bottom: list[list[tuple[int, int, int]]] = []  # per mask: (row offset, a, b)
+    for mask in range(fock):
+        terms = [(0, 1, 0, mask)]  # (row offset, a, b, mask)
+        for v in d.bottom_isolated:
+            terms = [(ro + c * place[v - 1], *_times(ta, tb, a, b), mk)
+                     for ro, ta, tb, tmask in terms for c, a, b, mk in _emit(tmask, space)]
+        for a, b in d.bottom_arcs:
+            terms = [(ro + cx * place[a - 1] + cy * place[b - 1], ta, tb, tmask)
+                     for ro, ta, tb, tmask in terms for cx, cy in pairs]
+        # The contents a term emits determine its path, so its row is its own.
+        bottom.append([(ro + tmask, ta, tb) for ro, ta, tb, tmask in terms])
 
-        col: dict[int, tuple[int, int]] = {}
-        for ta, tb, tmask, tout in terms:
-            idx = space.encode(tout, tmask)  # type: ignore[arg-type]
-            cur = col.get(idx)
-            col[idx] = (ta, tb) if cur is None else (cur[0] + ta, cur[1] + tb)
-        packed = {r: RootTwoNumber(a, b) for r, (a, b) in col.items() if a or b}
-        if packed:
-            cols[space.encode(slots, mask)] = packed
-    return LinearMap(space.total_dim, space.total_dim, cols)
+    cols: dict[int, PairColumn] = {}
+    for co, ca, cb, mask in top:
+        out = [(ro, _times(ca, cb, a, b)) for ro, a, b in bottom[mask]]
+        for ac in arc_cols:
+            for tc, tr in through:
+                cols[ac + co + tc] = {tr + ro: v for ro, v in out}
+    return LinearMap._from_pairs(space.total_dim, space.total_dim, cols)

@@ -106,10 +106,14 @@ class _Realizer:
 
     def element(self, a: AlgebraElement, N: int) -> LinearMap:
         dim = self.space.total_dim
-        out = LinearMap.zero(dim, dim)
-        for d, c in a.terms.items():
-            out = out + self(d).scale(RootTwoNumber(c.eval_at(N)))
-        return out
+        return LinearMap.combination(
+            dim, dim, ((c.eval_at(N), self(d)) for d, c in a.terms.items()))
+
+
+def _first_entry(lhs: LinearMap, rhs: LinearMap) -> dict:
+    """The first entry where two unequal maps differ, for a counterexample."""
+    row, col, left, right = lhs.first_difference(rhs)
+    return {"row": row, "col": col, "lhs": left.to_json(), "rhs": right.to_json()}
 
 
 def verify_homomorphism(
@@ -142,7 +146,8 @@ def verify_homomorphism(
                 "homomorphism",
                 params,
                 False,
-                {"top": emit_diagram(top), "bottom": emit_diagram(bottom)},
+                {"top": emit_diagram(top), "bottom": emit_diagram(bottom),
+                 "entry": _first_entry(lhs, rhs)},
             )
     return VerificationReport("homomorphism", params, True)
 
@@ -173,9 +178,12 @@ def verify_equivariance(N: int, map_kind: str,
         _check_bound(pair, bound)
         iota = immersion_map(vacuum, 1, 2)
         for sym in so_basis(vacuum):
-            if act_so(sym, pair) @ iota != iota @ act_so(sym, vacuum):
+            lhs = act_so(sym, pair) @ iota
+            rhs = iota @ act_so(sym, vacuum)
+            if lhs != rhs:
                 return VerificationReport(
-                    "equivariance", params, False, {"symbol": repr(sym)}
+                    "equivariance", params, False,
+                    {"symbol": repr(sym), "entry": _first_entry(lhs, rhs)},
                 )
         return VerificationReport("equivariance", params, True)
 
@@ -193,12 +201,16 @@ def verify_equivariance(N: int, map_kind: str,
             if lhs != rhs:
                 return VerificationReport(
                     "equivariance", params, False,
-                    {"symbol": repr(sym), "n": dom.n, "positions": repr(pos)},
+                    {"symbol": repr(sym), "n": dom.n, "positions": repr(pos),
+                     "entry": _first_entry(lhs, rhs)},
                 )
-        if (fmap @ act_gamma(dom)) != (act_gamma(cod) @ fmap):
+        lhs = fmap @ act_gamma(dom)
+        rhs = act_gamma(cod) @ fmap
+        if lhs != rhs:
             return VerificationReport(
                 "equivariance", params, False,
-                {"symbol": "gamma", "n": dom.n, "positions": repr(pos)},
+                {"symbol": "gamma", "n": dom.n, "positions": repr(pos),
+                 "entry": _first_entry(lhs, rhs)},
             )
     return VerificationReport("equivariance", params, True)
 
@@ -242,59 +254,72 @@ class _SlotComposer:
         self.slots = [s for s in self.slots if s not in (a, b)]
 
 
-def _circuit_plan(composer: _SlotComposer, circuit_type: str, arcs: int) -> None:
+# Slots gained (or lost) by each step of a circuit plan.
+_STEP_SLOTS = {"inject": 1, "project": -1, "immerse": 2, "contract": -2}
+
+
+def _circuit_plan(circuit_type: str, arcs: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The steps of a closed circuit as (composer method, slot names).
+
+    Slots 1..k lie on one chain: arcs alternate between immersions (below)
+    and contractions (above), and each end is closed by a contraction (type
+    I), an injection ("inject", from the spin factor) or a projection
+    ("project", into it). The plan walks the chain from its first spin step
+    and contracts as it goes, so at most four slots are open at once. Spin
+    steps keep their relative order: they do not commute in general (the
+    Clifford swap rule), while blocks on disjoint slots do.
+    """
+    if arcs < 0:
+        raise ValueError("the number of arcs must be nonnegative")
     i = arcs
     if circuit_type == "I":
         if i < 1:
             raise ValueError("type I needs at least one arc")
         k = 2 * i
-        for a in range(1, k, 2):
-            composer.immerse(a, a + 1)
-        for a in range(2, k - 1, 2):
-            composer.contract(a, a + 1)
-        composer.contract(1, k)
-    elif circuit_type == "II":
+        plan = [("immerse", (1, 2))]
+        for a in range(3, k, 2):
+            plan += [("immerse", (a, a + 1)), ("contract", (a - 1, a))]
+        return plan + [("contract", (1, k))]
+    if circuit_type == "II":
         k = 2 * i + 2
-        composer.inject(1)
-        composer.inject(k)
+        plan = [("inject", (1,))]
         for a in range(2, k - 1, 2):
-            composer.immerse(a, a + 1)
-        for a in range(1, k, 2):
-            composer.contract(a, a + 1)
-    elif circuit_type == "III":
+            plan += [("immerse", (a, a + 1)), ("contract", (a - 1, a))]
+        return plan + [("inject", (k,)), ("contract", (k - 1, k))]
+    if circuit_type == "III":
         k = 2 * i + 2
-        for a in range(1, k, 2):
-            composer.immerse(a, a + 1)
-        for a in range(2, k - 1, 2):
-            composer.contract(a, a + 1)
-        composer.project(1)
-        composer.project(k)
-    elif circuit_type == "IV":
+        plan = [("immerse", (1, 2)), ("project", (1,))]
+        for a in range(3, k, 2):
+            plan += [("immerse", (a, a + 1)), ("contract", (a - 1, a))]
+        return plan + [("project", (k,))]
+    if circuit_type == "IV":
         k = 2 * i + 1
-        composer.inject(1)
+        plan = [("inject", (1,))]
         for a in range(2, k, 2):
-            composer.immerse(a, a + 1)
-        for a in range(1, k - 1, 2):
-            composer.contract(a, a + 1)
-        composer.project(k)
-    elif circuit_type == "V":
+            plan += [("immerse", (a, a + 1)), ("contract", (a - 1, a))]
+        return plan + [("project", (k,))]
+    if circuit_type == "V":
         k = 2 * i + 1
-        composer.inject(k)
-        for a in range(1, k - 1, 2):
-            composer.immerse(a, a + 1)
-        for a in range(2, k, 2):
-            composer.contract(a, a + 1)
-        composer.project(1)
-    else:
-        raise ValueError(f"unknown circuit type {circuit_type!r}")
+        plan = [("inject", (k,))]
+        for a in range(k - 2, 0, -2):
+            plan += [("immerse", (a, a + 1)), ("contract", (a + 1, a + 2))]
+        return plan + [("project", (1,))]
+    raise ValueError(f"unknown circuit type {circuit_type!r}")
 
 
 def verify_circuit_scaling(N: int, circuit_type: str, arcs: int,
                            bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
     """A closed-circuit composite equals N times the identity on the spin factor."""
     params = {"N": N, "type": circuit_type, "arcs": arcs}
+    plan = _circuit_plan(circuit_type, arcs)
+    open_slots = peak = 0
+    for step, _ in plan:
+        open_slots += _STEP_SLOTS[step]
+        peak = max(peak, open_slots)
+    _check_bound(SpaceSpec(N, peak), bound)
     composer = _SlotComposer(N)
-    _circuit_plan(composer, circuit_type, arcs)
+    for step, names in plan:
+        getattr(composer, step)(*names)
     if composer.slots:
         raise AssertionError("circuit plan left open slots")
     fock = SpaceSpec(N, 0).fock_dim

@@ -201,6 +201,8 @@ def test_verify_cli_matches_direct_call(name):
     (["clifford", "--N", "6", "--bound", "100"], 288, 100),
     (["equivariance", "--N", "5", "--map-kind", "invariant", "--bound", "10"], 100, 10),
     (["equivariance", "--N", "8", "--map-kind", "immersion"], 8192, 4096),
+    (["circuit", "--N", "5", "--type", "II", "--arcs", "2", "--bound", "10"], 500, 10),
+    (["circuit", "--N", "8", "--type", "I", "--arcs", "2"], 65536, 4096),
 ])
 def test_verify_over_bound_is_usage_error(argv, dim, bound, capsys):
     code, out = run(["verify", *argv])

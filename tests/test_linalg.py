@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spinbrauer.diagrams import enumerate_basis
 from spinbrauer.linalg import LinearMap, rank_of_vectors
@@ -106,3 +107,102 @@ def test_json_shape():
         "cols": 1,
         "entries": [[1, 0, {"a": "1/2", "b": "1"}]],
     }
+
+
+# --- properties of the pair kernel against a dense RootTwoNumber reference ---
+
+ZERO = RootTwoNumber(0)
+entries_q2 = st.builds(
+    lambda a, b, den: RootTwoNumber(Fraction(a, den), Fraction(b, den)),
+    st.integers(-4, 4), st.integers(-3, 3), st.sampled_from((1, 2, 3)),
+)
+
+
+def dense_maps(rows, cols):
+    """A map as a dense rows x cols grid of Q(sqrt2) entries, mostly zero."""
+    cell = st.one_of(st.just(ZERO), entries_q2)
+    return st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def to_map(grid, cols):
+    return LinearMap(cols, len(grid), {
+        j: {i: row[j] for i, row in enumerate(grid) if row[j]} for j in range(cols)
+    })
+
+
+def dense_product(left, right):
+    inner = len(right)
+    return [[sum((lrow[k] * right[k][j] for k in range(inner)), ZERO)
+              for j in range(len(right[0]))] for lrow in left]
+
+
+shapes = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+
+@given(st.data(), shapes)
+def test_compose_matches_dense_reference(data, shape):
+    rows, inner, cols = shape
+    left = data.draw(dense_maps(rows, inner))
+    right = data.draw(dense_maps(inner, cols))
+    got = to_map(left, inner) @ to_map(right, cols)
+    assert got == to_map(dense_product(left, right), cols)
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), entries_q2)
+def test_sum_difference_scale_match_dense_reference(data, rows, cols, c):
+    x = data.draw(dense_maps(rows, cols))
+    y = data.draw(dense_maps(rows, cols))
+    mx, my = to_map(x, cols), to_map(y, cols)
+    def cellwise(op):
+        return [[op(u, v) for u, v in zip(rx, ry)] for rx, ry in zip(x, y)]
+    assert mx + my == to_map(cellwise(lambda u, v: u + v), cols)
+    assert mx - my == to_map(cellwise(lambda u, v: u - v), cols)
+    assert mx.scale(c) == to_map([[u * c for u in row] for row in x], cols)
+    combined = LinearMap.combination(cols, rows, [(3, mx), (-2, my), (0, mx)])
+    assert combined == to_map(cellwise(lambda u, v: u * 3 - v * 2), cols)
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 4))
+def test_equal_maps_compare_equal_whatever_the_route(data, rows, cols):
+    m = to_map(data.draw(dense_maps(rows, cols)), cols)
+    half, third = RootTwoNumber(Fraction(1, 2)), RootTwoNumber(Fraction(1, 3))
+    assert m.scale(half) + m.scale(half) == m
+    assert (m.scale(half) == m) == (m.nnz() == 0)
+    assert m.scale(third).scale(RootTwoNumber(3)) == m
+    assert m - m == LinearMap.zero(cols, rows)
+    assert (m - m).scale(third) == LinearMap.zero(cols, rows)
+    assert m.scale(RootTwoNumber(0, 1)).scale(RootTwoNumber(0, half.a)) == m
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 4))
+def test_boundary_views_round_trip(data, rows, cols):
+    grid = data.draw(dense_maps(rows, cols))
+    m = to_map(grid, cols)
+    assert LinearMap(cols, rows, {j: m.column(j) for j in range(cols)}) == m
+    by_col: dict = {}
+    for r, j, v in m.entries():
+        assert v == grid[r][j] and v
+        by_col.setdefault(j, {})[r] = v
+    assert LinearMap(cols, rows, by_col) == m
+    data_json = m.to_json()
+    from_json = {}
+    for r, j, v in data_json["entries"]:
+        from_json.setdefault(j, {})[r] = RootTwoNumber.from_json(v)
+    assert LinearMap(data_json["cols"], data_json["rows"], from_json) == m
+    assert m.nnz() == sum(1 for row in grid for v in row if v)
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 4))
+def test_first_difference_is_first_in_entries_order(data, rows, cols):
+    x = data.draw(dense_maps(rows, cols))
+    y = data.draw(dense_maps(rows, cols))
+    mx, my = to_map(x, cols), to_map(y, cols)
+    differing = sorted((j, r) for r in range(rows) for j in range(cols)
+                       if x[r][j] != y[r][j])
+    got = mx.first_difference(my)
+    if not differing:
+        assert got is None and mx == my
+    else:
+        j, r = differing[0]
+        assert got == (r, j, x[r][j], y[r][j])

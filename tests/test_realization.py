@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -300,3 +302,31 @@ def test_realize_equals_block_composite(N, max_n):
         space = SpaceSpec(N, n)
         for d in enumerate_basis(n):
             assert realize_diagram(d, space) == block_composite(d, N), d
+
+
+def _digest(maps):
+    h = hashlib.sha256()
+    for m in maps:
+        h.update(json.dumps(m.to_json()).encode())
+    return h.hexdigest()
+
+
+def test_realizations_match_golden_digest():
+    # Recorded from the Fraction-based realization; pins every entry and its
+    # JSON form for all basis diagrams with n <= 3 at N = 2..6.
+    maps = (realize_diagram(d, SpaceSpec(N, n))
+            for N in range(2, 7) for n in range(4) for d in enumerate_basis(n))
+    assert _digest(maps) == (
+        "7f3dddeda54fcd13fcf4be294673092870288258ed574c27f38b458038f9b2e3")
+
+
+def test_actions_match_golden_digest():
+    # The so(N) basis action, then the odd reflection, for n <= 2 at N = 2..7.
+    def maps():
+        for N in range(2, 8):
+            for n in range(3):
+                space = SpaceSpec(N, n)
+                yield from (act_so(sym, space) for sym in so_basis(space))
+                yield act_gamma(space)
+    assert _digest(maps()) == (
+        "898b0aa21f4c5ce7b0f8758b18c1f50665e27f48e70f345843704758a3e30ca4")

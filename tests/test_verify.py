@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from spinbrauer.diagrams import SpinDiagram, enumerate_basis
+from spinbrauer import verify
+from spinbrauer.diagrams import AlgebraElement, SpinDiagram, enumerate_basis, parse_diagram
 from spinbrauer.multiply import multiply_diagrams
-from spinbrauer.scalars import DeltaPolynomial
+from spinbrauer.realization import SpaceSpec, realize_diagram
+from spinbrauer.scalars import DeltaPolynomial, RootTwoNumber
 from spinbrauer.verify import (
     ResourceBoundError,
     VerificationReport,
@@ -73,6 +75,42 @@ def test_homomorphism_bound():
         verify_homomorphism(3, 9, bound=100)
 
 
+def test_homomorphism_failure_names_first_differing_entry(monkeypatch):
+    def wrong_product(top, bottom):
+        return multiply_diagrams(top, bottom) + AlgebraElement.from_diagram(top)
+
+    monkeypatch.setattr(verify, "multiply_diagrams", wrong_product)
+    n, N = 2, 3
+    report = verify_homomorphism(n, N)
+    assert not report.passed
+    ce = report.counterexample
+    top, bottom = parse_diagram(ce["top"]), parse_diagram(ce["bottom"])
+    space = SpaceSpec(N, n)
+    realize = verify._Realizer(space)
+    lhs = realize.element(wrong_product(top, bottom).evaluate_at(N), N)
+    rhs = realize_diagram(bottom, space) @ realize_diagram(top, space)
+    entry = ce["entry"]
+    row, col = entry["row"], entry["col"]
+    left = lhs.column(col).get(row, RootTwoNumber(0))
+    right = rhs.column(col).get(row, RootTwoNumber(0))
+    assert left != right
+    assert (left.to_json(), right.to_json()) == (entry["lhs"], entry["rhs"])
+    assert json.loads(json.dumps(report.to_json())) == report.to_json()
+
+
+def test_equivariance_failure_names_first_differing_entry(monkeypatch):
+    # Doubling the action on the spin factor alone breaks the commutation.
+    act_so = verify.act_so
+    monkeypatch.setattr(verify, "act_so", lambda sym, space: (
+        act_so(sym, space).scale(RootTwoNumber(2)) if space.n == 0 else act_so(sym, space)))
+    report = verify_equivariance(4, "invariant")
+    assert not report.passed
+    entry = report.counterexample["entry"]
+    assert 0 <= entry["row"] < 4 * 4 * 4 and 0 <= entry["col"] < 4
+    left, right = (RootTwoNumber.from_json(entry[k]) for k in ("lhs", "rhs"))
+    assert left and right == left * 2
+
+
 def test_homomorphism_rejects_unknown_mode():
     with pytest.raises(ValueError):
         verify_homomorphism(1, 3, mode="sometimes")
@@ -96,6 +134,18 @@ def test_circuit_scaling_rejects_bad_plan():
         verify_circuit_scaling(3, "I", 0)
     with pytest.raises(ValueError):
         verify_circuit_scaling(3, "VI", 1)
+    with pytest.raises(ValueError):
+        verify_circuit_scaling(3, "IV", -1)
+
+
+def test_circuit_scaling_bound_checked_before_work():
+    # The plans contract as they go: at most three open slots (four for
+    # type I), so N = 5 peaks at 5^3 * 4 = 500 and N = 8 at 8^4 * 16.
+    with pytest.raises(ResourceBoundError, match="total dimension 500 exceeds"):
+        verify_circuit_scaling(5, "II", 2, bound=499)
+    assert verify_circuit_scaling(5, "II", 2, bound=500).passed
+    with pytest.raises(ResourceBoundError, match="total dimension 65536 exceeds"):
+        verify_circuit_scaling(8, "I", 2)
 
 
 def test_clifford_relation():
