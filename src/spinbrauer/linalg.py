@@ -7,12 +7,17 @@ and the odd reflection bring den = 2. The form is canonical (no stored zero,
 gcd(den, every a, every b) = 1, den = 1 for the zero map), so equal maps
 have equal storage. RootTwoNumber values appear only at the boundary: the
 public constructor, column, apply, entries, flatten and to_json.
+
+Rank is exact over Q(sqrt2) but computed by elimination over F_p for primes
+p = 7 mod 8, where 2 has a square root; a Hadamard bound on the integer
+vectors says when enough primes have been tried (see _rank_of_pairs).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .scalars import RootTwoNumber
@@ -37,10 +42,8 @@ class LinearMap:
         columns: Mapping[int, Mapping[int, RootTwoNumber]] = (),
     ):
         items = list(columns.items() if isinstance(columns, Mapping) else columns)
-        den = lcm(*(x.denominator for _, col in items for v in col.values()
-                    for x in (v.a, v.b)))
-        pairs = {j: {r: (int(v.a * den), int(v.b * den)) for r, v in col.items()}
-                 for j, col in items}
+        den = _denominator(v for _, col in items for v in col.values())
+        pairs = {j: _scaled(col, den) for j, col in items}
         self._adopt(domain_dim, codomain_dim, pairs, den)
 
     @classmethod
@@ -132,11 +135,19 @@ class LinearMap:
         return sum(len(c) for c in self._cols.values())
 
     def entries(self) -> Iterator[tuple[int, int, RootTwoNumber]]:
-        """All nonzero entries as (row, col, value), sorted by (col, row)."""
+        """All nonzero entries as (row, col, value), sorted by (col, row).
+
+        Equal entries share one value: a map holds few distinct entries.
+        """
+        boxes: dict[Pair, RootTwoNumber] = {}
         for j in sorted(self._cols):
             col = self._cols[j]
             for r in sorted(col):
-                yield r, j, self._box(col[r])
+                pair = col[r]
+                v = boxes.get(pair)
+                if v is None:
+                    v = boxes[pair] = self._box(pair)
+                yield r, j, v
 
     def first_difference(
         self, other: LinearMap
@@ -236,7 +247,7 @@ class LinearMap:
         return out
 
     def rank(self) -> int:
-        return rank_of_vectors(self.column(j) for j in self._cols)
+        return _rank_of_pairs(self._cols.values())
 
     def to_json(self) -> dict:
         return {
@@ -251,30 +262,131 @@ class LinearMap:
         )
 
 
-def rank_of_vectors(vectors: Iterable[Mapping[int, RootTwoNumber]]) -> int:
-    """Rank of the span of sparse Q(sqrt2)-vectors, by Gaussian elimination.
+def _denominator(values: Iterable[RootTwoNumber]) -> int:
+    """The least common denominator of the values' rational parts."""
+    return lcm(*(x.denominator for v in values for x in (v.a, v.b)))
 
-    Pivot rows are normalized to leading coefficient 1; a pivot is only ever
-    taken from a nonzero entry, so no division by zero can occur.
+
+def _scaled(col: Mapping[int, RootTwoNumber], den: int) -> PairColumn:
+    """The nonzero entries times den, as integer pairs (den clears them)."""
+    return {r: (v.a.numerator * (den // v.a.denominator),
+                v.b.numerator * (den // v.b.denominator))
+            for r, v in col.items() if v}
+
+
+def rank_of_vectors(vectors: Iterable[Mapping[int, RootTwoNumber]]) -> int:
+    """Exact rank over Q(sqrt2) of the span of sparse vectors.
+
+    Each vector's denominators are cleared once; the integer pairs then go to
+    the modular elimination of _rank_of_pairs.
     """
-    pivots: dict[int, Column] = {}
+    return _rank_of_pairs([_scaled(vec, _denominator(vec.values())) for vec in vectors])
+
+
+# --- exact rank by elimination modulo primes ---------------------------------
+#
+# Z[sqrt2] -> F_p, sqrt2 -> s with s^2 = 2 mod p, is a ring map, so each
+# minor maps to its residue and the rank mod p never exceeds the rank over
+# Q(sqrt2). If that rank exceeds k, the best rank seen so far, some
+# (k+1) x (k+1) minor alpha is nonzero, and every prime tried divides its
+# norm N(alpha) = alpha * conj(alpha), a nonzero integer. By Hadamard's
+# inequality under both real embeddings, |N(alpha)| is at most the product
+# of the k + 1 largest row weights sum_j (|a_j| + 2|b_j|)^2, and at most that
+# of the k + 1 largest column weights. Once the primes tried multiply to more
+# than the smaller product, the rank is k.
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases up to 37: exact for n < 3.18 * 10^23."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """Primes p = 7 mod 8 (so 2 is a square mod p), down from 2^61 - 1."""
+    return filter(_is_prime, count((1 << 61) - 1, -8))
+
+
+def _rank_mod(vectors: list[PairColumn], p: int) -> int:
+    """Rank over F_p, sqrt2 sent to the square root 2^((p+1)/4) of 2 mod p.
+
+    Each pivot row is scaled to 1 at its lead, its least index.
+    """
+    s = pow(2, (p + 1) // 4, p)
+    pivots: dict[int, dict[int, int]] = {}
     for vec in vectors:
-        v = {i: c for i, c in vec.items() if c}
+        v = {i: x for i, (a, b) in vec.items() if (x := (a + b * s) % p)}
         while v:
             lead = min(v)
             piv = pivots.get(lead)
             if piv is None:
-                assert v[lead], "pivot must be nonzero"
-                inv = v[lead].inverse()
-                pivots[lead] = {i: c * inv for i, c in v.items()}
+                inv = pow(v[lead], -1, p)
+                pivots[lead] = {i: x * inv % p for i, x in v.items()}
                 break
-            factor = v[lead]
-            for i, c in piv.items():
-                s = v.get(i)
-                s = -(c * factor) if s is None else s - c * factor
-                if s:
-                    v[i] = s
+            f = p - v[lead]
+            for i, x in piv.items():
+                y = (v.get(i, 0) + f * x) % p
+                if y:
+                    v[i] = y
                 else:
-                    v.pop(i, None)
-            assert lead not in v
+                    del v[i]  # f * x is nonzero mod p, so v held i
     return len(pivots)
+
+
+def _weights(vectors: list[PairColumn]) -> tuple[list[int], list[int]]:
+    """Row and column weights sum (|a| + 2|b|)^2, each sorted largest first."""
+    rows: list[int] = []
+    cols: dict[int, int] = {}
+    for vec in vectors:
+        total = 0
+        for i, (a, b) in vec.items():
+            w = (abs(a) + 2 * abs(b)) ** 2
+            total += w
+            cols[i] = cols.get(i, 0) + w
+        rows.append(total)
+    return sorted(rows, reverse=True), sorted(cols.values(), reverse=True)
+
+
+def _rank_of_pairs(vectors: Iterable[PairColumn]) -> int:
+    """Exact rank over Q(sqrt2) of integer pair vectors (entries a + b sqrt2).
+
+    Zero vectors are dropped and the others divided by the gcd of their
+    integers, which shrinks the bound. Primes are tried until the best rank
+    seen is full or their product exceeds the Hadamard bound for one more.
+    """
+    primitive: list[PairColumn] = []
+    for vec in vectors:
+        g = gcd(*(x for pair in vec.values() for x in pair))
+        if g:
+            primitive.append(vec if g == 1 else
+                             {i: (a // g, b // g) for i, (a, b) in vec.items()})
+    best, modulus, rows = 0, 1, []
+    for p in _primes():
+        best = max(best, _rank_mod(primitive, p))
+        if best == len(primitive):
+            return best
+        modulus *= p
+        if not rows:  # only a deficient rank needs the bound
+            rows, cols = _weights(primitive)
+        if modulus > min(prod(rows[:best + 1]), prod(cols[:best + 1])):
+            return best

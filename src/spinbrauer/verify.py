@@ -24,6 +24,7 @@ from .linalg import LinearMap, rank_of_vectors
 from .multiply import multiply_diagrams, multiply_elements
 from .realization import (
     EquivariantMapSpec,
+    SoSymbol,
     SpaceSpec,
     act_gamma,
     act_so,
@@ -192,26 +193,27 @@ def verify_equivariance(N: int, map_kind: str,
     for dom, cod, _ in family:
         _check_bound(dom, bound)
         _check_bound(cod, bound)
+    # The family's spaces repeat, so each action is built once: symbol None
+    # stands for the odd reflection.
+    actions: dict[tuple[Optional[SoSymbol], SpaceSpec], LinearMap] = {}
+
+    def action(sym: Optional[SoSymbol], space: SpaceSpec) -> LinearMap:
+        if (sym, space) not in actions:
+            actions[sym, space] = act_gamma(space) if sym is None else act_so(sym, space)
+        return actions[sym, space]
+
     for dom, cod, pos in family:
         positions = pos if isinstance(pos, tuple) else (pos,)
         fmap = build_equivariant_map(EquivariantMapSpec(map_kind, positions), dom)
-        for sym in so_basis(dom):
-            lhs = fmap @ act_so(sym, dom)
-            rhs = act_so(sym, cod) @ fmap
+        for sym in (*so_basis(dom), None):
+            lhs = fmap @ action(sym, dom)
+            rhs = action(sym, cod) @ fmap
             if lhs != rhs:
                 return VerificationReport(
                     "equivariance", params, False,
-                    {"symbol": repr(sym), "n": dom.n, "positions": repr(pos),
-                     "entry": _first_entry(lhs, rhs)},
+                    {"symbol": "gamma" if sym is None else repr(sym), "n": dom.n,
+                     "positions": repr(pos), "entry": _first_entry(lhs, rhs)},
                 )
-        lhs = fmap @ act_gamma(dom)
-        rhs = act_gamma(cod) @ fmap
-        if lhs != rhs:
-            return VerificationReport(
-                "equivariance", params, False,
-                {"symbol": "gamma", "n": dom.n, "positions": repr(pos),
-                 "entry": _first_entry(lhs, rhs)},
-            )
     return VerificationReport("equivariance", params, True)
 
 
@@ -377,8 +379,9 @@ def verify_clifford_relation(N: int,
 def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
     """Rank of the span of realized basis diagrams, flattened to vectors.
 
-    Passes when the rank equals the basis size for N >= 2n; for N < 2n the
-    observed rank is reported without any assertion.
+    The rank is exact over Q(sqrt2) (elimination modulo primes, see
+    linalg). Passes when the rank equals the basis size for N >= 2n; for
+    N < 2n the observed rank is reported without any assertion.
     """
     space = SpaceSpec(N, n)
     _check_bound(space, bound)

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
+from spinbrauer import linalg
 from spinbrauer.diagrams import enumerate_basis
 from spinbrauer.linalg import LinearMap, rank_of_vectors
 from spinbrauer.realization import SpaceSpec, realize_diagram
@@ -206,3 +208,100 @@ def test_first_difference_is_first_in_entries_order(data, rows, cols):
     else:
         j, r = differing[0]
         assert got == (r, j, x[r][j], y[r][j])
+
+
+# --- exact rank modulo primes against Gaussian elimination over Q(sqrt2) -----
+
+def exact_rank(vectors):
+    """Rank by Gaussian elimination over Q(sqrt2) in RootTwoNumber: the oracle."""
+    pivots = {}
+    for vec in vectors:
+        v = {i: c for i, c in vec.items() if c}
+        while v:
+            lead = min(v)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = v[lead].inverse()
+                pivots[lead] = {i: c * inv for i, c in v.items()}
+                break
+            factor = v[lead]
+            for i, c in piv.items():
+                s = v.get(i, ZERO) - c * factor
+                if s:
+                    v[i] = s
+                else:
+                    v.pop(i, None)
+    return len(pivots)
+
+
+@st.composite
+def spanned_vectors(draw):
+    """Up to six vectors of length 1..5 spanned by fewer generators, so
+    the rank is often deficient; zero vectors and zero entries included."""
+    length = draw(st.integers(1, 5))
+    cell = st.one_of(st.just(ZERO), entries_q2)
+    gens = draw(st.lists(st.lists(cell, min_size=length, max_size=length),
+                         min_size=1, max_size=3))
+    coeffs = st.lists(entries_q2, min_size=len(gens), max_size=len(gens))
+    return [
+        {i: sum((c * g[i] for c, g in zip(cs, gens)), ZERO) for i in range(length)}
+        for cs in draw(st.lists(coeffs, min_size=1, max_size=6))
+    ]
+
+
+@given(spanned_vectors())
+def test_rank_matches_elimination_over_q_sqrt2(vectors):
+    rank = exact_rank(vectors)
+    assert rank_of_vectors(vectors) == rank
+    length = len(vectors[0])
+    as_map = LinearMap(len(vectors), length, dict(enumerate(vectors)))
+    assert as_map.rank() == rank
+
+
+P0 = (1 << 61) - 1  # the first prime tried
+SQRT2_MOD_P0 = pow(2, (P0 + 1) // 4, P0)
+
+
+def test_primes_are_7_mod_8_downward_from_2_61_minus_1():
+    primes = list(islice(linalg._primes(), 10))
+    assert primes[0] == P0 and primes == sorted(primes, reverse=True)
+    for p in primes:
+        assert p % 8 == 7 and pow(pow(2, (p + 1) // 4, p), 2, p) == 2
+
+
+def test_miller_rabin_against_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if linalg._is_prime(n)] == [
+        n for n in range(3000) if trial(n)]
+    # A strong pseudoprime to every prime base up to 23, caught by 29..37.
+    assert not linalg._is_prime(3825123056546413051)
+    assert linalg._is_prime(P0) and not linalg._is_prime(P0 + 8)
+
+
+def test_rank_when_the_first_prime_kills_an_entry():
+    # s - sqrt2 is nonzero, but s is a square root of 2 mod the first prime.
+    vectors = [{0: RootTwoNumber(SQRT2_MOD_P0, -1)}]
+    assert linalg._rank_mod([{0: (SQRT2_MOD_P0, -1)}], P0) == 0
+    assert rank_of_vectors(vectors) == 1
+    assert LinearMap(1, 1, dict(enumerate(vectors))).rank() == 1
+
+
+def test_rank_when_the_first_prime_divides_a_minor():
+    # diag(1, P0) has rank 1 mod P0; dividing out row contents already helps.
+    diag = [{0: r2(1)}, {1: r2(P0)}]
+    assert rank_of_vectors(diag) == 2
+    assert LinearMap(2, 2, dict(enumerate(diag))).rank() == 2
+    # The same determinant P0 with primitive rows, which stay rank 1 mod P0.
+    rows = [{0: r2(1), 1: r2(1)}, {0: r2(1), 1: r2(1 + P0)}]
+    assert linalg._rank_mod([{0: (1, 0), 1: (1, 0)}, {0: (1, 0), 1: (1 + P0, 0)}], P0) == 1
+    assert rank_of_vectors(rows) == 2
+    assert LinearMap(2, 2, dict(enumerate(rows))).rank() == 2
+
+
+def test_deficient_rank_of_multiples():
+    # Rank 1: the bound must stop the search, not a full rank.
+    v = {0: r2(3, 1), 2: RootTwoNumber(Fraction(1, 2), Fraction(-1, 3))}
+    vectors = [v, {i: c * RootTwoNumber(5, -2) for i, c in v.items()}, {}]
+    assert rank_of_vectors(vectors) == 1
+    assert rank_of_vectors([]) == 0

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -164,6 +165,34 @@ def test_rank_informational_below_stability():
     assert report.passed
     assert report.info["asserted"] is False
     assert report.info["rank"] < report.info["basis_size"]
+
+
+@pytest.mark.parametrize("n, N, rank", [(3, 3, 51), (3, 4, 70)])
+def test_deficient_ranks_below_stability(n, N, rank):
+    report = verify_rank(n, N)
+    assert report.passed and report.info == {
+        "basis_size": 76, "rank": rank, "asserted": False,
+    }
+
+
+@pytest.mark.parametrize("map_kind", [
+    "projection", "injection", "immersion", "contraction", "swap", "invariant"])
+def test_equivariance_builds_each_action_once(monkeypatch, map_kind):
+    calls = Counter()
+    act_so, act_gamma = verify.act_so, verify.act_gamma
+
+    def counted_so(sym, space):
+        calls[sym, space] += 1
+        return act_so(sym, space)
+
+    def counted_gamma(space):
+        calls["gamma", space] += 1
+        return act_gamma(space)
+
+    monkeypatch.setattr(verify, "act_so", counted_so)
+    monkeypatch.setattr(verify, "act_gamma", counted_gamma)
+    assert verify_equivariance(5, map_kind).passed
+    assert calls and max(calls.values()) == 1
 
 
 def test_associativity_symbolic():
