@@ -160,7 +160,7 @@ def _run_verify(args, config: CliConfig, stream) -> int:
     """Fill each check's parameters from the argparse dests of the same name.
 
     Parameters without a default are required; seed and bound fall back to
-    the config.
+    the config, and n may not exceed its max_n.
     """
     check = CHECKS[args.check]
     params = inspect.signature(check).parameters.values()
@@ -170,6 +170,9 @@ def _run_verify(args, config: CliConfig, stream) -> int:
         print(f"verify {args.check} requires {' '.join(missing)}", file=sys.stderr)
         return 2
     kwargs = {p.name: getattr(args, p.name) for p in params}
+    if kwargs.get("n") is not None and kwargs["n"] > config.max_n:
+        print(f"n={kwargs['n']} exceeds max_n {config.max_n}", file=sys.stderr)
+        return 2
     fallback = {"seed": config.seed, "bound": config.max_total_dimension}
     for name, value in fallback.items():
         if name in kwargs and kwargs[name] is None:

@@ -172,7 +172,10 @@ def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
 
 @dataclass(frozen=True)
 class LabeledDiagram:
-    """Multiplication intermediate: isolated vertices carry explicit labels.
+    """Stitch/normal-form boundary type: isolated vertices carry explicit labels.
+
+    stitch_and_resolve returns one, and clifford_normalize takes one; the
+    normal form itself works on plain int tuples (see multiply).
 
     Labels form {1..t} in an arbitrary order across the two rows plus any
     circuit pairs. A circuit pair is the remnant of a closed component of a
@@ -206,13 +209,8 @@ class LabeledDiagram:
         if labels != list(range(1, len(labels) + 1)):
             raise DiagramError("labels are not exactly 1..t")
 
-    @property
-    def label_sequence(self) -> tuple[int, ...]:
-        """Row labels read in position order: top left-to-right, then bottom."""
-        return self.top_labels + self.bottom_labels
-
     def is_canonical(self) -> bool:
-        seq = self.label_sequence
+        seq = self.top_labels + self.bottom_labels
         return not self.circuit_pairs and seq == tuple(range(1, len(seq) + 1))
 
     @classmethod
@@ -374,10 +372,6 @@ def involution(d: SpinDiagram) -> SpinDiagram:
         d.top_arcs,
         tuple(sorted((j, i) for i, j in d.through)),
     )
-
-
-def involution_element(a: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(a.n, {involution(d): c for d, c in a.terms.items()})
 
 
 # --- cell-triple encoding -------------------------------------------------

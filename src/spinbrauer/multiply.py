@@ -24,12 +24,20 @@ circuit-pair end hands the partner end's label to that vertex; joining ends
 of two different circuit pairs fuses them into one. Distinct rewrite paths
 meet at common intermediates, so each distinct intermediate is expanded only
 once, carrying the sum of the coefficients of all paths into it.
+
+Inside the normal form an intermediate is a plain tuple
+(top_arcs, bottom_arcs, through, word). word[k] holds label k + 1: a top-row
+vertex v is stored as v, a bottom-row vertex v as n + v, and both ends of
+circuit pair j as -j, the pairs numbered -1, -2, ... by the position of their
+first end. Labels are positions, so deleting an entry renumbers the rest, and
+equal intermediates are equal tuples. LabeledDiagram is only the boundary
+form: stitch_and_resolve returns one and clifford_normalize takes one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .diagrams import AlgebraElement, DiagramError, LabeledDiagram, SpinDiagram
 from .scalars import DeltaPolynomial
@@ -87,40 +95,52 @@ def _adjacency(top: SpinDiagram, bottom: SpinDiagram) -> dict[Node, list[Node]]:
     return adj
 
 
-def _build_renumbered(
-    n: int,
-    top_iso, bot_iso, top_arcs, bot_arcs, through,
-    top_labels, bot_labels, pairs,
-) -> LabeledDiagram:
-    """Construct a LabeledDiagram, compressing arbitrary distinct labels to 1..t."""
-    labels = sorted(tuple(top_labels) + tuple(bot_labels)
-                    + tuple(l for p in pairs for l in p))
-    newnum = {old: k + 1 for k, old in enumerate(labels)}
+# A normal-form state: (top_arcs, bottom_arcs, through, word); see above.
+Arc = tuple[int, int]
+State = tuple[tuple[Arc, ...], tuple[Arc, ...], tuple[Arc, ...], tuple[int, ...]]
+
+
+def _settle(word: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Drop every circuit pair whose ends became adjacent, then number the
+    remaining pairs -1, -2, ... by their first end; returns (dropped, word)."""
+    kept: list[int] = []
+    for x in word:
+        if x < 0 and kept and kept[-1] == x:
+            kept.pop()
+        else:
+            kept.append(x)
+    names: dict[int, int] = {}
+    for x in kept:
+        if x < 0 and x not in names:
+            names[x] = -1 - len(names)
+    return (len(word) - len(kept)) // 2, tuple(names.get(x, x) for x in kept)
+
+
+def _labeled(n: int, state: State) -> LabeledDiagram:
+    """The boundary form of a settled state."""
+    top_arcs, bottom_arcs, through, word = state
+    top = sorted((v, k) for k, v in enumerate(word, 1) if 0 < v <= n)
+    bottom = sorted((v - n, k) for k, v in enumerate(word, 1) if v > n)
+    ends = [k for _, k in sorted((-v, k) for k, v in enumerate(word, 1) if v < 0)]
     return LabeledDiagram(
-        n, tuple(top_iso), tuple(bot_iso),
-        tuple(sorted(tuple(sorted(a)) for a in top_arcs)),
-        tuple(sorted(tuple(sorted(a)) for a in bot_arcs)),
-        tuple(sorted(through)),
-        tuple(newnum[l] for l in top_labels),
-        tuple(newnum[l] for l in bot_labels),
-        tuple(sorted(tuple(sorted((newnum[a], newnum[b]))) for a, b in pairs)),
+        n, tuple(v for v, _ in top), tuple(v for v, _ in bottom),
+        top_arcs, bottom_arcs, through,
+        tuple(k for _, k in top), tuple(k for _, k in bottom),
+        tuple(zip(ends[::2], ends[1::2])),
     )
 
 
-def _drop_adjacent_pairs(diagram: LabeledDiagram) -> tuple[int, LabeledDiagram]:
-    """Delete circuit pairs whose labels are adjacent, renumbering in between."""
-    dropped = 0
-    while True:
-        hit = next((p for p in diagram.circuit_pairs if p[1] == p[0] + 1), None)
-        if hit is None:
-            return dropped, diagram
-        dropped += 1
-        diagram = _build_renumbered(
-            diagram.n, diagram.top_isolated, diagram.bottom_isolated,
-            diagram.top_arcs, diagram.bottom_arcs, diagram.through,
-            diagram.top_labels, diagram.bottom_labels,
-            tuple(p for p in diagram.circuit_pairs if p != hit),
-        )
+def _word_of(d: LabeledDiagram) -> list[int]:
+    """The word of a boundary diagram, its pairs not yet settled."""
+    word = [0] * (len(d.top_labels) + len(d.bottom_labels) + 2 * len(d.circuit_pairs))
+    for v, label in zip(d.top_isolated, d.top_labels):
+        word[label - 1] = v
+    for v, label in zip(d.bottom_isolated, d.bottom_labels):
+        word[label - 1] = d.n + v
+    for j, pair in enumerate(d.circuit_pairs, 1):
+        for label in pair:
+            word[label - 1] = -j
+    return word
 
 
 def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolution:
@@ -134,10 +154,9 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
         raise DiagramError(f"cannot stack diagrams with n={top.n} and n={bottom.n}")
     n = top.n
 
-    # Global labels: top.top isolated, then top.bottom, then bottom.top,
-    # then bottom.bottom, each in vertex order.
-    labels: dict[Node, int] = {}
-    next_label = 1
+    # Word positions (labels - 1): top.top isolated, then top.bottom, then
+    # bottom.top, then bottom.bottom, each in vertex order.
+    position: dict[Node, int] = {}
     for row, vs in (
         ("T", top.top_isolated),
         ("MU", top.bottom_isolated),
@@ -145,8 +164,13 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
         ("B", bottom.bottom_isolated),
     ):
         for v in vs:
-            labels[(row, v)] = next_label
-            next_label += 1
+            position[(row, v)] = len(position)
+    # Isolated top/bottom vertices of the factors keep their labels.
+    word = [0] * len(position)
+    for v in top.top_isolated:
+        word[position[("T", v)]] = v
+    for v in bottom.bottom_isolated:
+        word[position[("B", v)]] = n + v
 
     adj = _adjacency(top, bottom)
     for node, nbrs in adj.items():
@@ -154,9 +178,7 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
 
     seen: set[Node] = set()
     cycles = 0
-    pairs: list[tuple[int, int]] = []
-    new_top_iso: dict[int, int] = {}  # vertex -> label
-    new_bot_iso: dict[int, int] = {}
+    pairs = 0
     new_top_arcs: list[tuple[int, int]] = []
     new_bot_arcs: list[tuple[int, int]] = []
     new_through: list[tuple[int, int]] = []
@@ -179,7 +201,7 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
             seen.add(cur)
 
     # Degree-0 nodes are exactly the isolated vertices of the outer rows;
-    # they keep their labels below and never enter a walk.
+    # they keep their labels above and never enter a walk.
     endpoints = [u for u in adj if len(adj[u]) == 1]
     endpoints.sort(key=lambda u: (u[0], u[1]))
     for start in endpoints:
@@ -190,26 +212,22 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
         a, b = path[0], path[-1]
         external = [p for p in (a, b) if p[0] in ("T", "B")]
         middles = [p for p in (a, b) if p[0] in ("MU", "ML")]
-        assert all(p in labels for p in middles), "open middle endpoint must be labeled"
+        assert all(p in position for p in middles), "open middle endpoint must be labeled"
         if len(external) == 2:
             (ra, va), (rb, vb) = external
             if ra == "T" and rb == "T":
-                new_top_arcs.append((va, vb))
+                new_top_arcs.append((min(va, vb), max(va, vb)))
             elif ra == "B" and rb == "B":
-                new_bot_arcs.append((va, vb))
+                new_bot_arcs.append((min(va, vb), max(va, vb)))
             else:
                 t, bnode = (va, vb) if ra == "T" else (vb, va)
                 new_through.append((t, bnode))
         elif len(external) == 1:
             row, v = external[0]
-            label = labels[middles[0]]
-            if row == "T":
-                new_top_iso[v] = label
-            else:
-                new_bot_iso[v] = label
+            word[position[middles[0]]] = v if row == "T" else n + v
         else:
-            la, lb = labels[a], labels[b]
-            pairs.append((min(la, lb), max(la, lb)))
+            pairs += 1
+            word[position[a]] = word[position[b]] = -pairs
 
     # Remaining unseen nodes lie on cycles (all middle): pure wiring, delta each.
     for node in adj:
@@ -218,23 +236,10 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
             assert is_cycle
             cycles += 1
 
-    # Isolated top/bottom vertices of the factors keep their labels.
-    for v in top.top_isolated:
-        new_top_iso[v] = labels[("T", v)]
-    for v in bottom.bottom_isolated:
-        new_bot_iso[v] = labels[("B", v)]
-
-    top_iso_sorted = tuple(sorted(new_top_iso))
-    bot_iso_sorted = tuple(sorted(new_bot_iso))
-    resolved = _build_renumbered(
-        n, top_iso_sorted, bot_iso_sorted,
-        new_top_arcs, new_bot_arcs, new_through,
-        tuple(new_top_iso[v] for v in top_iso_sorted),
-        tuple(new_bot_iso[v] for v in bot_iso_sorted),
-        pairs,
-    )
-    dropped, resolved = _drop_adjacent_pairs(resolved)
-    return StitchResolution(cycles + dropped, resolved)
+    dropped, settled = _settle(word)
+    state = (tuple(sorted(new_top_arcs)), tuple(sorted(new_bot_arcs)),
+             tuple(sorted(new_through)), settled)
+    return StitchResolution(cycles + dropped, _labeled(n, state))
 
 
 # --- normal ordering --------------------------------------------------------
@@ -261,109 +266,44 @@ def descending_strategy(pairs: list[tuple[int, bool]]) -> int:
     return max(i for i, _ in pairs)
 
 
-Holder = Union[tuple[str, int, int], tuple[str, int]]  # ("row", r, v) | ("pair", k)
+def _partner(word: list[int], k: int) -> int:
+    """Position of the other end of the circuit pair with an end at k."""
+    first = word.index(word[k])
+    return first if first != k else word.index(word[k], k + 1)
 
 
-def _holders(d: LabeledDiagram) -> dict[int, Holder]:
-    out: dict[int, Holder] = {}
-    for v, lab in zip(d.top_isolated, d.top_labels):
-        out[lab] = ("row", 0, v)
-    for v, lab in zip(d.bottom_isolated, d.bottom_labels):
-        out[lab] = ("row", 1, v)
-    for k, (a, b) in enumerate(d.circuit_pairs):
-        out[a] = ("pair", k)
-        out[b] = ("pair", k)
-    return out
+def _swap_labels(state: State, i: int) -> tuple[int, State]:
+    """Exchange the holders of labels i and i + 1; returns (dropped, state)."""
+    top_arcs, bottom_arcs, through, word = state
+    w = list(word)
+    w[i - 1], w[i] = w[i], w[i - 1]
+    dropped, settled = _settle(w)
+    return dropped, (top_arcs, bottom_arcs, through, settled)
 
 
-def _inverted_row_pairs(d: LabeledDiagram) -> list[tuple[int, bool]]:
-    """Adjacent labels (i, i+1) on row vertices in out-of-canonical order."""
-    pos = {}
-    for v, lab in zip(d.top_isolated, d.top_labels):
-        pos[lab] = (0, v)
-    for v, lab in zip(d.bottom_isolated, d.bottom_labels):
-        pos[lab] = (1, v)
-    out = []
-    for i in range(1, len(pos)):
-        if i in pos and i + 1 in pos and pos[i + 1] < pos[i]:
-            out.append((i, pos[i][0] != pos[i + 1][0]))
-    return out
-
-
-def _swap_labels(d: LabeledDiagram, i: int) -> LabeledDiagram:
-    def sub(labels):
-        return tuple(i + 1 if l == i else i if l == i + 1 else l for l in labels)
-
-    return LabeledDiagram(
-        d.n, d.top_isolated, d.bottom_isolated, d.top_arcs, d.bottom_arcs,
-        d.through, sub(d.top_labels), sub(d.bottom_labels),
-        tuple(sorted(tuple(sorted(sub(p))) for p in d.circuit_pairs)),
-    )
-
-
-def _row_vertex(d: LabeledDiagram, label: int) -> tuple[int, int]:
-    for v, lab in zip(d.top_isolated, d.top_labels):
-        if lab == label:
-            return 0, v
-    for v, lab in zip(d.bottom_isolated, d.bottom_labels):
-        if lab == label:
-            return 1, v
-    raise AssertionError(f"label {label} not on a row vertex")
-
-
-def _join_labels(d: LabeledDiagram, i: int) -> LabeledDiagram:
-    """Join the ends labeled i and i+1 and delete both labels."""
-    holders = _holders(d)
-    ha, hb = holders[i], holders[i + 1]
-    kinds = (ha[0], hb[0])
-    if kinds == ("row", "row"):
-        ra, va = _row_vertex(d, i)
-        rb, vb = _row_vertex(d, i + 1)
-        keep_top = [(v, l) for v, l in zip(d.top_isolated, d.top_labels)
-                    if l not in (i, i + 1)]
-        keep_bot = [(v, l) for v, l in zip(d.bottom_isolated, d.bottom_labels)
-                    if l not in (i, i + 1)]
-        top_arcs, bot_arcs, through = list(d.top_arcs), list(d.bottom_arcs), list(d.through)
-        if ra == rb == 0:
-            top_arcs.append((va, vb))
-        elif ra == rb == 1:
-            bot_arcs.append((va, vb))
+def _join_labels(state: State, i: int, n: int) -> tuple[int, State]:
+    """Join the ends labeled i and i + 1 and delete both labels; returns
+    (dropped, state)."""
+    top_arcs, bottom_arcs, through, word = state
+    w = list(word)
+    x, y = w[i - 1], w[i]
+    if x > 0 and y > 0:
+        a, b = min(x, y), max(x, y)
+        if b <= n:
+            top_arcs = tuple(sorted(top_arcs + ((a, b),)))
+        elif a > n:
+            bottom_arcs = tuple(sorted(bottom_arcs + ((a - n, b - n),)))
         else:
-            t, b = (va, vb) if ra == 0 else (vb, va)
-            through.append((t, b))
-        return _build_renumbered(
-            d.n,
-            tuple(v for v, _ in keep_top), tuple(v for v, _ in keep_bot),
-            top_arcs, bot_arcs, through,
-            tuple(l for _, l in keep_top), tuple(l for _, l in keep_bot),
-            d.circuit_pairs,
-        )
-    if "row" in kinds:
-        row_label = i if ha[0] == "row" else i + 1
-        pair_holder = hb if ha[0] == "row" else ha
-        k = pair_holder[1]
-        a, b = d.circuit_pairs[k]
-        partner = a if b in (i, i + 1) else b
-        # The row vertex stays isolated and takes over the partner's label.
-        sub = lambda labels: tuple(partner if l == row_label else l for l in labels)
-        return _build_renumbered(
-            d.n, d.top_isolated, d.bottom_isolated,
-            d.top_arcs, d.bottom_arcs, d.through,
-            sub(d.top_labels), sub(d.bottom_labels),
-            tuple(p for idx, p in enumerate(d.circuit_pairs) if idx != k),
-        )
-    ka, kb = ha[1], hb[1]
-    assert ka != kb, "adjacent same-pair labels must be dropped, not joined"
-    pa, pb = d.circuit_pairs[ka], d.circuit_pairs[kb]
-    partner_a = pa[0] if pa[1] in (i, i + 1) else pa[1]
-    partner_b = pb[0] if pb[1] in (i, i + 1) else pb[1]
-    rest = tuple(p for idx, p in enumerate(d.circuit_pairs) if idx not in (ka, kb))
-    return _build_renumbered(
-        d.n, d.top_isolated, d.bottom_isolated,
-        d.top_arcs, d.bottom_arcs, d.through,
-        d.top_labels, d.bottom_labels,
-        rest + ((partner_a, partner_b),),
-    )
+            through = tuple(sorted(through + ((a, b - n),)))
+    elif x < 0:
+        # The far end of x's pair now meets y: a row vertex takes over the
+        # partner's label, another pair's end fuses the two pairs.
+        w[_partner(w, i - 1)] = y
+    else:
+        w[_partner(w, i)] = x
+    del w[i - 1:i + 1]
+    dropped, settled = _settle(w)
+    return dropped, (top_arcs, bottom_arcs, through, settled)
 
 
 def clifford_normalize(
@@ -373,22 +313,23 @@ def clifford_normalize(
 ) -> AlgebraElement:
     """Expand coeff * d as a Z[delta]-combination of canonical diagrams.
 
-    Circuit pairs are resolved first (smallest-label pair, walking its upper
-    label down); row labels are then sorted by the given strategy. The
-    resulting element is independent of these choices.
+    Circuit pairs are resolved first (the pair with the smallest first label,
+    walking its second end down); row labels are then sorted by the given
+    strategy. The resulting element is independent of these choices.
 
     Different rewrite paths reach the same intermediate again and again, so
-    the rewrites form a DAG over the states left by _drop_adjacent_pairs.
-    Each distinct state is expanded exactly once: a depth-first pass records
-    every state's two successors, then the coefficients flow through the
-    states in topological order, summed over all paths into a state before
-    they move on.
+    the rewrites form a DAG over the settled states. Each distinct state is
+    expanded exactly once: a depth-first pass records every state's two
+    successors, then the coefficients flow through the states in topological
+    order, summed over all paths into a state before they move on.
     """
+    n = d.n
+    dropped, word = _settle(_word_of(d))
+    root = (d.top_arcs, d.bottom_arcs, d.through, word)
     # succ[s]: the (successor, factor) pairs of s, or None for a canonical s.
-    succ: dict[LabeledDiagram, Optional[tuple]] = {}
-    post_order: list[LabeledDiagram] = []
-    dropped, root = _drop_adjacent_pairs(d)
-    stack: list[tuple[LabeledDiagram, bool]] = [(root, False)]
+    succ: dict[State, Optional[tuple]] = {}
+    post_order: list[State] = []
+    stack: list[tuple[State, bool]] = [(root, False)]
     while stack:
         cur, expanded = stack.pop()
         if expanded:
@@ -396,18 +337,21 @@ def clifford_normalize(
             continue
         if cur in succ:
             continue
-        if cur.circuit_pairs:
-            a, b = min(cur.circuit_pairs)
-            i = b - 1
+        word = cur[3]
+        if -1 in word:
+            # Move the second end of pair -1 one label down.
+            i = word.index(-1, word.index(-1) + 1)
         else:
-            pairs = _inverted_row_pairs(cur)
+            # Adjacent descents: row labels (i, i + 1) out of canonical order.
+            pairs = [(k, (a <= n) != (b <= n))
+                     for k, (a, b) in enumerate(zip(word, word[1:]), 1) if a > b]
             if not pairs:
                 succ[cur] = None
                 post_order.append(cur)
                 continue
             i = strategy(pairs)
-        swap_dropped, swapped = _drop_adjacent_pairs(_swap_labels(cur, i))
-        join_dropped, joined = _drop_adjacent_pairs(_join_labels(cur, i))
+        swap_dropped, swapped = _swap_labels(cur, i)
+        join_dropped, joined = _join_labels(cur, i, n)
         succ[cur] = (
             (swapped, DeltaPolynomial({swap_dropped: -1})),
             (joined, DeltaPolynomial({join_dropped: 2})),
@@ -424,11 +368,15 @@ def clifford_normalize(
             continue
         successors = succ[cur]
         if successors is None:
-            terms.append((cur.to_spin(), c))
+            top_arcs, bottom_arcs, through, word = cur
+            spin = SpinDiagram(n, tuple(v for v in word if v <= n),
+                               tuple(v - n for v in word if v > n),
+                               top_arcs, bottom_arcs, through)
+            terms.append((spin, c))
             continue
         for nxt, factor in successors:
             coeffs[nxt] = coeffs.get(nxt, DeltaPolynomial.zero()) + c * factor
-    return AlgebraElement(d.n, terms)
+    return AlgebraElement(n, terms)
 
 
 def multiply_diagrams(

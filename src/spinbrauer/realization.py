@@ -74,13 +74,6 @@ class SpaceSpec:
     # V-basis content codes: 0..m-1 are w_1..w_m, m..2m-1 are w_1*..w_m*,
     # and 2m is e (odd N only).
 
-    def content_names(self) -> list[str]:
-        names = [f"w{i+1}" for i in range(self.m)]
-        names += [f"w{i+1}*" for i in range(self.m)]
-        if self.odd:
-            names.append("e")
-        return names
-
     def encode(self, slots: Sequence[int], mask: int) -> int:
         idx = 0
         for v in slots:

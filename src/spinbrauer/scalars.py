@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-__all__ = ["DeltaPolynomial", "RootTwoNumber", "R2_ZERO", "R2_ONE", "R2_SQRT2"]
+__all__ = ["DeltaPolynomial", "RootTwoNumber"]
 
 
 class DeltaPolynomial:
@@ -199,10 +199,6 @@ class RootTwoNumber:
         raise AttributeError("RootTwoNumber is immutable")
 
     @classmethod
-    def from_int(cls, k: int) -> RootTwoNumber:
-        return cls(k, 0)
-
-    @classmethod
     def sqrt2(cls) -> RootTwoNumber:
         return cls(0, 1)
 
@@ -288,8 +284,3 @@ class RootTwoNumber:
 
     def __repr__(self) -> str:
         return f"RootTwoNumber({self.a!r}, {self.b!r})"
-
-
-R2_ZERO = RootTwoNumber(0, 0)
-R2_ONE = RootTwoNumber(1, 0)
-R2_SQRT2 = RootTwoNumber(0, 1)

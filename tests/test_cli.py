@@ -258,3 +258,18 @@ def test_enumerate_over_bound_is_usage_error(tmp_path, capsys):
     code, _ = run(["--config", str(cfg), "enumerate", "--n", "3"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_verify_over_max_n_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "spinbrauer.toml"
+    cfg.write_text("max_n = 3\n")
+    code, out = run(["--config", str(cfg), "verify", "associativity",
+                     "--n", "4", "--samples", "2"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "n=4 exceeds max_n 3\n"
+
+
+def test_default_config_runs_verify_filtration_at_three():
+    code, out = run(["verify", "filtration", "--n", "3"])
+    assert code == 0
+    assert json.loads(out)["passed"] is True

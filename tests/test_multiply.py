@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -225,6 +227,46 @@ def test_normal_form_expands_each_state_once(monkeypatch):
     multiply_diagrams(d, d)
     assert 0 < calls["swap"] < 100
     assert 0 < calls["join"] < 100
+
+
+def _product_digest(pairs):
+    h = hashlib.sha256()
+    for a, b in pairs:
+        h.update((json.dumps(multiply_diagrams(a, b).to_json(), sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_golden_product_digests():
+    b3 = enumerate_basis(3)
+    assert _product_digest((a, b) for a in b3 for b in b3) == (
+        "795134d6ae63f67fd7ef51b4c7207ea8aa403454e02f85c13872ac4f9b454277")
+    rng = random.Random("golden/5")
+    b5 = enumerate_basis(5)
+    pairs = [(rng.choice(b5), rng.choice(b5)) for _ in range(500)]
+    assert _product_digest(pairs) == (
+        "631c80f9e59c332039e331f76a4ee5028c56ecd2649c7facdb515936e0c258ac")
+
+
+EMPTY = SpinDiagram(0, (), (), (), (), ())
+
+
+@pytest.mark.parametrize("labeled, expected", [
+    # Nested pairs: the inner one drops, then the outer one.
+    (LabeledDiagram(0, (), (), (), (), (), (), (), ((1, 4), (2, 3))),
+     {EMPTY: D(2)}),
+    (LabeledDiagram(0, (), (), (), (), (), (), (), ((1, 3), (2, 4))),
+     {EMPTY: 2 * D(1) - D(2)}),
+    (LabeledDiagram(0, (), (), (), (), (), (), (), ((1, 4), (2, 5), (3, 6))),
+     {EMPTY: -D(3) + 6 * D(2) - 4 * D(1)}),
+    # A row end joins a pair end: the vertex takes over the partner's label.
+    (LabeledDiagram(1, (1,), (1,), (), (), (), (2,), (4,), ((1, 3),)),
+     {BOTH_ISOLATED: 2 - D(1)}),
+    (LabeledDiagram(2, (1, 2), (), (), ((1, 2),), (), (2, 3), (), ((1, 4),)),
+     {SpinDiagram(2, (), (), ((1, 2),), ((1, 2),), ()): 4 * D(0),
+      SpinDiagram(2, (1, 2), (), (), ((1, 2),), ()): D(1) - 4}),
+])
+def test_normalize_circuit_pairs(labeled, expected):
+    assert clifford_normalize(labeled, DeltaPolynomial.one()).terms == expected
 
 
 def test_nonadjacent_circuit_collects_correction():
