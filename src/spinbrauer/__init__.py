@@ -20,7 +20,9 @@ from .diagrams import (
     cell_encode,
     diagram_key,
     emit_diagram,
+    enumerate_S,
     enumerate_basis,
+    enumerate_size_le2_partitions,
     identity_diagram,
     involution,
     parse_diagram,
@@ -48,8 +50,6 @@ from .cellular import (
     CellFormError,
     PhiValue,
     beta,
-    enumerate_S,
-    enumerate_size_le2_partitions,
     irreducible_indices,
     join_partitions,
     modmult_check,

@@ -1,4 +1,4 @@
-"""Cellular structure: size-<=2 partitions, the pairing form, and irreducibles.
+"""Cellular structure: partition joins, the pairing form, and irreducibles.
 
 A diagram with ell through strings is encoded by (row partition, through
 origins) data on each row plus a permutation; multiplication modulo diagrams
@@ -12,9 +12,8 @@ altogether (CellFormError).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .diagrams import (
     Block,
@@ -23,15 +22,13 @@ from .diagrams import (
     SpinDiagram,
     cell_decode,
     cell_encode,
+    singletons,
 )
 from .multiply import multiply_diagrams
 from .scalars import DeltaPolynomial
 
 __all__ = [
-    "enumerate_size_le2_partitions",
     "m1",
-    "singletons",
-    "enumerate_S",
     "join_partitions",
     "beta",
     "PhiValue",
@@ -46,46 +43,9 @@ __all__ = [
 ]
 
 
-def enumerate_size_le2_partitions(n: int, bound: int = 12) -> list[Partition]:
-    """All partitions of {1..n} into blocks of size 1 or 2 (count = involution numbers)."""
-    if n > bound:
-        raise ValueError(f"n={n} exceeds bound {bound}")
-
-    def rec(verts: tuple[int, ...]) -> Iterator[tuple[Block, ...]]:
-        if not verts:
-            yield ()
-            return
-        v, rest = verts[0], verts[1:]
-        for tail in rec(rest):
-            yield ((v,),) + tail
-        for k, w in enumerate(rest):
-            for tail in rec(rest[:k] + rest[k + 1:]):
-                yield ((v, w),) + tail
-
-    return [tuple(sorted(p)) for p in rec(tuple(range(1, n + 1)))]
-
-
-def singletons(p: Partition) -> tuple[Block, ...]:
-    return tuple(b for b in p if len(b) == 1)
-
-
 def m1(p: Partition) -> int:
     """Number of size-1 blocks."""
     return len(singletons(p))
-
-
-def enumerate_S(n: int, ell: int) -> list[tuple[Partition, tuple[Block, ...]]]:
-    """All (partition, S) pairs with S an ell-subset of the singletons."""
-    if not 0 <= ell <= n:
-        return []
-    out = []
-    for p in enumerate_size_le2_partitions(n):
-        sing = singletons(p)
-        if len(sing) < ell:
-            continue
-        for S in itertools.combinations(sing, ell):
-            out.append((p, S))
-    return out
 
 
 def join_partitions(x: Partition, y: Partition) -> tuple[Block, ...]:
@@ -444,6 +404,8 @@ def irreducible_indices(
     n: int, char: int = 0, delta_zero: bool = False
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Index set (m, regular partition of m) for the irreducible modules."""
+    if n < 0 or char < 0:
+        raise ValueError(f"n and char must be nonnegative, got n={n}, char={char}")
     if delta_zero:
         return [(0, ())]
     out = []

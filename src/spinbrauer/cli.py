@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .cellular import CellFormError, irreducible_indices, phi_ell
 from .diagrams import (
-    DiagramError,
     cell_encode,
     emit_diagram,
     enumerate_basis,
@@ -160,7 +159,7 @@ def _run_verify(args, config: CliConfig, stream) -> int:
     """Fill each check's parameters from the argparse dests of the same name.
 
     Parameters without a default are required; seed and bound fall back to
-    the config, and n may not exceed its max_n.
+    the config, and n must lie in 0..max_n.
     """
     check = CHECKS[args.check]
     params = inspect.signature(check).parameters.values()
@@ -170,8 +169,12 @@ def _run_verify(args, config: CliConfig, stream) -> int:
         print(f"verify {args.check} requires {' '.join(missing)}", file=sys.stderr)
         return 2
     kwargs = {p.name: getattr(args, p.name) for p in params}
-    if kwargs.get("n") is not None and kwargs["n"] > config.max_n:
-        print(f"n={kwargs['n']} exceeds max_n {config.max_n}", file=sys.stderr)
+    n = kwargs.get("n")
+    if n is not None and n < 0:
+        print(f"n={n} must be nonnegative", file=sys.stderr)
+        return 2
+    if n is not None and n > config.max_n:
+        print(f"n={n} exceeds max_n {config.max_n}", file=sys.stderr)
         return 2
     fallback = {"seed": config.seed, "bound": config.max_total_dimension}
     for name, value in fallback.items():
@@ -277,10 +280,8 @@ def run_command(argv: Sequence[str], stream=None) -> int:
 
         if args.command == "verify":
             return _run_verify(args, config, stream)
-    except DiagramError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except (ResourceBoundError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ResourceBoundError, OSError, ValueError) as exc:
+        # DiagramError and json.JSONDecodeError are ValueErrors.
         print(str(exc), file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

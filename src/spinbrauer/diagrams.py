@@ -7,9 +7,9 @@ keeps both isolated lists ascending; their implicit labels run 1..k along
 the top row and 1..l along the bottom, with every top label ordered before
 every bottom label.
 
-This module owns validation, JSON (de)serialization, basis enumeration, the
-row-swap involution, the cell-triple encoding, and formal Z[delta]-linear
-combinations of diagrams.
+This module owns validation, JSON (de)serialization, the row-swap involution,
+the cell-triple encoding, the size-<=2 row partitions and the basis built from
+them, and formal Z[delta]-linear combinations of diagrams.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ __all__ = [
     "emit_diagram",
     "diagram_key",
     "enumerate_basis",
+    "enumerate_size_le2_partitions",
+    "singletons",
+    "enumerate_S",
     "involution",
     "cell_encode",
     "cell_decode",
@@ -446,38 +449,43 @@ def cell_decode(ell: int, t: CellTriple) -> SpinDiagram:
 # --- basis enumeration ------------------------------------------------------
 
 
-def _matchings(verts: tuple[int, ...]) -> Iterator[tuple[Arc, ...]]:
-    """All perfect matchings on an even-sized ordered vertex tuple."""
-    if not verts:
-        yield ()
-        return
-    if len(verts) % 2:
-        return
-    v, rest = verts[0], verts[1:]
-    for i, w in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for tail in _matchings(remaining):
-            yield ((v, w),) + tail
+def enumerate_size_le2_partitions(n: int, bound: int = 12) -> list[Partition]:
+    """All partitions of {1..n} into blocks of size 1 or 2 (count = involution numbers)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > bound:
+        raise ValueError(f"n={n} exceeds bound {bound}")
+
+    def rec(verts: tuple[int, ...]) -> Iterator[tuple[Block, ...]]:
+        if not verts:
+            yield ()
+            return
+        v, rest = verts[0], verts[1:]
+        for tail in rec(rest):
+            yield ((v,),) + tail
+        for k, w in enumerate(rest):
+            for tail in rec(rest[:k] + rest[k + 1:]):
+                yield ((v, w),) + tail
+
+    return [tuple(sorted(p)) for p in rec(tuple(range(1, n + 1)))]
 
 
-def _row_configurations(n: int) -> Iterator[tuple[tuple[int, ...], tuple[Arc, ...], tuple[int, ...]]]:
-    """All (isolated, arcs, through-endpoints) splittings of one row."""
-    verts = list(range(1, n + 1))
-    for iso_mask in range(1 << n):
-        iso = tuple(v for i, v in enumerate(verts) if iso_mask >> i & 1)
-        rest = tuple(v for i, v in enumerate(verts) if not iso_mask >> i & 1)
-        for arc_verts, through in _subsets_even(rest):
-            for arcs in _matchings(arc_verts):
-                yield iso, arcs, through
+def singletons(p: Partition) -> tuple[Block, ...]:
+    return tuple(b for b in p if len(b) == 1)
 
 
-def _subsets_even(verts: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    m = len(verts)
-    for mask in range(1 << m):
-        chosen = tuple(v for i, v in enumerate(verts) if mask >> i & 1)
-        if len(chosen) % 2 == 0:
-            rest = tuple(v for i, v in enumerate(verts) if not mask >> i & 1)
-            yield chosen, rest
+def enumerate_S(n: int, ell: int) -> list[tuple[Partition, tuple[Block, ...]]]:
+    """All (partition, S) pairs with S an ell-subset of the singletons."""
+    if not 0 <= ell <= n:
+        return []
+    out = []
+    for p in enumerate_size_le2_partitions(n):
+        sing = singletons(p)
+        if len(sing) < ell:
+            continue
+        for S in itertools.combinations(sing, ell):
+            out.append((p, S))
+    return out
 
 
 def enumerate_basis(n: int, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[SpinDiagram]:
@@ -486,29 +494,17 @@ def enumerate_basis(n: int, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[Spin
     Order: through count descending, then lexicographically by the cell
     encoding (x, S, y, T, sigma).
     """
+    if n < 0:
+        raise DiagramError("n must be nonnegative")
     if n > bound:
         raise DiagramError(f"n={n} exceeds enumeration bound {bound}")
     out: list[SpinDiagram] = []
-    top_rows = list(_row_configurations(n))
-    for t_iso, t_arcs, t_thru in top_rows:
-        for b_iso, b_arcs, b_thru in top_rows:
-            if len(t_thru) != len(b_thru):
-                continue
-            for images in itertools.permutations(b_thru):
-                through = tuple(zip(t_thru, images))
-                out.append(
-                    SpinDiagram(n, t_iso, b_iso, t_arcs, b_arcs, through)
-                )
-    def sort_key(d: SpinDiagram):
-        ell, t = cell_encode(d)
-        return (-ell, t.x, t.S, t.y, t.T, t.sigma)
-
-    out.sort(key=sort_key)
-    seen = set()
-    for d in out:
-        if d in seen:
-            raise AssertionError("duplicate diagram in enumeration")
-        seen.add(d)
+    for ell in range(n, -1, -1):
+        rows = sorted(enumerate_S(n, ell))
+        for x, S in rows:
+            for y, T in rows:
+                for sigma in itertools.permutations(range(ell)):
+                    out.append(cell_decode(ell, CellTriple(x, S, y, T, sigma)))
     return out
 
 

@@ -1,8 +1,8 @@
 """Combinatorial multiplication of spin-Brauer diagrams.
 
 Stacking two diagrams identifies the bottom row of the first with the top row
-of the second. Components of the resulting middle graph are classified purely
-by their endpoints:
+of the second. Components of the resulting middle row are classified purely
+by their two far ends:
 
 * path between two external vertices -> a through string or a same-row arc,
 * path from an external vertex to a labeled middle vertex -> the external
@@ -53,46 +53,12 @@ __all__ = [
     "descending_strategy",
 ]
 
-# Middle-graph nodes: ("T", v) top row, ("B", v) bottom row, ("MU", v) the
-# upper port of middle vertex v (bottom row of the first factor), ("ML", v)
-# the lower port (top row of the second factor).
-Node = tuple[str, int]
-
-
 @dataclass(frozen=True)
 class StitchResolution:
     """Outcome of stacking: resolved circuit count and the labeled intermediate."""
 
     circuits_closed: int
     resolved: LabeledDiagram
-
-
-def _adjacency(top: SpinDiagram, bottom: SpinDiagram) -> dict[Node, list[Node]]:
-    n = top.n
-    adj: dict[Node, list[Node]] = {}
-
-    def link(u: Node, v: Node) -> None:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for v in range(1, n + 1):
-        link(("MU", v), ("ML", v))
-    for a, b in top.top_arcs:
-        link(("T", a), ("T", b))
-    for a, b in top.bottom_arcs:
-        link(("MU", a), ("MU", b))
-    for i, j in top.through:
-        link(("T", i), ("MU", j))
-    for a, b in bottom.top_arcs:
-        link(("ML", a), ("ML", b))
-    for a, b in bottom.bottom_arcs:
-        link(("B", a), ("B", b))
-    for i, j in bottom.through:
-        link(("ML", i), ("B", j))
-    for v in range(1, n + 1):
-        adj.setdefault(("T", v), [])
-        adj.setdefault(("B", v), [])
-    return adj
 
 
 # A normal-form state: (top_arcs, bottom_arcs, through, word); see above.
@@ -143,8 +109,26 @@ def _word_of(d: LabeledDiagram) -> list[int]:
     return word
 
 
+def _joined(x: int, y: int, n: int) -> tuple[int, Arc]:
+    """The string joining outer ends x and y, coded as in the word: which
+    part it belongs to (0 top arcs, 1 bottom arcs, 2 through) and the pair."""
+    a, b = min(x, y), max(x, y)
+    if b <= n:
+        return 0, (a, b)
+    if a > n:
+        return 1, (a - n, b - n)
+    return 2, (a, b - n)
+
+
 def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolution:
-    """Stack `top` over `bottom` and resolve every middle-graph component.
+    """Stack `top` over `bottom` and resolve every middle-row component.
+
+    Middle vertex v has an upper end (in the bottom row of `top`) and a lower
+    end (in the top row of `bottom`). Each end leads along an arc to another
+    middle vertex, whose other end the component continues from, or along a
+    through string to an outer vertex, coded as in the word, or it is
+    isolated at some word position. Following both ends of v gives the
+    component's two far ends, or brings the path back to v: a cycle.
 
     circuits_closed counts the cycles plus the closed circuits removable
     right away (adjacent labels); any other closed circuit survives in the
@@ -153,92 +137,65 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
     if top.n != bottom.n:
         raise DiagramError(f"cannot stack diagrams with n={top.n} and n={bottom.n}")
     n = top.n
+    # Word positions: top.top isolated, then top.bottom, then bottom.top,
+    # then bottom.bottom, each in vertex order. The outer isolated vertices
+    # keep their places; the middle ones wait for the far end of their path.
+    word = list(top.top_isolated)
+    upper_start = len(word)
+    lower_start = upper_start + len(top.bottom_isolated)
+    word += [0] * (lower_start - upper_start + len(bottom.top_isolated))
+    word += [n + v for v in bottom.bottom_isolated]
+    # mate[s][v]: the middle vertex at the other end of v's arc on side s
+    # (0 upper, 1 lower), or 0; far[s][v] otherwise: the outer code, or ~k
+    # for the isolated end at word position k.
+    mate = ([0] * (n + 1), [0] * (n + 1))
+    far = ([0] * (n + 1), [0] * (n + 1))
+    for side, arcs in ((0, top.bottom_arcs), (1, bottom.top_arcs)):
+        for a, b in arcs:
+            mate[side][a], mate[side][b] = b, a
+    for i, j in top.through:
+        far[0][j] = i
+    for i, j in bottom.through:
+        far[1][i] = n + j
+    for k, v in enumerate(top.bottom_isolated, upper_start):
+        far[0][v] = ~k
+    for k, v in enumerate(bottom.top_isolated, lower_start):
+        far[1][v] = ~k
 
-    # Word positions (labels - 1): top.top isolated, then top.bottom, then
-    # bottom.top, then bottom.bottom, each in vertex order.
-    position: dict[Node, int] = {}
-    for row, vs in (
-        ("T", top.top_isolated),
-        ("MU", top.bottom_isolated),
-        ("ML", bottom.top_isolated),
-        ("B", bottom.bottom_isolated),
-    ):
-        for v in vs:
-            position[(row, v)] = len(position)
-    # Isolated top/bottom vertices of the factors keep their labels.
-    word = [0] * len(position)
-    for v in top.top_isolated:
-        word[position[("T", v)]] = v
-    for v in bottom.bottom_isolated:
-        word[position[("B", v)]] = n + v
-
-    adj = _adjacency(top, bottom)
-    for node, nbrs in adj.items():
-        assert len(nbrs) <= 2, f"node {node} has degree {len(nbrs)}"
-
-    seen: set[Node] = set()
-    cycles = 0
-    pairs = 0
-    new_top_arcs: list[tuple[int, int]] = []
-    new_bot_arcs: list[tuple[int, int]] = []
-    new_through: list[tuple[int, int]] = []
-
-    def walk(start: Node) -> tuple[list[Node], bool]:
-        """Path from an endpoint, or a cycle; returns (nodes, is_cycle)."""
-        path = [start]
-        seen.add(start)
-        prev: Optional[Node] = None
-        cur = start
-        while True:
-            nxt = [u for u in adj[cur] if u != prev]
-            if not nxt:
-                return path, False
-            step = nxt[0]
-            if step == start:
-                return path, True
-            prev, cur = cur, step
-            path.append(cur)
-            seen.add(cur)
-
-    # Degree-0 nodes are exactly the isolated vertices of the outer rows;
-    # they keep their labels above and never enter a walk.
-    endpoints = [u for u in adj if len(adj[u]) == 1]
-    endpoints.sort(key=lambda u: (u[0], u[1]))
-    for start in endpoints:
-        if start in seen:
+    # Outer arcs never reach the middle row; they carry over unchanged.
+    parts: tuple[list[Arc], ...] = (list(top.top_arcs), list(bottom.bottom_arcs), [])
+    seen = [False] * (n + 1)
+    cycles = pairs = 0
+    for v in range(1, n + 1):
+        if seen[v]:
             continue
-        path, is_cycle = walk(start)
-        assert not is_cycle
-        a, b = path[0], path[-1]
-        external = [p for p in (a, b) if p[0] in ("T", "B")]
-        middles = [p for p in (a, b) if p[0] in ("MU", "ML")]
-        assert all(p in position for p in middles), "open middle endpoint must be labeled"
-        if len(external) == 2:
-            (ra, va), (rb, vb) = external
-            if ra == "T" and rb == "T":
-                new_top_arcs.append((min(va, vb), max(va, vb)))
-            elif ra == "B" and rb == "B":
-                new_bot_arcs.append((min(va, vb), max(va, vb)))
-            else:
-                t, bnode = (va, vb) if ra == "T" else (vb, va)
-                new_through.append((t, bnode))
-        elif len(external) == 1:
-            row, v = external[0]
-            word[position[middles[0]]] = v if row == "T" else n + v
+        ends = []
+        for first_side in (0, 1):
+            w, side = v, first_side
+            while mate[side][w] and mate[side][w] != v:
+                w = mate[side][w]
+                seen[w] = True
+                side ^= 1
+            if mate[side][w]:  # back at v: a cycle
+                break
+            ends.append(far[side][w])
+        if len(ends) < 2:
+            cycles += 1
+            continue
+        x, y = ends
+        if x > 0 and y > 0:
+            part, arc = _joined(x, y, n)
+            parts[part].append(arc)
+        elif x > 0:
+            word[~y] = x
+        elif y > 0:
+            word[~x] = y
         else:
             pairs += 1
-            word[position[a]] = word[position[b]] = -pairs
-
-    # Remaining unseen nodes lie on cycles (all middle): pure wiring, delta each.
-    for node in adj:
-        if node not in seen and adj[node]:
-            _, is_cycle = walk(node)
-            assert is_cycle
-            cycles += 1
+            word[~x] = word[~y] = -pairs
 
     dropped, settled = _settle(word)
-    state = (tuple(sorted(new_top_arcs)), tuple(sorted(new_bot_arcs)),
-             tuple(sorted(new_through)), settled)
+    state = (*(tuple(sorted(p)) for p in parts), settled)
     return StitchResolution(cycles + dropped, _labeled(n, state))
 
 
@@ -284,17 +241,12 @@ def _swap_labels(state: State, i: int) -> tuple[int, State]:
 def _join_labels(state: State, i: int, n: int) -> tuple[int, State]:
     """Join the ends labeled i and i + 1 and delete both labels; returns
     (dropped, state)."""
-    top_arcs, bottom_arcs, through, word = state
+    *parts, word = state
     w = list(word)
     x, y = w[i - 1], w[i]
     if x > 0 and y > 0:
-        a, b = min(x, y), max(x, y)
-        if b <= n:
-            top_arcs = tuple(sorted(top_arcs + ((a, b),)))
-        elif a > n:
-            bottom_arcs = tuple(sorted(bottom_arcs + ((a - n, b - n),)))
-        else:
-            through = tuple(sorted(through + ((a, b - n),)))
+        part, arc = _joined(x, y, n)
+        parts[part] = tuple(sorted(parts[part] + (arc,)))
     elif x < 0:
         # The far end of x's pair now meets y: a row vertex takes over the
         # partner's label, another pair's end fuses the two pairs.
@@ -303,7 +255,7 @@ def _join_labels(state: State, i: int, n: int) -> tuple[int, State]:
         w[_partner(w, i)] = x
     del w[i - 1:i + 1]
     dropped, settled = _settle(w)
-    return dropped, (top_arcs, bottom_arcs, through, settled)
+    return dropped, (*parts, settled)
 
 
 def clifford_normalize(

@@ -11,12 +11,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .cellular import modmult_check, phi_ell, enumerate_S
+from .cellular import modmult_check, phi_ell
 from .diagrams import (
     AlgebraElement,
     SpinDiagram,
     cell_encode,
     emit_diagram,
+    enumerate_S,
     enumerate_basis,
     involution,
 )
@@ -132,6 +133,8 @@ def verify_homomorphism(
     if mode == "exhaustive":
         pairs = [(a, b) for a in basis for b in basis]
     elif mode == "random":
+        if samples < 0:
+            raise ValueError(f"samples must be nonnegative, got {samples}")
         rng = random.Random(seed)
         pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(samples)]
     else:
@@ -505,6 +508,8 @@ def verify_brauer_consistency(n: int) -> VerificationReport:
 
 def verify_associativity(n: int, samples: int = 100, seed: int = 0) -> VerificationReport:
     """(a b) c = a (b c) symbolically on random basis triples."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     basis = enumerate_basis(n)
     rng = random.Random(seed)
     params = {"n": n, "samples": samples, "seed": seed}

@@ -1,0 +1,47 @@
+"""The names and fields of spinbrauer that the benchmark under perfbench/ reads.
+
+The benchmark wraps public functions by name and reads fields of their
+results; a change under src/ that drops one should fail here, not only when
+the benchmark runs.
+"""
+
+import sys
+from pathlib import Path
+
+from spinbrauer import multiply
+from spinbrauer.diagrams import enumerate_basis
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_traced_products_and_potentials(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("gen", "layers", "tracer"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import gen
+    import layers
+    import tracer as tracing
+
+    basis = enumerate_basis(3)
+    pairs = list(zip(basis[::7], basis[3::7]))
+
+    def solve():
+        potentials = [gen.normal_form_potential(a, b) for a, b in pairs]
+        return potentials, [len(multiply.multiply_diagrams(a, b)) for a, b in pairs]
+
+    original = multiply.stitch_and_resolve
+    t = tracing.Tracer()
+    layers.instrument(t)
+    try:
+        potentials, sizes = t.round_of(solve)()
+    finally:
+        t.uninstall()
+    assert multiply.stitch_and_resolve is original
+    assert all(p >= 0 for p in potentials) and max(potentials) > 0
+    counts = t.round_counts[0]
+    # Each product stitches and normalizes once, through the module names.
+    assert counts["multiply.stitch.calls"] == 2 * len(pairs)
+    assert counts["multiply.normalize.calls"] == len(pairs)
+    assert counts["multiply.product.calls"] == len(pairs)
+    assert counts["multiply.nf_labels"] > 0
+    assert counts["multiply.output_terms"] == sum(sizes)

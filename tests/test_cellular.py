@@ -7,8 +7,6 @@ from spinbrauer.cellular import (
     CellFormError,
     PhiValue,
     beta,
-    enumerate_S,
-    enumerate_size_le2_partitions,
     irreducible_indices,
     is_regular,
     join_partitions,
@@ -18,9 +16,14 @@ from spinbrauer.cellular import (
     partitions_of,
     phi_ell,
     predicted_leading_term,
+)
+from spinbrauer.diagrams import (
+    enumerate_S,
+    enumerate_basis,
+    enumerate_size_le2_partitions,
+    identity_diagram,
     singletons,
 )
-from spinbrauer.diagrams import enumerate_basis, identity_diagram
 from spinbrauer.scalars import DeltaPolynomial
 
 D = DeltaPolynomial.delta
@@ -42,6 +45,11 @@ def test_three_vertex_partitions():
 def test_partition_counts_are_involution_numbers():
     counts = [len(enumerate_size_le2_partitions(n)) for n in range(1, 6)]
     assert counts == [1, 2, 4, 10, 26]
+
+
+def test_partitions_reject_negative_n():
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_size_le2_partitions(-1)
 
 
 def test_singleton_counter():

@@ -269,6 +269,19 @@ def test_verify_over_max_n_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "n=4 exceeds max_n 3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "cell-symmetry", "--n", "-2"],
+    ["verify", "associativity", "--n", "2", "--samples", "-1"],
+    ["verify", "homomorphism", "--n", "1", "--N", "3", "--mode", "random",
+     "--samples", "-3"],
+    ["classify", "--n", "-1"],
+    ["classify", "--n", "3", "--char", "-1"],
+])
+def test_negative_sizes_are_usage_errors(argv, capsys):
+    assert run(argv) == (2, "")
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_default_config_runs_verify_filtration_at_three():
     code, out = run(["verify", "filtration", "--n", "3"])
     assert code == 0

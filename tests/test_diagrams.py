@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -97,7 +98,7 @@ def _count_by_cell_data(n: int) -> int:
     return total
 
 
-@pytest.mark.parametrize("n,count", [(0, 1), (1, 2), (2, 10), (3, 76)])
+@pytest.mark.parametrize("n,count", [(0, 1), (1, 2), (2, 10), (3, 76), (4, 764)])
 def test_basis_counts(n, count):
     basis = enumerate_basis(n)
     assert len(basis) == count == _count_by_cell_data(n)
@@ -113,6 +114,20 @@ def test_basis_ordered_by_descending_through_count():
 def test_enumeration_bound():
     with pytest.raises(DiagramError, match="bound"):
         enumerate_basis(6)
+
+
+def test_enumeration_rejects_negative_n():
+    with pytest.raises(DiagramError, match="nonnegative"):
+        enumerate_basis(-1)
+
+
+@pytest.mark.parametrize("n,digest", [
+    (4, "3dd852d323da0ca8ba491c988dd9e27ed4d67f17bec541c4c978f449c4f20fec"),
+    (5, "3d043c472cd3a6b8a710beb3d8cb4f17600c45e6827a3f95a6acd8945c83a3dd"),
+])
+def test_golden_basis_order(n, digest):
+    keys = "\n".join(diagram_key(d) for d in enumerate_basis(n))
+    assert hashlib.sha256(keys.encode()).hexdigest() == digest
 
 
 def test_involution_fixes_identity():

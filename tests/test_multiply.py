@@ -247,6 +247,32 @@ def test_golden_product_digests():
         "631c80f9e59c332039e331f76a4ee5028c56ecd2649c7facdb515936e0c258ac")
 
 
+def _stitch_digest(pairs):
+    h = hashlib.sha256()
+    for a, b in pairs:
+        r = stitch_and_resolve(a, b)
+        h.update((repr((r.circuits_closed, r.resolved)) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_golden_stitch_digests():
+    b3 = enumerate_basis(3)
+    assert _stitch_digest((a, b) for a in b3 for b in b3) == (
+        "f1a584428949d4c8636668c939f034eee12340e90a58a371f295de504ef775fc")
+    rng = random.Random("stitch/5")
+    b5 = enumerate_basis(5)
+    pairs = [(rng.choice(b5), rng.choice(b5)) for _ in range(500)]
+    assert _stitch_digest(pairs) == (
+        "a8c12e3c02784dbb4100c445c4df1041d6a2939fee49bb8f38f8e9c9e2ace986")
+
+
+def test_stitch_closes_a_pure_cycle():
+    cup_cap = SpinDiagram(2, (), (), ((1, 2),), ((1, 2),), ())
+    r = stitch_and_resolve(cup_cap, cup_cap)
+    assert r.circuits_closed == 1
+    assert r.resolved == LabeledDiagram.from_spin(cup_cap)
+
+
 EMPTY = SpinDiagram(0, (), (), (), (), ())
 
 
