@@ -14,6 +14,7 @@ them, and formal Z[delta]-linear combinations of diagrams.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
@@ -77,6 +78,41 @@ def _check_row(n: int, isolated: Sequence[int], arcs: Sequence[Arc],
         raise DiagramError(f"{row} isolated list not ascending")
 
 
+def _normalize_rows(d) -> None:
+    """Put the rows of d (a SpinDiagram or LabeledDiagram under
+    construction) in canonical form and check them."""
+    object.__setattr__(d, "top_isolated", tuple(d.top_isolated))
+    object.__setattr__(d, "bottom_isolated", tuple(d.bottom_isolated))
+    object.__setattr__(d, "top_arcs", _normalize_arcs(d.top_arcs))
+    object.__setattr__(d, "bottom_arcs", _normalize_arcs(d.bottom_arcs))
+    object.__setattr__(
+        d, "through", tuple(sorted((int(i), int(j)) for i, j in d.through))
+    )
+    if d.n < 0:
+        raise DiagramError("n must be nonnegative")
+    tops = [i for i, _ in d.through]
+    bots = [j for _, j in d.through]
+    if len(set(bots)) != len(bots):
+        raise DiagramError("through strings are not a bijection")
+    _check_row(d.n, d.top_isolated, d.top_arcs, tops, "top")
+    _check_row(d.n, d.bottom_isolated, d.bottom_arcs, bots, "bottom")
+
+
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _adopt(cls, *values):
+    """An instance of the frozen dataclass cls holding values in field
+    order, made without normalization or checks."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    d = object.__new__(cls)
+    for name, value in zip(names, values, strict=True):
+        object.__setattr__(d, name, value)
+    return d
+
+
 @dataclass(frozen=True)
 class SpinDiagram:
     """Canonical diagram: the basis element of the algebra."""
@@ -89,21 +125,14 @@ class SpinDiagram:
     through: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "top_isolated", tuple(self.top_isolated))
-        object.__setattr__(self, "bottom_isolated", tuple(self.bottom_isolated))
-        object.__setattr__(self, "top_arcs", _normalize_arcs(self.top_arcs))
-        object.__setattr__(self, "bottom_arcs", _normalize_arcs(self.bottom_arcs))
-        object.__setattr__(
-            self, "through", tuple(sorted((int(i), int(j)) for i, j in self.through))
-        )
-        if self.n < 0:
-            raise DiagramError("n must be nonnegative")
-        tops = [i for i, _ in self.through]
-        bots = [j for _, j in self.through]
-        if len(set(bots)) != len(bots):
-            raise DiagramError("through strings are not a bijection")
-        _check_row(self.n, self.top_isolated, self.top_arcs, tops, "top")
-        _check_row(self.n, self.bottom_isolated, self.bottom_arcs, bots, "bottom")
+        _normalize_rows(self)
+
+    # Adopt the fields, in order, unchecked. The caller guarantees ascending
+    # isolated lists, arcs (a, b) with a < b in sorted order, sorted through
+    # pairs, and rows that cover 1..n. Only the normal form and
+    # enumerate_basis build diagrams this way; every other diagram is
+    # validated.
+    _trusted = classmethod(_adopt)
 
     @property
     def through_count(self) -> int:
@@ -200,10 +229,17 @@ class LabeledDiagram:
     circuit_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if len(self.top_labels) != len(self.top_isolated):
-            raise DiagramError("top label list length mismatch")
-        if len(self.bottom_labels) != len(self.bottom_isolated):
-            raise DiagramError("bottom label list length mismatch")
+        for row in ("top", "bottom"):
+            isolated = getattr(self, f"{row}_isolated")
+            labels = getattr(self, f"{row}_labels")
+            if len(labels) != len(isolated):
+                raise DiagramError(f"{row} label list length mismatch")
+            # A row reads left to right; each label keeps its vertex.
+            pairs = sorted(zip(isolated, labels))
+            object.__setattr__(self, f"{row}_isolated", tuple(v for v, _ in pairs))
+            object.__setattr__(self, f"{row}_labels", tuple(l for _, l in pairs))
+        object.__setattr__(self, "circuit_pairs", tuple(map(tuple, self.circuit_pairs)))
+        _normalize_rows(self)
         labels = sorted(
             self.top_labels
             + self.bottom_labels
@@ -211,6 +247,11 @@ class LabeledDiagram:
         )
         if labels != list(range(1, len(labels) + 1)):
             raise DiagramError("labels are not exactly 1..t")
+
+    # Adopt the fields, in order, unchecked: the canonical rows of a
+    # SpinDiagram plus labels that are exactly 1..t. Only the stitch's
+    # boundary conversion builds them this way.
+    _trusted = classmethod(_adopt)
 
     def is_canonical(self) -> bool:
         seq = self.top_labels + self.bottom_labels
@@ -263,6 +304,14 @@ class AlgebraElement:
         self._terms = table
 
     @classmethod
+    def _wrap(cls, n: int, table: dict[SpinDiagram, DeltaPolynomial]) -> AlgebraElement:
+        """Adopt a table of size-n diagrams with nonzero coefficients, unchecked."""
+        out = cls.__new__(cls)
+        out.n = n
+        out._terms = table
+        return out
+
+    @classmethod
     def from_diagram(cls, d: SpinDiagram,
                      coeff: Union[DeltaPolynomial, int] = 1) -> AlgebraElement:
         if isinstance(coeff, int):
@@ -307,9 +356,7 @@ class AlgebraElement:
                 table[d] = s
             else:
                 table.pop(d, None)
-        out = AlgebraElement.zero(self.n)
-        out._terms = table
-        return out
+        return AlgebraElement._wrap(self.n, table)
 
     def __neg__(self) -> AlgebraElement:
         return self.scale(DeltaPolynomial.constant(-1))
@@ -437,13 +484,19 @@ def cell_decode(ell: int, t: CellTriple) -> SpinDiagram:
     n = sum(len(b) for b in t.x)
     if n != sum(len(b) for b in t.y):
         raise DiagramError("x and y partition different ground sets")
-    s_set, t_set = set(t.S), set(t.T)
-    top_iso = tuple(b[0] for b in t.x if len(b) == 1 and b not in s_set)
-    bot_iso = tuple(b[0] for b in t.y if len(b) == 1 and b not in t_set)
-    top_arcs = tuple(b for b in t.x if len(b) == 2)
-    bot_arcs = tuple(b for b in t.y if len(b) == 2)
+    top_iso, top_arcs = _row_of(t.x, t.S)
+    bot_iso, bot_arcs = _row_of(t.y, t.T)
     through = tuple((t.S[i][0], t.T[t.sigma[i]][0]) for i in range(ell))
     return SpinDiagram(n, top_iso, bot_iso, top_arcs, bot_arcs, through)
+
+
+def _row_of(part: Partition,
+            origins: tuple[Block, ...]) -> tuple[tuple[int, ...], tuple[Arc, ...]]:
+    """A row's isolated vertices (the singletons of part not in origins)
+    and its arcs, both in canonical order when part is sorted."""
+    chosen = set(origins)
+    return (tuple(b[0] for b in part if len(b) == 1 and b not in chosen),
+            tuple(b for b in part if len(b) == 2))
 
 
 # --- basis enumeration ------------------------------------------------------
@@ -499,12 +552,17 @@ def enumerate_basis(n: int, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[Spin
     if n > bound:
         raise DiagramError(f"n={n} exceeds enumeration bound {bound}")
     out: list[SpinDiagram] = []
+    trusted = SpinDiagram._trusted
     for ell in range(n, -1, -1):
-        rows = sorted(enumerate_S(n, ell))
-        for x, S in rows:
-            for y, T in rows:
-                for sigma in itertools.permutations(range(ell)):
-                    out.append(cell_decode(ell, CellTriple(x, S, y, T, sigma)))
+        # Each row decoded once per (x, S), as cell_decode would decode it.
+        rows = [(*_row_of(x, S), tuple(b[0] for b in S))
+                for x, S in sorted(enumerate_S(n, ell))]
+        sigmas = list(itertools.permutations(range(ell)))
+        for top_iso, top_arcs, tops in rows:
+            for bot_iso, bot_arcs, bots in rows:
+                for sigma in sigmas:
+                    through = tuple(zip(tops, [bots[k] for k in sigma]))
+                    out.append(trusted(n, top_iso, bot_iso, top_arcs, bot_arcs, through))
     return out
 
 

@@ -37,7 +37,7 @@ form: stitch_and_resolve returns one and clifford_normalize takes one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .diagrams import AlgebraElement, DiagramError, LabeledDiagram, SpinDiagram
 from .scalars import DeltaPolynomial
@@ -83,12 +83,13 @@ def _settle(word: list[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def _labeled(n: int, state: State) -> LabeledDiagram:
-    """The boundary form of a settled state."""
+    """The boundary form of a settled state; its labels are the word
+    positions 1..t by construction, so it is built unchecked."""
     top_arcs, bottom_arcs, through, word = state
     top = sorted((v, k) for k, v in enumerate(word, 1) if 0 < v <= n)
     bottom = sorted((v - n, k) for k, v in enumerate(word, 1) if v > n)
     ends = [k for _, k in sorted((-v, k) for k, v in enumerate(word, 1) if v < 0)]
-    return LabeledDiagram(
+    return LabeledDiagram._trusted(
         n, tuple(v for v, _ in top), tuple(v for v, _ in bottom),
         top_arcs, bottom_arcs, through,
         tuple(k for _, k in top), tuple(k for _, k in bottom),
@@ -260,7 +261,7 @@ def _join_labels(state: State, i: int, n: int) -> tuple[int, State]:
 
 def clifford_normalize(
     d: LabeledDiagram,
-    coeff: DeltaPolynomial,
+    coeff: Union[DeltaPolynomial, int],
     strategy: Strategy = default_strategy,
 ) -> AlgebraElement:
     """Expand coeff * d as a Z[delta]-combination of canonical diagrams.
@@ -276,9 +277,12 @@ def clifford_normalize(
     order, summed over all paths into a state before they move on.
     """
     n = d.n
+    if isinstance(coeff, int):
+        coeff = DeltaPolynomial.constant(coeff)
     dropped, word = _settle(_word_of(d))
     root = (d.top_arcs, d.bottom_arcs, d.through, word)
-    # succ[s]: the (successor, factor) pairs of s, or None for a canonical s.
+    # succ[s]: the (successor, shift, factor) edges of s, or None for a
+    # canonical s; an edge multiplies by factor * delta**shift.
     succ: dict[State, Optional[tuple]] = {}
     post_order: list[State] = []
     stack: list[tuple[State, bool]] = [(root, False)]
@@ -304,31 +308,37 @@ def clifford_normalize(
             i = strategy(pairs)
         swap_dropped, swapped = _swap_labels(cur, i)
         join_dropped, joined = _join_labels(cur, i, n)
-        succ[cur] = (
-            (swapped, DeltaPolynomial({swap_dropped: -1})),
-            (joined, DeltaPolynomial({join_dropped: 2})),
-        )
+        succ[cur] = ((swapped, swap_dropped, -1), (joined, join_dropped, 2))
         stack += ((cur, True), (swapped, False), (joined, False))
 
     # Reverse post-order is topological: every path into a state is summed
-    # before the state passes its coefficient on.
-    coeffs = {root: coeff * DeltaPolynomial.delta(dropped)}
-    terms: list[tuple[SpinDiagram, DeltaPolynomial]] = []
+    # before the state passes its coefficient on. Coefficients flow as plain
+    # {exponent: int} tables; a canonical state strips its zeros once.
+    coeffs = {root: {e + dropped: c for e, c in coeff.items()}}
+    terms: dict[SpinDiagram, DeltaPolynomial] = {}
     for cur in reversed(post_order):
         c = coeffs.pop(cur, None)
         if not c:
             continue
         successors = succ[cur]
         if successors is None:
-            top_arcs, bottom_arcs, through, word = cur
-            spin = SpinDiagram(n, tuple(v for v in word if v <= n),
-                               tuple(v - n for v in word if v > n),
-                               top_arcs, bottom_arcs, through)
-            terms.append((spin, c))
+            c = {e: v for e, v in c.items() if v}
+            if c:
+                top_arcs, bottom_arcs, through, word = cur
+                spin = SpinDiagram._trusted(n, tuple(v for v in word if v <= n),
+                                            tuple(v - n for v in word if v > n),
+                                            top_arcs, bottom_arcs, through)
+                terms[spin] = DeltaPolynomial._wrap(c)
             continue
-        for nxt, factor in successors:
-            coeffs[nxt] = coeffs.get(nxt, DeltaPolynomial.zero()) + c * factor
-    return AlgebraElement(n, terms)
+        for nxt, shift, factor in successors:
+            acc = coeffs.get(nxt)
+            if acc is None:
+                coeffs[nxt] = {e + shift: v * factor for e, v in c.items()}
+            else:
+                for e, v in c.items():
+                    e += shift
+                    acc[e] = acc.get(e, 0) + v * factor
+    return AlgebraElement._wrap(n, terms)
 
 
 def multiply_diagrams(
@@ -349,8 +359,10 @@ def multiply_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the diagram product (a on top of b)."""
     if a.n != b.n:
         raise DiagramError("cannot multiply elements with different n")
-    out = AlgebraElement.zero(a.n)
-    for d1, c1 in a.terms.items():
-        for d2, c2 in b.terms.items():
-            out = out + multiply_diagrams(d1, d2).scale(c1 * c2)
-    return out
+    return AlgebraElement(a.n, (
+        (d, p * c)
+        for d1, c1 in a.terms.items()
+        for d2, c2 in b.terms.items()
+        for c in (c1 * c2,)
+        for d, p in multiply_diagrams(d1, d2).terms.items()
+    ))

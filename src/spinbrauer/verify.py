@@ -129,12 +129,12 @@ def verify_homomorphism(
     """multiply(top, bottom) realized at delta=N equals the matrix composite."""
     space = SpaceSpec(N, n)
     _check_bound(space, bound)
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     basis = enumerate_basis(n)
     if mode == "exhaustive":
         pairs = [(a, b) for a in basis for b in basis]
     elif mode == "random":
-        if samples < 0:
-            raise ValueError(f"samples must be nonnegative, got {samples}")
         rng = random.Random(seed)
         pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(samples)]
     else:

@@ -17,6 +17,14 @@ def load_fixture(name: str):
     return json.loads((FIXTURES / name).read_text())
 
 
+def assert_validated(d: SpinDiagram) -> None:
+    """d equals, field for field, the diagram the checking constructor
+    builds from its fields."""
+    rebuilt = SpinDiagram(d.n, d.top_isolated, d.bottom_isolated,
+                          d.top_arcs, d.bottom_arcs, d.through)
+    assert rebuilt == d and repr(rebuilt) == repr(d)
+
+
 # The five-vertex datum: two isolated vertices per row, one arc per row,
 # a single through string 4 -> 3'.
 FIVE_VERTEX = SpinDiagram(5, (2, 5), (1, 4), ((1, 3),), ((2, 5),), ((4, 3),))

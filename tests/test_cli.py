@@ -274,6 +274,7 @@ def test_verify_over_max_n_is_usage_error(tmp_path, capsys):
     ["verify", "associativity", "--n", "2", "--samples", "-1"],
     ["verify", "homomorphism", "--n", "1", "--N", "3", "--mode", "random",
      "--samples", "-3"],
+    ["verify", "homomorphism", "--n", "1", "--N", "3", "--samples", "-3"],
     ["classify", "--n", "-1"],
     ["classify", "--n", "3", "--char", "-1"],
 ])

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import FIVE_VERTEX
+from conftest import FIVE_VERTEX, assert_validated
 from spinbrauer.diagrams import (
     CellTriple,
     DiagramError,
@@ -128,6 +128,13 @@ def test_enumeration_rejects_negative_n():
 def test_golden_basis_order(n, digest):
     keys = "\n".join(diagram_key(d) for d in enumerate_basis(n))
     assert hashlib.sha256(keys.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_basis_diagrams_equal_the_validated_ones(n):
+    for d in enumerate_basis(n):
+        assert_validated(d)
+        assert cell_decode(*cell_encode(d)) == d
 
 
 def test_involution_fixes_identity():

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
-from conftest import DEMO_A, DEMO_B, DEMO_BOTTOM, DEMO_TOP
+from conftest import DEMO_A, DEMO_B, DEMO_BOTTOM, DEMO_TOP, assert_validated
 from spinbrauer.diagrams import (
     AlgebraElement,
     DiagramError,
@@ -104,6 +105,46 @@ def test_normalize_within_row_positional_order_is_canonical():
     assert out.terms == {SpinDiagram(2, (1, 2), (), (), ((1, 2),), ()): DeltaPolynomial.one()}
 
 
+@pytest.mark.parametrize("fields, canonical", [
+    # Reversed arcs, unsorted through pairs, isolated vertices listed right
+    # to left (each label stays with its vertex).
+    ((2, (), (), ((2, 1),), ((1, 2),), (), (), ()),
+     (2, (), (), ((1, 2),), ((1, 2),), (), (), ())),
+    ((2, (), (), (), (), ((2, 1), (1, 2)), (), ()),
+     (2, (), (), (), (), ((1, 2), (2, 1)), (), ())),
+    ((3, (2, 1), (), (), ((2, 3),), ((3, 1),), (2, 1), ()),
+     (3, (1, 2), (), (), ((2, 3),), ((3, 1),), (1, 2), ())),
+])
+def test_labeled_diagram_normalizes_its_rows(fields, canonical):
+    d = LabeledDiagram(*fields)
+    assert d == LabeledDiagram(*canonical)
+    assert repr(d) == repr(LabeledDiagram(*canonical))
+    assert d == dataclasses.replace(LabeledDiagram._trusted(*canonical, ()))
+    # The output the normal form gave before it built its terms unchecked.
+    assert clifford_normalize(d, D(1)).terms == {SpinDiagram(*canonical[:6]): D(1)}
+
+
+@pytest.mark.parametrize("fields", [
+    (2, (1,), (), (), (), (), (1,), ()),                # top vertex 2 uncovered
+    (2, (1,), (1, 2), (), (), ((2, 2),), (1,), (2, 3)),  # bottom 2 used twice
+    (2, (), (), (), (), ((1, 1), (2, 1)), (), ()),      # through not a bijection
+    (1, (), (), ((1, 1),), ((1, 1),), (), (), ()),      # arc on one vertex
+    (1, (2,), (1,), (), (), (), (1,), (2,)),            # vertex outside 1..n
+    (-1, (), (), (), (), (), (), ()),
+    (1, (1,), (1,), (), (), (), (1,), (3,)),            # labels not 1..t
+])
+def test_labeled_diagram_rejects_broken_rows(fields):
+    with pytest.raises(DiagramError):
+        LabeledDiagram(*fields)
+
+
+def test_normalize_takes_an_int_coefficient():
+    res = stitch_and_resolve(DEMO_TOP, DEMO_BOTTOM)
+    assert (clifford_normalize(res.resolved, 3)
+            == clifford_normalize(res.resolved, DeltaPolynomial.constant(3)))
+    assert clifford_normalize(res.resolved, 0) == AlgebraElement.zero(res.resolved.n)
+
+
 def test_normalize_demo_swap_step():
     # One cross-row transposition: minus the swapped diagram plus twice the
     # diagram with a new through string.
@@ -166,6 +207,59 @@ def test_distributivity():
     for _ in range(10):
         a, b, c = (AlgebraElement.from_diagram(rng.choice(basis)) for _ in range(3))
         assert multiply_elements(a, b + c) == multiply_elements(a, b) + multiply_elements(a, c)
+
+
+def test_cancelling_product_has_an_empty_table():
+    # (delta id - B) B = delta B - B B = 0 for the both-isolated B at n = 1.
+    a = AlgebraElement(1, {identity_diagram(1): D(1),
+                           BOTH_ISOLATED: DeltaPolynomial.constant(-1)})
+    product = multiply_elements(a, AlgebraElement.from_diagram(BOTH_ISOLATED))
+    assert product == AlgebraElement.zero(1)
+    assert product.terms == {}
+
+
+def assert_validated_terms(element):
+    """Each term is what validation builds, and no coefficient holds a zero."""
+    for d, c in element.terms.items():
+        assert_validated(d)
+        assert c and all(v for _, v in c.items())
+
+
+def test_normal_form_builds_the_validated_diagrams():
+    b3 = enumerate_basis(3)
+    pairs = [(a, b) for a in b3 for b in b3]
+    rng = random.Random("golden/5")
+    b5 = enumerate_basis(5)
+    pairs += [(rng.choice(b5), rng.choice(b5)) for _ in range(500)]
+    pairs += [(all_isolated(n), all_isolated(n)) for n in range(3, 8)]
+    zero = DeltaPolynomial.zero()
+    for a, b in pairs:
+        assert_validated_terms(multiply_diagrams(a, b))
+        resolved = stitch_and_resolve(a, b).resolved
+        # replace() rebuilds through the checking constructor, which puts
+        # the rows, arcs and through pairs in canonical form and checks them
+        # and the labels.
+        rebuilt = dataclasses.replace(resolved)
+        assert rebuilt == resolved and repr(rebuilt) == repr(resolved)
+        assert clifford_normalize(resolved, zero) == AlgebraElement.zero(a.n)
+
+
+def test_normal_form_drops_a_cancelled_power():
+    # (delta + 2)(2 delta - delta^2) = 4 delta - delta^3: the delta^2 parts of
+    # different rewrite paths cancel, and no zero may stay behind.
+    d = all_isolated(2)
+    res = stitch_and_resolve(d, d)
+    assert res.circuits_closed == 0
+    assert clifford_normalize(res.resolved, D(1) + 2).terms == {d: 4 * D(1) - D(3)}
+
+
+def test_elements_products_hold_no_zero():
+    rng = random.Random(13)
+    basis = enumerate_basis(2)
+    for _ in range(10):
+        a, b = (AlgebraElement(2, {rng.choice(basis): D(rng.randrange(3)) - 2
+                                   for _ in range(3)}) for _ in range(2))
+        assert_validated_terms(multiply_elements(a, b))
 
 
 def test_through_count_never_increases():
