@@ -150,9 +150,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _partition_arg(path: str, config: CliConfig) -> tuple[tuple, tuple]:
     obj = json.loads(_resolve(path, config).read_text())
-    blocks = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in obj["blocks"]))
-    chosen = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in obj["S"]))
+    try:
+        blocks = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in obj["blocks"]))
+        chosen = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in obj["S"]))
+    except (KeyError, TypeError):
+        raise ValueError(f'{path}: expected an object with "blocks" and "S", '
+                         "each a list of integer lists") from None
     return blocks, chosen
+
+
+def _check_n(n: int, config: CliConfig) -> None:
+    """Reject a row size outside 0..max_n before any work."""
+    if n < 0:
+        raise ValueError(f"n={n} must be nonnegative")
+    if n > config.max_n:
+        raise ValueError(f"n={n} exceeds max_n {config.max_n}")
 
 
 def _run_verify(args, config: CliConfig, stream) -> int:
@@ -169,13 +181,8 @@ def _run_verify(args, config: CliConfig, stream) -> int:
         print(f"verify {args.check} requires {' '.join(missing)}", file=sys.stderr)
         return 2
     kwargs = {p.name: getattr(args, p.name) for p in params}
-    n = kwargs.get("n")
-    if n is not None and n < 0:
-        print(f"n={n} must be nonnegative", file=sys.stderr)
-        return 2
-    if n is not None and n > config.max_n:
-        print(f"n={n} exceeds max_n {config.max_n}", file=sys.stderr)
-        return 2
+    if kwargs.get("n") is not None:
+        _check_n(kwargs["n"], config)
     fallback = {"seed": config.seed, "bound": config.max_total_dimension}
     for name, value in fallback.items():
         if name in kwargs and kwargs[name] is None:
@@ -271,6 +278,7 @@ def run_command(argv: Sequence[str], stream=None) -> int:
             return 0
 
         if args.command == "classify":
+            _check_n(args.n, config)
             out = irreducible_indices(args.n, args.char, args.delta_zero)
             _emit({
                 "n": args.n, "char": args.char, "delta_zero": args.delta_zero,

@@ -4,6 +4,17 @@ V is the N-dimensional orthogonal space W + W* (+ C e for odd N) with
 pairing omega(w_i, w_j*) = delta_ij, omega(e, e) = 1; Delta is the exterior
 algebra on W, modeled on bitmasks with fermionic wedge/contraction operators.
 
+Two primitives define the spin side; everything else derives from them.
+The Clifford action gamma (`_absorb`) sends w_i to sqrt2 times the wedge,
+w_i* to sqrt2 times the contraction and e to the parity, and `_dual` names
+the content omega pairs with a content (w_i <-> w_i*, e <-> e). The
+projection applies gamma; the injection emits the dual of each content gamma
+absorbs; the invariant element of V (x) V pairs each content with its dual,
+and the contraction pairs slots by omega. A bivector u ^ v of so(N) acts on V
+by c -> omega(v, c) u - omega(u, c) v and on Delta by the commutator
+(gamma(u) gamma(v) - gamma(v) gamma(u)) / 4; the odd reflection acts on
+Delta by gamma(w_1 - w_1*) / 2.
+
 A diagram acts through the equivariant building blocks: contractions on top
 arcs, one projection per top isolated vertex (in label order), a tensor-slot
 permutation for the through strings, one injection per bottom isolated vertex
@@ -139,14 +150,17 @@ def apply_fock_operator(op: tuple, space: SpaceSpec, mask: int) -> Optional[tupl
     raise ValueError(f"unknown operator {op!r}")
 
 
+def _dual(c: int, space: SpaceSpec) -> int:
+    """The content omega pairs with c: w_i <-> w_i*, e <-> e."""
+    m = space.m
+    if c < m:
+        return c + m
+    return c - m if c < 2 * m else c
+
+
 def omega_pairing(u: int, v: int, space: SpaceSpec) -> int:
     """The orthogonal pairing of two V-basis contents (always 0 or 1)."""
-    m = space.m
-    if u < m:
-        return 1 if v == u + m else 0
-    if u < 2 * m:
-        return 1 if v == u - m else 0
-    return 1 if v == u else 0
+    return 1 if v == _dual(u, space) else 0
 
 
 # --- per-basis-vector kernels of the spin blocks ----------------------------
@@ -160,11 +174,12 @@ def _times(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 
 def _absorb(c: int, mask: int, space: SpaceSpec) -> Optional[tuple[int, int, int]]:
-    """Absorb one slot content into Delta, as the projection does.
+    """The Clifford action gamma of one slot content on Delta.
 
     w_i wedges and w_i* contracts mode i (each scaled by sqrt2); e acts by the
-    parity. Returns (a, b, new mask) for the factor a + b sqrt2, or None when
-    the basis vector is annihilated.
+    parity. The projection absorbs a slot's content this way. Returns
+    (a, b, new mask) for the factor a + b sqrt2, or None when the basis
+    vector is annihilated.
     """
     m = space.m
     if c < m:
@@ -182,31 +197,20 @@ def _absorb(c: int, mask: int, space: SpaceSpec) -> Optional[tuple[int, int, int
 def _emit(mask: int, space: SpaceSpec) -> list[tuple[int, int, int, int]]:
     """Emit a new slot from Delta, as the injection does.
 
-    Each mode i gives w_i while contracting it (if occupied) or w_i* while
-    wedging it (each scaled by sqrt2); for odd N, e times the parity. Returns
-    the terms as (content, a, b, new mask).
+    Each content c that gamma absorbs emits its dual with gamma's factor.
+    Returns the terms as (content, a, b, new mask).
     """
-    m = space.m
     out = []
-    for i0 in range(m):
-        if mask >> i0 & 1:
-            sign, mk = _contract(i0, mask)
-            out.append((i0, 0, sign, mk))
-        else:
-            sign, mk = _wedge(i0, mask)
-            out.append((m + i0, 0, sign, mk))
-    if space.odd:
-        out.append((2 * m, _parity(mask), 0, mask))
+    for c in range(space.N):
+        res = _absorb(c, mask, space)
+        if res is not None:
+            out.append((_dual(c, space), *res))
     return out
 
 
 def _invariant_pairs(space: SpaceSpec) -> list[tuple[int, int]]:
-    """Content pairs of the invariant element sum w_i (x) w_i* + w_i* (x) w_i (+ e (x) e)."""
-    m = space.m
-    pairs = [(a, m + a) for a in range(m)] + [(m + a, a) for a in range(m)]
-    if space.odd:
-        pairs.append((2 * m, 2 * m))
-    return pairs
+    """Content pairs of the invariant element: each content with its dual."""
+    return [(c, _dual(c, space)) for c in range(space.N)]
 
 
 # --- equivariant map primitives ---------------------------------------------
@@ -325,8 +329,8 @@ class SoSymbol:
     """Basis element of so(N) in the isotropic decomposition of wedge^2 V.
 
     kinds ("raising", i, j): w_i ^ w_j;     ("lowering", i, j): w_i* ^ w_j*;
-          ("mixed", i, j):   w_i (x) w_j*;  ("raising_e", i):   w_i (x) e;
-          ("lowering_e", j): w_j* (x) e.    Indices are 1-based.
+          ("mixed", i, j):   w_i ^ w_j*;    ("raising_e", i):   w_i ^ e;
+          ("lowering_e", i): e ^ w_i*.      Indices are 1-based.
     """
 
     kind: str
@@ -351,111 +355,63 @@ def so_basis(space: SpaceSpec) -> list[SoSymbol]:
     return out
 
 
-def _v_action(sym: SoSymbol, c: int, space: SpaceSpec) -> list[tuple[int, int]]:
-    """Action on one V-basis content; integer coefficients."""
+def _bivector(sym: SoSymbol, space: SpaceSpec) -> tuple[int, int]:
+    """The contents (u, v) of the bivector u ^ v a symbol stands for."""
     m = space.m
-    e = 2 * m
-    kind, i, j = sym.kind, sym.i, sym.j
-    if kind == "raising":
-        if m <= c < e:
-            l = c - m + 1
-            if l == j:
-                return [(1, i - 1)]
-            if l == i:
-                return [(-1, j - 1)]
-        return []
-    if kind == "lowering":
-        if c < m:
-            l = c + 1
-            if l == j:
-                return [(1, m + i - 1)]
-            if l == i:
-                return [(-1, m + j - 1)]
-        return []
-    if kind == "mixed":
-        if c < m and c + 1 == j:
-            return [(1, i - 1)]
-        if m <= c < e and c - m + 1 == i:
-            return [(-1, m + j - 1)]
-        return []
-    if kind == "raising_e":
-        if m <= c < e and c - m + 1 == i:
-            return [(-1, e)]
-        if c == e:
-            return [(1, i - 1)]
-        return []
-    if kind == "lowering_e":
-        if c < m and c + 1 == i:
-            return [(1, e)]
-        if c == e:
-            return [(-1, m + i - 1)]
-        return []
-    raise ValueError(f"unknown so symbol kind {kind!r}")
+
+    def w(k: int) -> int:
+        if not 1 <= k <= m:
+            raise ValueError(f"mode index {k} outside 1..{m}")
+        return k - 1
+
+    kinds = {"raising": lambda: (w(sym.i), w(sym.j)),
+             "lowering": lambda: (m + w(sym.i), m + w(sym.j)),
+             "mixed": lambda: (w(sym.i), m + w(sym.j)),
+             "raising_e": lambda: (w(sym.i), 2 * m),
+             "lowering_e": lambda: (2 * m, m + w(sym.i))}
+    if sym.kind not in kinds:
+        raise ValueError(f"unknown so symbol kind {sym.kind!r}")
+    return kinds[sym.kind]()
+
+
+def _v_action(sym: SoSymbol, c: int, space: SpaceSpec) -> list[tuple[int, int]]:
+    """Action on one V-basis content, c -> omega(v, c) u - omega(u, c) v."""
+    u, v = _bivector(sym, space)
+    terms = [(omega_pairing(v, c, space), u), (-omega_pairing(u, c, space), v)]
+    return [(coeff, nc) for coeff, nc in terms if coeff]
 
 
 def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[int, int, int]]:
-    """Action on one Fock basis vector of Delta.
+    """Action on one Fock basis vector of Delta, the commutator quarter.
 
-    Returns the terms as (a, b, new mask) for the coefficient (a + b sqrt2)/2:
-    the diagonal of a mixed symbol and the e-symbols carry halves.
+    The bivector u ^ v acts by (gamma(u) gamma(v) - gamma(v) gamma(u)) / 4.
+    Returns the terms as (a, b, new mask) for the coefficient (a + b sqrt2)/2.
     """
-    kind, i, j = sym.kind, sym.i, sym.j
-    out: list[tuple[int, int, int]] = []
-    if kind == "raising":
-        r = _wedge(j - 1, mask)
-        if r:
-            s1, mk = r
-            r2 = _wedge(i - 1, mk)
-            if r2:
-                s2, mk2 = r2
-                out.append((2 * s1 * s2, 0, mk2))
-        return out
-    if kind == "lowering":
-        r = _contract(j - 1, mask)
-        if r:
-            s1, mk = r
-            r2 = _contract(i - 1, mk)
-            if r2:
-                s2, mk2 = r2
-                out.append((2 * s1 * s2, 0, mk2))
-        return out
-    if kind == "mixed":
-        r = _contract(j - 1, mask)
-        if r:
-            s1, mk = r
-            r2 = _wedge(i - 1, mk)
-            if r2:
-                s2, mk2 = r2
-                out.append((2 * s1 * s2, 0, mk2))
-        if i == j:
-            out.append((-1, 0, mask))
-        return out
-    if kind == "raising_e":
-        s1 = _parity(mask)
-        r = _wedge(i - 1, mask)
-        if r:
-            s2, mk = r
-            out.append((0, s1 * s2, mk))
-        return out
-    if kind == "lowering_e":
-        r = _contract(i - 1, mask)
-        if r:
-            s1, mk = r
-            out.append((0, s1 * _parity(mk), mk))
-        return out
-    raise ValueError(f"unknown so symbol kind {kind!r}")
+    u, v = _bivector(sym, space)
+    out: dict[int, tuple[int, int]] = {}
+    for x, y, s in ((u, v, 1), (v, u, -1)):
+        first = _absorb(y, mask, space)
+        second = first and _absorb(x, first[2], space)
+        if second:
+            a, b = _times(first[0], first[1], second[0], second[1])
+            pa, pb = out.get(second[2], (0, 0))
+            out[second[2]] = (pa + s * a, pb + s * b)
+    # Over the common den 2, a quarter of the commutator is half its pair.
+    return [(a // 2, b // 2, mk) for mk, (a, b) in out.items() if a or b]
 
 
 def act_so(sym: SoSymbol, space: SpaceSpec) -> LinearMap:
     """Derivation action of an so(N) basis element on V^(x)n (x) Delta."""
     if (sym.kind in ("raising_e", "lowering_e")) and not space.odd:
         raise ValueError(f"{sym.kind} requires odd N")
+    v_terms = [_v_action(sym, c, space) for c in range(space.N)]
+    spin_terms = [_spin_action(sym, mask, space) for mask in range(space.fock_dim)]
     cols: dict[int, PairColumn] = {}
     for slots, mask in space.basis():
         # (output slots, output mask, a, b) with coefficient (a + b sqrt2)/2
         terms = [(slots[:k] + (nc,) + slots[k + 1:], mask, 2 * coeff, 0)
-                 for k, c in enumerate(slots) for coeff, nc in _v_action(sym, c, space)]
-        terms += [(slots, mk, a, b) for a, b, mk in _spin_action(sym, mask, space)]
+                 for k, c in enumerate(slots) for coeff, nc in v_terms[c]]
+        terms += [(slots, mk, a, b) for a, b, mk in spin_terms[mask]]
         col: PairColumn = {}
         for out, mk, a, b in terms:
             idx = space.encode(out, mk)
@@ -469,40 +425,25 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
     """The odd reflection generating the non-identity component of Pin(N).
 
     On each V factor: w_1 -> -w_1*, w_1* -> -w_1, every other basis vector to
-    its negative; on Delta: (wedge w_1 - contract w_1*) / sqrt2. The overall
-    sign on V is a convention; this is the unique choice (given the Delta
-    action) that commutes with the projection and injection maps, and it is
-    frozen here and asserted by the equivariance tests.
+    its negative; on Delta: gamma(w_1 - w_1*)/2, that is (wedge w_1 -
+    contract w_1*) / sqrt2. The overall sign on V is a convention; this is
+    the unique choice (given the Delta action) that commutes with the
+    projection and injection maps, and it is frozen here and asserted by the
+    equivariance tests.
     """
     m = space.m
+    spin = []  # per mask: (b, new mask) for the entry (0, b) over 2
+    for mask in range(space.fock_dim):
+        for c, s in ((0, 1), (m, -1)):  # exactly one of the two survives
+            res = _absorb(c, mask, space)
+            if res is not None:
+                spin.append((s * res[1], res[2]))
+    sign = (-1) ** space.n
     cols: dict[int, PairColumn] = {}
-
-    def gamma_v(c: int) -> tuple[int, int]:
-        if c == 0:
-            return -1, m
-        if c == m:
-            return -1, 0
-        return -1, c
-
     for slots, mask in space.basis():
-        sign = 1
-        out = []
-        for c in slots:
-            s, nc = gamma_v(c)
-            sign *= s
-            out.append(nc)
-        # 1/sqrt2 = sqrt2/2, so each entry is the pair (0, +-1) over 2.
-        if mask & 1:
-            res = _contract(0, mask)
-            assert res is not None
-            s1, mk = res
-            b = -sign * s1
-        else:
-            res = _wedge(0, mask)
-            assert res is not None
-            s1, mk = res
-            b = sign * s1
-        cols[space.encode(slots, mask)] = {space.encode(out, mk): (0, b)}
+        out = [_dual(c, space) if c in (0, m) else c for c in slots]
+        b, mk = spin[mask]
+        cols[space.encode(slots, mask)] = {space.encode(out, mk): (0, sign * b)}
     return LinearMap._from_pairs(space.total_dim, space.total_dim, cols, 2)
 
 
@@ -526,12 +467,12 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec) -> LinearMap:
         raise DiagramError(f"diagram has n={d.n}, space has n={space.n}")
     N, fock = space.N, space.fock_dim
     place = [N ** (space.n - 1 - p) * fock for p in range(space.n)]
-    partner = [next(v for v in range(N) if omega_pairing(u, v, space)) for u in range(N)]
     pairs = _invariant_pairs(space)
+    emits = [_emit(mask, space) for mask in range(fock)]
 
     arc_cols = [0]
     for a, b in d.top_arcs:
-        arc_cols = [o + u * place[a - 1] + partner[u] * place[b - 1]
+        arc_cols = [o + u * place[a - 1] + _dual(u, space) * place[b - 1]
                     for o in arc_cols for u in range(N)]
     through = [(0, 0)]  # (column offset, row offset)
     for i, j in d.through:
@@ -553,7 +494,7 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec) -> LinearMap:
         terms = [(0, 1, 0, mask)]  # (row offset, a, b, mask)
         for v in d.bottom_isolated:
             terms = [(ro + c * place[v - 1], *_times(ta, tb, a, b), mk)
-                     for ro, ta, tb, tmask in terms for c, a, b, mk in _emit(tmask, space)]
+                     for ro, ta, tb, tmask in terms for c, a, b, mk in emits[tmask]]
         for a, b in d.bottom_arcs:
             terms = [(ro + cx * place[a - 1] + cy * place[b - 1], ta, tb, tmask)
                      for ro, ta, tb, tmask in terms for cx, cy in pairs]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .cellular import modmult_check, phi_ell
 from .diagrams import (
@@ -263,7 +263,7 @@ class _SlotComposer:
 _STEP_SLOTS = {"inject": 1, "project": -1, "immerse": 2, "contract": -2}
 
 
-def _circuit_plan(circuit_type: str, arcs: int) -> list[tuple[str, tuple[int, ...]]]:
+def _circuit_plan(circuit_type: str, arcs: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """The steps of a closed circuit as (composer method, slot names).
 
     Slots 1..k lie on one chain: arcs alternate between immersions (below)
@@ -272,7 +272,8 @@ def _circuit_plan(circuit_type: str, arcs: int) -> list[tuple[str, tuple[int, ..
     ("project", into it). The plan walks the chain from its first spin step
     and contracts as it goes, so at most four slots are open at once. Spin
     steps keep their relative order: they do not commute in general (the
-    Clifford swap rule), while blocks on disjoint slots do.
+    Clifford swap rule), while blocks on disjoint slots do. The steps are
+    generated one at a time, so a walk of the plan holds none of them.
     """
     if arcs < 0:
         raise ValueError("the number of arcs must be nonnegative")
@@ -281,49 +282,51 @@ def _circuit_plan(circuit_type: str, arcs: int) -> list[tuple[str, tuple[int, ..
         if i < 1:
             raise ValueError("type I needs at least one arc")
         k = 2 * i
-        plan = [("immerse", (1, 2))]
+        yield "immerse", (1, 2)
         for a in range(3, k, 2):
-            plan += [("immerse", (a, a + 1)), ("contract", (a - 1, a))]
-        return plan + [("contract", (1, k))]
-    if circuit_type == "II":
+            yield from (("immerse", (a, a + 1)), ("contract", (a - 1, a)))
+        yield "contract", (1, k)
+    elif circuit_type == "II":
         k = 2 * i + 2
-        plan = [("inject", (1,))]
+        yield "inject", (1,)
         for a in range(2, k - 1, 2):
-            plan += [("immerse", (a, a + 1)), ("contract", (a - 1, a))]
-        return plan + [("inject", (k,)), ("contract", (k - 1, k))]
-    if circuit_type == "III":
+            yield from (("immerse", (a, a + 1)), ("contract", (a - 1, a)))
+        yield from (("inject", (k,)), ("contract", (k - 1, k)))
+    elif circuit_type == "III":
         k = 2 * i + 2
-        plan = [("immerse", (1, 2)), ("project", (1,))]
+        yield from (("immerse", (1, 2)), ("project", (1,)))
         for a in range(3, k, 2):
-            plan += [("immerse", (a, a + 1)), ("contract", (a - 1, a))]
-        return plan + [("project", (k,))]
-    if circuit_type == "IV":
+            yield from (("immerse", (a, a + 1)), ("contract", (a - 1, a)))
+        yield "project", (k,)
+    elif circuit_type == "IV":
         k = 2 * i + 1
-        plan = [("inject", (1,))]
+        yield "inject", (1,)
         for a in range(2, k, 2):
-            plan += [("immerse", (a, a + 1)), ("contract", (a - 1, a))]
-        return plan + [("project", (k,))]
-    if circuit_type == "V":
+            yield from (("immerse", (a, a + 1)), ("contract", (a - 1, a)))
+        yield "project", (k,)
+    elif circuit_type == "V":
         k = 2 * i + 1
-        plan = [("inject", (k,))]
+        yield "inject", (k,)
         for a in range(k - 2, 0, -2):
-            plan += [("immerse", (a, a + 1)), ("contract", (a + 1, a + 2))]
-        return plan + [("project", (1,))]
-    raise ValueError(f"unknown circuit type {circuit_type!r}")
+            yield from (("immerse", (a, a + 1)), ("contract", (a + 1, a + 2)))
+        yield "project", (1,)
+    else:
+        raise ValueError(f"unknown circuit type {circuit_type!r}")
 
 
 def verify_circuit_scaling(N: int, circuit_type: str, arcs: int,
                            bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
     """A closed-circuit composite equals N times the identity on the spin factor."""
     params = {"N": N, "type": circuit_type, "arcs": arcs}
-    plan = _circuit_plan(circuit_type, arcs)
+    # The plan is walked twice: for its peak width (which validates the type
+    # and arc count before any map is built), then to compose it.
     open_slots = peak = 0
-    for step, _ in plan:
+    for step, _ in _circuit_plan(circuit_type, arcs):
         open_slots += _STEP_SLOTS[step]
         peak = max(peak, open_slots)
     _check_bound(SpaceSpec(N, peak), bound)
     composer = _SlotComposer(N)
-    for step, names in plan:
+    for step, names in _circuit_plan(circuit_type, arcs):
         getattr(composer, step)(*names)
     if composer.slots:
         raise AssertionError("circuit plan left open slots")

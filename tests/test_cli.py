@@ -260,13 +260,32 @@ def test_enumerate_over_bound_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_over_max_n_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["verify", "associativity", "--n", "4", "--samples", "2"],
+    ["classify", "--n", "4"],
+])
+def test_verify_over_max_n_is_usage_error(argv, tmp_path, capsys):
     cfg = tmp_path / "spinbrauer.toml"
     cfg.write_text("max_n = 3\n")
-    code, out = run(["--config", str(cfg), "verify", "associativity",
-                     "--n", "4", "--samples", "2"])
+    code, out = run(["--config", str(cfg), *argv])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "n=4 exceeds max_n 3\n"
+
+
+@pytest.mark.parametrize("content", [
+    {"blocks": [[1], [2]]},
+    [[[1], [2]], [[1]]],
+])
+def test_malformed_partition_file_is_usage_error(content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"blocks": [[1], [2]], "S": [[1]]}))
+    for files in ([bad, good], [good, bad]):
+        code, out = run(["cell", "phi", "--ell", "1", *map(str, files)])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err
 
 
 @pytest.mark.parametrize("argv", [

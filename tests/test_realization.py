@@ -82,6 +82,29 @@ def test_anticommutators_m3():
         assert parity @ D_i + D_i @ parity == zero
 
 
+@pytest.mark.parametrize("N", range(2, 8))
+def test_gamma_satisfies_the_clifford_relation(N):
+    # gamma(u) gamma(v) + gamma(v) gamma(u) = 2 omega(u, v) on every mask,
+    # with gamma's sqrt2 scaling and e's parity, in integer pairs.
+    from spinbrauer.realization import _absorb, _times
+
+    space = SpaceSpec(N)
+    for u in range(N):
+        for v in range(N):
+            expected = 2 * omega_pairing(u, v, space)
+            for mask in range(space.fock_dim):
+                total: dict[int, tuple[int, int]] = {}
+                for x, y in ((u, v), (v, u)):
+                    first = _absorb(y, mask, space)
+                    second = first and _absorb(x, first[2], space)
+                    if second:
+                        a, b = _times(first[0], first[1], second[0], second[1])
+                        pa, pb = total.get(second[2], (0, 0))
+                        total[second[2]] = (pa + a, pb + b)
+                total = {mk: ab for mk, ab in total.items() if ab != (0, 0)}
+                assert total == ({mask: (expected, 0)} if expected else {}), (u, v, mask)
+
+
 def test_omega_pairs_dual_modes():
     space = SpaceSpec(5)  # m = 2; contents: w1 w2 w1* w2* e
     assert omega_pairing(0, 2, space) == 1
@@ -116,6 +139,16 @@ def test_lowering_pair_on_full_wedge():
     act = act_so(SoSymbol("lowering", 1, 2), space)
     out = act.apply({0b11: ONE})
     assert out == {0b00: RootTwoNumber(-1)}
+
+
+@pytest.mark.parametrize("sym", [
+    SoSymbol("raising", 1, 3), SoSymbol("lowering", 1), SoSymbol("mixed", 3, 1),
+    SoSymbol("raising_e", 3), SoSymbol("lowering_e", 0), SoSymbol("bogus", 1, 2),
+])
+def test_act_so_rejects_a_symbol_outside_the_basis_range(sym):
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            act_so(sym, SpaceSpec(5, n))
 
 
 def test_so_action_respects_omega():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -147,6 +148,28 @@ def test_circuit_scaling_bound_checked_before_work():
     assert verify_circuit_scaling(5, "II", 2, bound=500).passed
     with pytest.raises(ResourceBoundError, match="total dimension 65536 exceeds"):
         verify_circuit_scaling(8, "I", 2)
+
+
+def test_circuit_plan_is_bounded_before_it_is_built():
+    # A 10^5-arc plan is walked for its width, not stored, before the bound.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBoundError):
+            verify_circuit_scaling(3, "IV", 10**5, bound=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bad_circuit_plan_fails_before_any_map(monkeypatch):
+    def no_composer(N):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(verify, "_SlotComposer", no_composer)
+    for circuit_type, arcs in (("I", 0), ("VI", 1), ("IV", -1)):
+        with pytest.raises(ValueError):
+            verify_circuit_scaling(3, circuit_type, arcs)
 
 
 def test_clifford_relation():
