@@ -87,8 +87,16 @@ def _resolve(path: str, config: CliConfig) -> Path:
     return fallback if fallback.exists() else p
 
 
+def _read_json(path: str, config: CliConfig):
+    """The JSON value in a file; a decoding error names the file."""
+    try:
+        return json.loads(_resolve(path, config).read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_diagram(path: str, config: CliConfig):
-    return parse_diagram(_resolve(path, config).read_text())
+    return parse_diagram(_read_json(path, config))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _partition_arg(path: str, config: CliConfig) -> tuple[tuple, tuple]:
-    obj = json.loads(_resolve(path, config).read_text())
+    obj = _read_json(path, config)
     try:
         blocks = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in obj["blocks"]))
         chosen = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in obj["S"]))

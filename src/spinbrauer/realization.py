@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagrams import DiagramError, SpinDiagram
 from .linalg import LinearMap, PairColumn
@@ -450,7 +450,8 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
 # --- realizing diagrams -------------------------------------------------------
 
 
-def realize_diagram(d: SpinDiagram, space: SpaceSpec) -> LinearMap:
+def realize_diagram(d: SpinDiagram, space: SpaceSpec,
+                    columns: Optional[Iterable[int]] = None) -> LinearMap:
     """The endomorphism of V^(x)n (x) Delta carried by a canonical diagram.
 
     The building blocks act in the order of the module docstring, sharing
@@ -462,13 +463,53 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec) -> LinearMap:
     absorb their contents into the mask in label order. The bottom isolated
     vertices and arcs depend only on the mask that is left, so their terms
     are tabulated once per mask.
+
+    Given columns, only those columns are built (the others are zero; the
+    shape stays total_dim x total_dim): each is decoded, checked against the
+    top arcs and absorbed into its mask, and the bottom terms are tabulated
+    only for the masks that are reached.
     """
     if d.n != space.n:
         raise DiagramError(f"diagram has n={d.n}, space has n={space.n}")
-    N, fock = space.N, space.fock_dim
+    N, fock, dim = space.N, space.fock_dim, space.total_dim
     place = [N ** (space.n - 1 - p) * fock for p in range(space.n)]
     pairs = _invariant_pairs(space)
     emits = [_emit(mask, space) for mask in range(fock)]
+
+    def bottom(mask: int) -> list[tuple[int, int, int]]:
+        """The bottom terms from one mask, as (row offset, a, b)."""
+        terms = [(0, 1, 0, mask)]  # (row offset, a, b, mask)
+        for v in d.bottom_isolated:
+            terms = [(ro + c * place[v - 1], *_times(ta, tb, a, b), mk)
+                     for ro, ta, tb, tmask in terms for c, a, b, mk in emits[tmask]]
+        for a, b in d.bottom_arcs:
+            terms = [(ro + cx * place[a - 1] + cy * place[b - 1], ta, tb, tmask)
+                     for ro, ta, tb, tmask in terms for cx, cy in pairs]
+        # The contents a term emits determine its path, so its row is its own.
+        return [(ro + tmask, ta, tb) for ro, ta, tb, tmask in terms]
+
+    cols: dict[int, PairColumn] = {}
+    if columns is not None:
+        reached: dict[int, list[tuple[int, int, int]]] = {}
+        for col in columns:
+            if not 0 <= col < dim:
+                raise ValueError(f"column index {col} out of range")
+            slots, mask = space.decode(col)
+            if any(slots[b - 1] != _dual(slots[a - 1], space) for a, b in d.top_arcs):
+                continue
+            ca, cb = 1, 0
+            for v in d.top_isolated:
+                res = _absorb(slots[v - 1], mask, space)
+                if res is None:
+                    break
+                a, b, mask = res
+                ca, cb = _times(ca, cb, a, b)
+            else:
+                tr = sum(slots[i - 1] * place[j - 1] for i, j in d.through)
+                if mask not in reached:
+                    reached[mask] = bottom(mask)
+                cols[col] = {tr + ro: _times(ca, cb, a, b) for ro, a, b in reached[mask]}
+        return LinearMap._from_pairs(dim, dim, cols)
 
     arc_cols = [0]
     for a, b in d.top_arcs:
@@ -489,22 +530,10 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec) -> LinearMap:
                     absorbed.append((co + c * place[v - 1], *_times(ca, cb, a, b), mk))
         top = absorbed
 
-    bottom: list[list[tuple[int, int, int]]] = []  # per mask: (row offset, a, b)
-    for mask in range(fock):
-        terms = [(0, 1, 0, mask)]  # (row offset, a, b, mask)
-        for v in d.bottom_isolated:
-            terms = [(ro + c * place[v - 1], *_times(ta, tb, a, b), mk)
-                     for ro, ta, tb, tmask in terms for c, a, b, mk in emits[tmask]]
-        for a, b in d.bottom_arcs:
-            terms = [(ro + cx * place[a - 1] + cy * place[b - 1], ta, tb, tmask)
-                     for ro, ta, tb, tmask in terms for cx, cy in pairs]
-        # The contents a term emits determine its path, so its row is its own.
-        bottom.append([(ro + tmask, ta, tb) for ro, ta, tb, tmask in terms])
-
-    cols: dict[int, PairColumn] = {}
+    table = [bottom(mask) for mask in range(fock)]
     for co, ca, cb, mask in top:
-        out = [(ro, _times(ca, cb, a, b)) for ro, a, b in bottom[mask]]
+        out = [(ro, _times(ca, cb, a, b)) for ro, a, b in table[mask]]
         for ac in arc_cols:
             for tc, tr in through:
                 cols[ac + co + tc] = {tr + ro: v for ro, v in out}
-    return LinearMap._from_pairs(space.total_dim, space.total_dim, cols)
+    return LinearMap._from_pairs(dim, dim, cols)

@@ -8,8 +8,9 @@ the benchmark runs.
 import sys
 from pathlib import Path
 
-from spinbrauer import multiply
+from spinbrauer import multiply, verify
 from spinbrauer.diagrams import enumerate_basis
+from spinbrauer.realization import SpaceSpec, realize_diagram
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +49,33 @@ def test_traced_products_and_potentials(monkeypatch):
     # src/ that alters it fails here and not only in the benchmark.
     assert counts["multiply.nf_labels"] == 60
     assert counts["multiply.output_terms"] == 23
+
+
+def test_traced_rank_sketch_and_exact_paths(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("layers", "tracer"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import layers
+    import tracer as tracing
+
+    space = SpaceSpec(6, 2)
+    full_nnz = sum(realize_diagram(d, space).nnz() for d in enumerate_basis(2))
+    t = tracing.Tracer()
+    layers.instrument(t)
+    try:
+        certified = t.round_of(lambda: verify.verify_rank(2, 6))()
+        exact = t.round_of(lambda: verify.verify_rank(3, 2))()
+    finally:
+        t.uninstall()
+    assert certified.info["rank"] == 10 and exact.info["rank"] == 20
+    sketch, eliminated = t.round_counts
+    # Full rank at (2, 6) is certified on one sketch of the ten diagrams,
+    # seen by the realization hook, holding fewer entries than the whole maps.
+    assert sketch["realization.realize.calls"] == 10
+    assert 0 < sketch["realization.realized_nnz"] < full_nnz
+    assert sketch["linalg.flatten.calls"] == sketch["linalg.rank.calls"] == 0
+    # Below N = 2n every map is realized whole, flattened and eliminated.
+    assert eliminated["realization.realize.calls"] == 76
+    assert eliminated["linalg.flatten.calls"] == 76
+    assert eliminated["linalg.rank.calls"] == 1
+    assert eliminated["linalg.rank_pivots"] == 20

@@ -289,6 +289,23 @@ def test_malformed_partition_file_is_usage_error(content, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["involute"],
+    ["multiply", "product_demo_top.json"],
+    ["cell", "phi", "--ell", "1", "bilinear_demo_y.json"],
+])
+@pytest.mark.parametrize("content", [b"hello\n", b"\xff\xfe"], ids=["text", "binary"])
+def test_file_that_is_not_json_is_named(argv, content, fixtures_dir, tmp_path, capsys):
+    # The broken file is the last argument, after any good one.
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    good = [str(fixtures_dir / arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out = run([*good, str(bad)])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "cell-symmetry", "--n", "-2"],
     ["verify", "associativity", "--n", "2", "--samples", "-1"],
     ["verify", "homomorphism", "--n", "1", "--N", "3", "--mode", "random",

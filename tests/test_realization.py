@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,36 @@ def test_realize_equals_block_composite(N, max_n):
         space = SpaceSpec(N, n)
         for d in enumerate_basis(n):
             assert realize_diagram(d, space) == block_composite(d, N), d
+
+
+def _restricted(m, columns):
+    """m with every column outside columns set to zero."""
+    return LinearMap(m.domain_dim, m.codomain_dim, {j: m.column(j) for j in columns})
+
+
+@pytest.mark.parametrize("N, ns", [(N, range(3)) for N in range(2, 9)]
+                         + [(3, [3]), (6, [3])],
+                         ids=[f"N{N}-n<=2" for N in range(2, 9)] + ["N3-n3", "N6-n3"])
+def test_realize_on_columns_equals_the_restricted_realization(N, ns):
+    rng = random.Random(N)
+    for n in ns:
+        space = SpaceSpec(N, n)
+        dim = space.total_dim
+        for d in enumerate_basis(n):
+            full = realize_diagram(d, space)
+            assert realize_diagram(d, space, []) == LinearMap.zero(dim, dim)
+            assert realize_diagram(d, space, range(dim)) == full
+            for _ in range(3):
+                columns = rng.sample(range(dim), rng.randint(1, min(dim, 96)))
+                part = realize_diagram(d, space, columns)
+                assert part == _restricted(full, columns), (d, columns)
+
+
+@pytest.mark.parametrize("column", [-1, 64])
+def test_realize_rejects_a_column_outside_the_space(column):
+    d = enumerate_basis(2)[0]
+    with pytest.raises(ValueError, match="out of range"):
+        realize_diagram(d, SpaceSpec(4, 2), [0, column])
 
 
 def _digest(maps):

@@ -198,6 +198,40 @@ def test_deficient_ranks_below_stability(n, N, rank):
     }
 
 
+@pytest.mark.parametrize("N", [6, 7])
+def test_full_rank_at_n3(N):
+    report = verify_rank(3, N)
+    assert report.passed and report.info == {
+        "basis_size": 76, "rank": 76, "asserted": True,
+    }
+
+
+def test_sketch_certifies_independent_realizations():
+    assert verify._sketch_certifies(enumerate_basis(2), SpaceSpec(6, 2)) == 32
+    # A space of at most 32 columns has no sketch smaller than itself.
+    assert verify._sketch_certifies(enumerate_basis(1), SpaceSpec(4, 1)) is None
+
+
+def test_rank_falls_back_to_elimination_when_no_sketch_certifies(monkeypatch):
+    basis = enumerate_basis(2)
+    doubled = basis + [basis[3]]
+    assert verify._sketch_certifies(doubled, SpaceSpec(6, 2)) is None
+    calls = Counter()
+    exact = verify.rank_of_vectors
+
+    def counted(vectors):
+        calls["rank_of_vectors"] += 1
+        return exact(vectors)
+
+    monkeypatch.setattr(verify, "enumerate_basis", lambda n: doubled)
+    monkeypatch.setattr(verify, "rank_of_vectors", counted)
+    report = verify_rank(2, 6)
+    assert calls == {"rank_of_vectors": 1}
+    assert not report.passed
+    assert report.info == {"basis_size": 11, "rank": 10, "asserted": True}
+    assert report.counterexample == {"rank": 10, "basis_size": 11}
+
+
 @pytest.mark.parametrize("map_kind", [
     "projection", "injection", "immersion", "contraction", "swap", "invariant"])
 def test_equivariance_builds_each_action_once(monkeypatch, map_kind):
