@@ -382,26 +382,32 @@ def verify_clifford_relation(N: int,
     )
 
 
-# The column sketches of verify_rank: a fixed seed keeps the check
-# deterministic, and the first sketch's size doubles until it reaches the space.
-_SKETCH_SEED = 0
-_SKETCH_COLUMNS = 32
+def _block_columns(arcs: tuple, space: SpaceSpec) -> list[int]:
+    """The columns of a top-arc set, at Fock mask 0: arc k carries w_k at its
+    left end and w_k* at its right, and every other vertex w_j or w_j* on a
+    mode of its own, in all combinations."""
+    m, slots = space.m, [0] * space.n
+    for k, (a, b) in enumerate(arcs):
+        slots[a - 1], slots[b - 1] = k, m + k
+    free = sorted(set(range(1, space.n + 1)).difference(*arcs))
+    columns = []
+    for stars in range(1 << len(free)):
+        for j, v in enumerate(free):
+            slots[v - 1] = len(arcs) + j + m * (stars >> j & 1)
+        columns.append(space.encode(slots, 0))
+    return columns
 
 
-def _sketch_certifies(basis: list[SpinDiagram], space: SpaceSpec) -> Optional[int]:
-    """The size of the first column sketch on which the realized basis is
-    independent modulo a prime, or None when no sketch smaller than the
-    whole space is.
-    """
-    rng = random.Random(_SKETCH_SEED)
-    dim = space.total_dim
-    size = _SKETCH_COLUMNS
-    while size < dim:
-        columns = rng.sample(range(dim), size)
-        if independent_mod_p([realize_diagram(d, space, columns) for d in basis]):
-            return size
-        size *= 2
-    return None
+def _blocks_certify(basis: list[SpinDiagram], space: SpaceSpec) -> bool:
+    """Whether each top-arc group is independent modulo a prime on its columns."""
+    groups: dict[tuple, list[SpinDiagram]] = {}
+    for d in basis:
+        groups.setdefault(d.top_arcs, []).append(d)
+    for arcs, group in groups.items():
+        columns = _block_columns(arcs, space)
+        if not independent_mod_p([realize_diagram(d, space, columns) for d in group]):
+            return False
+    return True
 
 
 def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
@@ -411,19 +417,23 @@ def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> Verific
     size for N >= 2n; for N < 2n the observed rank is reported without any
     assertion.
 
-    For N >= 2n, full rank is first sought on column sketches: every diagram
-    is realized on the same few columns only (see _sketch_certifies).
-    Restricting to columns is a linear projection and reducing modulo a
-    prime is a ring map, so neither can raise the rank; a sketch of full
-    rank modulo one prime therefore proves the full rank exactly. A sketch
-    can only certify, never measure: when none certifies, and always for
-    N < 2n, the whole realizations are flattened and their rank computed by
-    elimination modulo primes under a Hadamard bound (see linalg).
+    For N >= 2n, full rank is first certified block by block: the basis is
+    grouped by top-arc set A, and each group is realized on A's columns only
+    (see _block_columns). These give every vertex outside A's arcs a mode of
+    its own, so they need n <= N // 2 modes. A top arc pairs the contents at
+    its ends, so a diagram is zero on A's columns unless its top arcs lie
+    inside A. In a dependency, an inclusion-minimal A among its diagrams'
+    top-arc sets therefore leaves A's group dependent on A's columns.
+    Restricting to columns and reducing modulo a prime cannot raise a rank,
+    so every group independent modulo one prime proves full rank exactly.
+    When a group fails, and always for N < 2n, the whole realizations are
+    flattened and their rank computed by elimination modulo primes under a
+    Hadamard bound (see linalg).
     """
     space = SpaceSpec(N, n)
     _check_bound(space, bound)
     basis = enumerate_basis(n)
-    if N >= 2 * n and _sketch_certifies(basis, space) is not None:
+    if N >= 2 * n and _blocks_certify(basis, space):
         rank = len(basis)
     else:
         rank = rank_of_vectors([realize_diagram(d, space).flatten() for d in basis])

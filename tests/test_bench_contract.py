@@ -51,7 +51,7 @@ def test_traced_products_and_potentials(monkeypatch):
     assert counts["multiply.output_terms"] == 23
 
 
-def test_traced_rank_sketch_and_exact_paths(monkeypatch):
+def test_traced_rank_block_and_exact_paths(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("layers", "tracer"):
         monkeypatch.delitem(sys.modules, name, raising=False)
@@ -68,12 +68,12 @@ def test_traced_rank_sketch_and_exact_paths(monkeypatch):
     finally:
         t.uninstall()
     assert certified.info["rank"] == 10 and exact.info["rank"] == 20
-    sketch, eliminated = t.round_counts
-    # Full rank at (2, 6) is certified on one sketch of the ten diagrams,
+    blocks, eliminated = t.round_counts
+    # Full rank at (2, 6) is certified on the block columns of the ten diagrams,
     # seen by the realization hook, holding fewer entries than the whole maps.
-    assert sketch["realization.realize.calls"] == 10
-    assert 0 < sketch["realization.realized_nnz"] < full_nnz
-    assert sketch["linalg.flatten.calls"] == sketch["linalg.rank.calls"] == 0
+    assert blocks["realization.realize.calls"] == 10
+    assert 0 < blocks["realization.realized_nnz"] < full_nnz
+    assert blocks["linalg.flatten.calls"] == blocks["linalg.rank.calls"] == 0
     # Below N = 2n every map is realized whole, flattened and eliminated.
     assert eliminated["realization.realize.calls"] == 76
     assert eliminated["linalg.flatten.calls"] == 76

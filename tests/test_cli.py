@@ -116,8 +116,17 @@ def test_verify_exit_codes():
     code, out = run(["verify", "circuit", "--N", "3", "--type", "IV", "--arcs", "0"])
     assert code == 0
     assert json.loads(out)["passed"] is True
-    code, out = run(["verify", "rank", "--n", "1", "--N", "3"])
-    assert code == 0
+    # Both rank cases are certified by the top-arc blocks; their stdout is
+    # pinned byte for byte.
+    for argv, stdout in [
+        (["--n", "1", "--N", "3"],
+         '{"check": "rank", "info": {"asserted": true, "basis_size": 2, "rank": 2}, '
+         '"parameters": {"N": 3, "n": 1}, "passed": true}\n'),
+        (["--n", "2", "--N", "6"],
+         '{"check": "rank", "info": {"asserted": true, "basis_size": 10, "rank": 10}, '
+         '"parameters": {"N": 6, "n": 2}, "passed": true}\n'),
+    ]:
+        assert run(["verify", "rank", *argv]) == (0, stdout)
 
 
 def test_verify_homomorphism_exhaustive_exit_zero():

@@ -423,7 +423,7 @@ def test_involution_antiautomorphism():
     strict=True,
     reason="swapping the pairing's arguments changes its scalar from n = 3 on: "
     "here phi_1(v1, v2) = 2(delta - 2) and phi_1(v2, v1) = 2 delta (times the "
-    "identity); a cellular datum needs the anti-involution of ROADMAP item 4",
+    "identity); a cellular datum needs the anti-involution of ROADMAP item 6",
 )
 def test_cell_symmetry_at_three():
     v1 = (((1,), (2,), (3,)), ((1,),))

@@ -206,16 +206,32 @@ def test_full_rank_at_n3(N):
     }
 
 
-def test_sketch_certifies_independent_realizations():
-    assert verify._sketch_certifies(enumerate_basis(2), SpaceSpec(6, 2)) == 32
-    # A space of at most 32 columns has no sketch smaller than itself.
-    assert verify._sketch_certifies(enumerate_basis(1), SpaceSpec(4, 1)) is None
+@pytest.mark.parametrize("n, N", [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)])
+def test_block_columns_see_only_top_arcs_inside_their_set(n, N):
+    # The property the block certificate rests on: on the columns of a
+    # top-arc set A, a diagram vanishes unless its top arcs lie inside A,
+    # and A's own group does not vanish.
+    space = SpaceSpec(N, n)
+    basis = enumerate_basis(n)
+    for arcs in {d.top_arcs for d in basis}:
+        columns = verify._block_columns(arcs, space)
+        for d in basis:
+            nnz = realize_diagram(d, space, columns).nnz()
+            if not set(d.top_arcs) <= set(arcs):
+                assert nnz == 0, (d, arcs)
+            elif d.top_arcs == arcs:
+                assert nnz > 0, (d, arcs)
 
 
-def test_rank_falls_back_to_elimination_when_no_sketch_certifies(monkeypatch):
+def test_blocks_certify_independent_realizations():
+    for n, N in [(0, 2), (1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (3, 6), (3, 7)]:
+        assert verify._blocks_certify(enumerate_basis(n), SpaceSpec(N, n)), (n, N)
+
+
+def test_rank_falls_back_to_elimination_when_a_block_fails(monkeypatch):
     basis = enumerate_basis(2)
     doubled = basis + [basis[3]]
-    assert verify._sketch_certifies(doubled, SpaceSpec(6, 2)) is None
+    assert not verify._blocks_certify(doubled, SpaceSpec(6, 2))
     calls = Counter()
     exact = verify.rank_of_vectors
 
