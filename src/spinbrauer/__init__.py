@@ -36,13 +36,11 @@ from .multiply import (
     stitch_and_resolve,
 )
 from .realization import (
-    EquivariantMapSpec,
     SoSymbol,
     SpaceSpec,
     act_gamma,
     act_so,
     apply_fock_operator,
-    build_equivariant_map,
     realize_diagram,
     so_basis,
 )

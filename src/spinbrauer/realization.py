@@ -26,21 +26,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .diagrams import DiagramError, SpinDiagram
 from .linalg import LinearMap, PairColumn
 
 __all__ = [
     "SpaceSpec",
-    "EquivariantMapSpec",
+    "BLOCKS",
     "SoSymbol",
     "apply_fock_operator",
     "omega_pairing",
     "so_basis",
     "act_so",
     "act_gamma",
-    "build_equivariant_map",
     "projection_map",
     "injection_map",
     "immersion_map",
@@ -216,109 +215,98 @@ def _invariant_pairs(space: SpaceSpec) -> list[tuple[int, int]]:
 # --- equivariant map primitives ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivariantMapSpec:
-    """A single equivariant building block.
+def _slotwise(space: SpaceSpec, cod: SpaceSpec, rule: Callable[..., Iterable[tuple]],
+              den: int = 1) -> LinearMap:
+    """The map sending each basis vector (slots, mask) of space to its terms.
 
-    kind is one of "projection" (positions=(i,)), "injection" (positions=(j,)),
-    "immersion" (positions=(i, j) in the codomain), "contraction"
-    (positions=(i, j) in the domain) or "swap" (positions = the 1-based image
-    tuple of the slot permutation).
+    rule(slots, mask) yields the terms as (out slots, out mask, a, b), each
+    adding (a + b sqrt2) / den to the entry at cod's basis vector (out slots,
+    out mask); equal rows add up. basis() runs in index order, so a column's
+    index is its position in it.
     """
-
-    kind: str
-    positions: tuple[int, ...] = ()
+    cols: dict[int, PairColumn] = {}
+    for j, (slots, mask) in enumerate(space.basis()):
+        col: PairColumn = {}
+        for out, mk, a, b in rule(slots, mask):
+            row = cod.encode(out, mk)
+            ca, cb = col.get(row, (0, 0))
+            col[row] = (ca + a, cb + b)
+        if col:
+            cols[j] = col
+    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols, den)
 
 
 def projection_map(space: SpaceSpec, i: int) -> LinearMap:
     """Collapse slot i into the spin factor: V^(x)n (x) Delta -> V^(x)(n-1) (x) Delta."""
     if not 1 <= i <= space.n:
         raise ValueError(f"projection slot {i} outside 1..{space.n}")
-    cod = space.with_n(space.n - 1)
-    cols: dict[int, PairColumn] = {}
-    for slots, mask in space.basis():
+
+    def rule(slots, mask):
         res = _absorb(slots[i - 1], mask, space)
-        if res is None:
-            continue
-        a, b, mk = res
-        rest = slots[: i - 1] + slots[i:]
-        cols[space.encode(slots, mask)] = {cod.encode(rest, mk): (a, b)}
-    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols)
+        if res is not None:
+            a, b, mk = res
+            yield slots[: i - 1] + slots[i:], mk, a, b
+    return _slotwise(space, space.with_n(space.n - 1), rule)
 
 
 def injection_map(space: SpaceSpec, j: int) -> LinearMap:
     """Create a new slot at position j of the codomain from the spin factor."""
     if not 1 <= j <= space.n + 1:
         raise ValueError(f"injection slot {j} outside 1..{space.n + 1}")
-    cod = space.with_n(space.n + 1)
-    cols: dict[int, PairColumn] = {}
-    for slots, mask in space.basis():
-        cols[space.encode(slots, mask)] = {
-            cod.encode(slots[: j - 1] + (c,) + slots[j - 1:], mk): (a, b)
-            for c, a, b, mk in _emit(mask, space)
-        }
-    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols)
+    emits = [_emit(mask, space) for mask in range(space.fock_dim)]
+
+    def rule(slots, mask):
+        return [(slots[: j - 1] + (c,) + slots[j - 1:], mk, a, b)
+                for c, a, b, mk in emits[mask]]
+    return _slotwise(space, space.with_n(space.n + 1), rule)
 
 
 def immersion_map(space: SpaceSpec, i: int, j: int) -> LinearMap:
     """Insert the invariant element of V (x) V into codomain positions i < j."""
     if not 1 <= i < j <= space.n + 2:
         raise ValueError(f"immersion positions ({i},{j}) invalid for n={space.n}")
-    cod = space.with_n(space.n + 2)
     pairs = _invariant_pairs(space)
-    cols: dict[int, PairColumn] = {}
-    for slots, mask in space.basis():
-        col: PairColumn = {}
+
+    def rule(slots, mask):
         for ca, cb in pairs:
             out = list(slots)
             out.insert(i - 1, ca)
             out.insert(j - 1, cb)
-            col[cod.encode(out, mask)] = (1, 0)
-        cols[space.encode(slots, mask)] = col
-    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols)
+            yield out, mask, 1, 0
+    return _slotwise(space, space.with_n(space.n + 2), rule)
 
 
 def contraction_map(space: SpaceSpec, i: int, j: int) -> LinearMap:
     """Pair domain slots i < j with omega and remove them."""
     if not 1 <= i < j <= space.n:
         raise ValueError(f"contraction positions ({i},{j}) invalid for n={space.n}")
-    cod = space.with_n(space.n - 2)
-    cols: dict[int, PairColumn] = {}
-    for slots, mask in space.basis():
+
+    def rule(slots, mask):
         w = omega_pairing(slots[i - 1], slots[j - 1], space)
-        if not w:
-            continue
-        rest = tuple(c for k, c in enumerate(slots) if k not in (i - 1, j - 1))
-        cols[space.encode(slots, mask)] = {cod.encode(rest, mask): (w, 0)}
-    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols)
+        if w:
+            yield slots[: i - 1] + slots[i: j - 1] + slots[j:], mask, w, 0
+    return _slotwise(space, space.with_n(space.n - 2), rule)
 
 
 def swap_map(space: SpaceSpec, images: Sequence[int]) -> LinearMap:
     """Send slot i to slot images[i-1]; the spin factor is untouched."""
     if sorted(images) != list(range(1, space.n + 1)):
         raise ValueError(f"{images} is not a permutation of 1..{space.n}")
-    cols: dict[int, PairColumn] = {}
-    for slots, mask in space.basis():
+
+    def rule(slots, mask):
         out = [0] * space.n
         for i, c in enumerate(slots):
             out[images[i] - 1] = c
-        cols[space.encode(slots, mask)] = {space.encode(out, mask): (1, 0)}
-    return LinearMap._from_pairs(space.total_dim, space.total_dim, cols)
+        yield out, mask, 1, 0
+    return _slotwise(space, space, rule)
 
 
-def build_equivariant_map(mapspec: EquivariantMapSpec, space: SpaceSpec) -> LinearMap:
-    kind = mapspec.kind
-    if kind == "projection":
-        return projection_map(space, *mapspec.positions)
-    if kind == "injection":
-        return injection_map(space, *mapspec.positions)
-    if kind == "immersion":
-        return immersion_map(space, *mapspec.positions)
-    if kind == "contraction":
-        return contraction_map(space, *mapspec.positions)
-    if kind == "swap":
-        return swap_map(space, mapspec.positions)
-    raise ValueError(f"unknown map kind {kind!r}")
+# Each equivariant building block: its builder, called as builder(space,
+# *positions) (swap_map takes the image tuple as its one position), and the
+# slots it gains, the codomain's n minus the domain's.
+BLOCKS = {"projection": (projection_map, -1), "injection": (injection_map, 1),
+          "immersion": (immersion_map, 2), "contraction": (contraction_map, -2),
+          "swap": (swap_map, 0)}
 
 
 # --- the rotation Lie algebra action -----------------------------------------
@@ -406,19 +394,15 @@ def act_so(sym: SoSymbol, space: SpaceSpec) -> LinearMap:
         raise ValueError(f"{sym.kind} requires odd N")
     v_terms = [_v_action(sym, c, space) for c in range(space.N)]
     spin_terms = [_spin_action(sym, mask, space) for mask in range(space.fock_dim)]
-    cols: dict[int, PairColumn] = {}
-    for slots, mask in space.basis():
-        # (output slots, output mask, a, b) with coefficient (a + b sqrt2)/2
-        terms = [(slots[:k] + (nc,) + slots[k + 1:], mask, 2 * coeff, 0)
-                 for k, c in enumerate(slots) for coeff, nc in v_terms[c]]
-        terms += [(slots, mk, a, b) for a, b, mk in spin_terms[mask]]
-        col: PairColumn = {}
-        for out, mk, a, b in terms:
-            idx = space.encode(out, mk)
-            ca, cb = col.get(idx, (0, 0))
-            col[idx] = (ca + a, cb + b)
-        cols[space.encode(slots, mask)] = col
-    return LinearMap._from_pairs(space.total_dim, space.total_dim, cols, 2)
+
+    def rule(slots, mask):
+        # coefficients (a + b sqrt2)/2
+        for k, c in enumerate(slots):
+            for coeff, nc in v_terms[c]:
+                yield slots[:k] + (nc,) + slots[k + 1:], mask, 2 * coeff, 0
+        for a, b, mk in spin_terms[mask]:
+            yield slots, mk, a, b
+    return _slotwise(space, space, rule, 2)
 
 
 def act_gamma(space: SpaceSpec) -> LinearMap:
@@ -439,12 +423,11 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
             if res is not None:
                 spin.append((s * res[1], res[2]))
     sign = (-1) ** space.n
-    cols: dict[int, PairColumn] = {}
-    for slots, mask in space.basis():
-        out = [_dual(c, space) if c in (0, m) else c for c in slots]
+
+    def rule(slots, mask):
         b, mk = spin[mask]
-        cols[space.encode(slots, mask)] = {space.encode(out, mk): (0, sign * b)}
-    return LinearMap._from_pairs(space.total_dim, space.total_dim, cols, 2)
+        yield [_dual(c, space) if c in (0, m) else c for c in slots], mk, 0, sign * b
+    return _slotwise(space, space, rule, 2)
 
 
 # --- realizing diagrams -------------------------------------------------------

@@ -24,12 +24,11 @@ from .diagrams import (
 from .linalg import LinearMap, independent_mod_p, rank_of_vectors
 from .multiply import multiply_diagrams, multiply_elements
 from .realization import (
-    EquivariantMapSpec,
+    BLOCKS,
     SoSymbol,
     SpaceSpec,
     act_gamma,
     act_so,
-    build_equivariant_map,
     contraction_map,
     immersion_map,
     injection_map,
@@ -41,6 +40,7 @@ from .scalars import DeltaPolynomial, RootTwoNumber
 
 __all__ = [
     "VerificationReport",
+    "ResourceBoundError",
     "DEFAULT_DIMENSION_BOUND",
     "verify_homomorphism",
     "verify_equivariance",
@@ -52,6 +52,7 @@ __all__ = [
     "verify_filtration",
     "verify_modmult",
     "verify_cell_symmetry",
+    "verify_involution_compatibility",
     "CHECKS",
 ]
 
@@ -156,16 +157,14 @@ def verify_homomorphism(
     return VerificationReport("homomorphism", params, True)
 
 
-_EQUIVARIANT_FAMILIES: dict[str, list[tuple[int, object]]] = {
-    "projection": [(1, 1), (2, 1), (2, 2)],
-    "injection": [(0, 1), (1, 1), (1, 2)],
+# Each block's domain sizes n and the positions its builder takes there.
+_EQUIVARIANT_FAMILIES: dict[str, list[tuple[int, tuple]]] = {
+    "projection": [(1, (1,)), (2, (1,)), (2, (2,))],
+    "injection": [(0, (1,)), (1, (1,)), (1, (2,))],
     "immersion": [(0, (1, 2)), (1, (1, 3)), (1, (2, 3))],
     "contraction": [(2, (1, 2))],
-    "swap": [(2, (2, 1))],
+    "swap": [(2, ((2, 1),))],
 }
-# Slots gained (or lost) by each kind of block: the codomain's n minus the domain's.
-_ARITY_CHANGE = {"projection": -1, "injection": 1, "immersion": 2,
-                 "contraction": -2, "swap": 0}
 
 
 def verify_equivariance(N: int, map_kind: str,
@@ -191,7 +190,10 @@ def verify_equivariance(N: int, map_kind: str,
                 )
         return VerificationReport("equivariance", params, True)
 
-    family = [(SpaceSpec(N, n), SpaceSpec(N, n + _ARITY_CHANGE[map_kind]), pos)
+    if map_kind not in BLOCKS:
+        raise ValueError(f"unknown map kind {map_kind!r}")
+    build, gained = BLOCKS[map_kind]
+    family = [(SpaceSpec(N, n), SpaceSpec(N, n + gained), pos)
               for n, pos in _EQUIVARIANT_FAMILIES[map_kind]]
     for dom, cod, _ in family:
         _check_bound(dom, bound)
@@ -206,8 +208,7 @@ def verify_equivariance(N: int, map_kind: str,
         return actions[sym, space]
 
     for dom, cod, pos in family:
-        positions = pos if isinstance(pos, tuple) else (pos,)
-        fmap = build_equivariant_map(EquivariantMapSpec(map_kind, positions), dom)
+        fmap = build(dom, *pos)
         for sym in (*so_basis(dom), None):
             lhs = fmap @ action(sym, dom)
             rhs = action(sym, cod) @ fmap
@@ -231,49 +232,36 @@ class _SlotComposer:
     def __init__(self, N: int):
         self.N = N
         self.slots: list[int] = []
-        space = SpaceSpec(N, 0)
-        self.matrix = LinearMap.identity(space.fock_dim)
+        self.matrix = LinearMap.identity(SpaceSpec(N, 0).fock_dim)
 
-    def _space(self) -> SpaceSpec:
-        return SpaceSpec(self.N, len(self.slots))
+    def step(self, kind: str, names: tuple[int, ...]) -> None:
+        """Apply a block of BLOCKS (not the swap) to the named slots.
 
-    def inject(self, name: int) -> None:
-        pos = sum(1 for s in self.slots if s < name) + 1
-        self.matrix = injection_map(self._space(), pos) @ self.matrix
-        self.slots.insert(pos - 1, name)
-
-    def immerse(self, a: int, b: int) -> None:
-        new = sorted(self.slots + [a, b])
-        i, j = new.index(a) + 1, new.index(b) + 1
-        self.matrix = immersion_map(self._space(), i, j) @ self.matrix
+        A block that adds slots finds their positions in the new sorted
+        layout; one that removes slots finds them in the old layout.
+        """
+        build, gained = BLOCKS[kind]
+        if gained > 0:
+            new = layout = sorted(self.slots + list(names))
+        else:
+            layout, new = self.slots, [s for s in self.slots if s not in names]
+        positions = sorted(layout.index(s) + 1 for s in names)
+        space = SpaceSpec(self.N, len(self.slots))
+        self.matrix = build(space, *positions) @ self.matrix
         self.slots = new
-
-    def project(self, name: int) -> None:
-        pos = self.slots.index(name) + 1
-        self.matrix = projection_map(self._space(), pos) @ self.matrix
-        self.slots.remove(name)
-
-    def contract(self, a: int, b: int) -> None:
-        i, j = sorted((self.slots.index(a) + 1, self.slots.index(b) + 1))
-        self.matrix = contraction_map(self._space(), i, j) @ self.matrix
-        self.slots = [s for s in self.slots if s not in (a, b)]
-
-
-# Slots gained (or lost) by each step of a circuit plan.
-_STEP_SLOTS = {"inject": 1, "project": -1, "immerse": 2, "contract": -2}
 
 
 def _circuit_plan(circuit_type: str, arcs: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """The steps of a closed circuit as (composer method, slot names).
+    """The steps of a closed circuit as (block kind, slot names).
 
     Slots 1..k lie on one chain: arcs alternate between immersions (below)
     and contractions (above), and each end is closed by a contraction (type
-    I), an injection ("inject", from the spin factor) or a projection
-    ("project", into it). The plan walks the chain from its first spin step
-    and contracts as it goes, so at most four slots are open at once. Spin
-    steps keep their relative order: they do not commute in general (the
-    Clifford swap rule), while blocks on disjoint slots do. The steps are
-    generated one at a time, so a walk of the plan holds none of them.
+    I), an injection (from the spin factor) or a projection (into it). The
+    plan walks the chain from its first spin step and contracts as it goes,
+    so at most four slots are open at once. Spin steps keep their relative
+    order: they do not commute in general (the Clifford swap rule), while
+    blocks on disjoint slots do. The steps are generated one at a time, so a
+    walk of the plan holds none of them.
     """
     if arcs < 0:
         raise ValueError("the number of arcs must be nonnegative")
@@ -282,34 +270,34 @@ def _circuit_plan(circuit_type: str, arcs: int) -> Iterator[tuple[str, tuple[int
         if i < 1:
             raise ValueError("type I needs at least one arc")
         k = 2 * i
-        yield "immerse", (1, 2)
+        yield "immersion", (1, 2)
         for a in range(3, k, 2):
-            yield from (("immerse", (a, a + 1)), ("contract", (a - 1, a)))
-        yield "contract", (1, k)
+            yield from (("immersion", (a, a + 1)), ("contraction", (a - 1, a)))
+        yield "contraction", (1, k)
     elif circuit_type == "II":
         k = 2 * i + 2
-        yield "inject", (1,)
+        yield "injection", (1,)
         for a in range(2, k - 1, 2):
-            yield from (("immerse", (a, a + 1)), ("contract", (a - 1, a)))
-        yield from (("inject", (k,)), ("contract", (k - 1, k)))
+            yield from (("immersion", (a, a + 1)), ("contraction", (a - 1, a)))
+        yield from (("injection", (k,)), ("contraction", (k - 1, k)))
     elif circuit_type == "III":
         k = 2 * i + 2
-        yield from (("immerse", (1, 2)), ("project", (1,)))
+        yield from (("immersion", (1, 2)), ("projection", (1,)))
         for a in range(3, k, 2):
-            yield from (("immerse", (a, a + 1)), ("contract", (a - 1, a)))
-        yield "project", (k,)
+            yield from (("immersion", (a, a + 1)), ("contraction", (a - 1, a)))
+        yield "projection", (k,)
     elif circuit_type == "IV":
         k = 2 * i + 1
-        yield "inject", (1,)
+        yield "injection", (1,)
         for a in range(2, k, 2):
-            yield from (("immerse", (a, a + 1)), ("contract", (a - 1, a)))
-        yield "project", (k,)
+            yield from (("immersion", (a, a + 1)), ("contraction", (a - 1, a)))
+        yield "projection", (k,)
     elif circuit_type == "V":
         k = 2 * i + 1
-        yield "inject", (k,)
+        yield "injection", (k,)
         for a in range(k - 2, 0, -2):
-            yield from (("immerse", (a, a + 1)), ("contract", (a + 1, a + 2)))
-        yield "project", (1,)
+            yield from (("immersion", (a, a + 1)), ("contraction", (a + 1, a + 2)))
+        yield "projection", (1,)
     else:
         raise ValueError(f"unknown circuit type {circuit_type!r}")
 
@@ -321,13 +309,13 @@ def verify_circuit_scaling(N: int, circuit_type: str, arcs: int,
     # The plan is walked twice: for its peak width (which validates the type
     # and arc count before any map is built), then to compose it.
     open_slots = peak = 0
-    for step, _ in _circuit_plan(circuit_type, arcs):
-        open_slots += _STEP_SLOTS[step]
+    for kind, _ in _circuit_plan(circuit_type, arcs):
+        open_slots += BLOCKS[kind][1]
         peak = max(peak, open_slots)
     _check_bound(SpaceSpec(N, peak), bound)
     composer = _SlotComposer(N)
-    for step, names in _circuit_plan(circuit_type, arcs):
-        getattr(composer, step)(*names)
+    for kind, names in _circuit_plan(circuit_type, arcs):
+        composer.step(kind, names)
     if composer.slots:
         raise AssertionError("circuit plan left open slots")
     fock = SpaceSpec(N, 0).fock_dim
@@ -346,35 +334,19 @@ def verify_clifford_relation(N: int,
     plus twice the joined map (immersion, through string, contraction).
     """
     params = {"N": N}
-    _check_bound(SpaceSpec(N, 2), bound)  # the largest space any composite uses
-    fails = []
-
-    comp = _SlotComposer(N)
-    comp.inject(1)
-    comp.inject(2)
-    canonical = comp.matrix
-    comp = _SlotComposer(N)
-    comp.inject(2)
-    comp.inject(1)
-    swapped = comp.matrix
-    joined = immersion_map(SpaceSpec(N, 0), 1, 2)
-    if swapped != joined.scale(RootTwoNumber(2)) - canonical:
-        fails.append("injection/injection")
-
-    space1 = SpaceSpec(N, 1)
-    canonical = injection_map(SpaceSpec(N, 0), 1) @ projection_map(space1, 1)
-    swapped = projection_map(SpaceSpec(N, 2), 2) @ injection_map(space1, 1)
-    through = LinearMap.identity(space1.total_dim)
-    if swapped != through.scale(RootTwoNumber(2)) - canonical:
-        fails.append("projection/injection")
-
-    space2 = SpaceSpec(N, 2)
-    canonical = projection_map(space1, 1) @ projection_map(space2, 1)
-    swapped = projection_map(space1, 1) @ projection_map(space2, 2)
-    joined = contraction_map(space2, 1, 2)
-    if swapped != joined.scale(RootTwoNumber(2)) - canonical:
-        fails.append("projection/projection")
-
+    space0, space1, space2 = (SpaceSpec(N, n) for n in range(3))
+    _check_bound(space2, bound)  # the largest space any composite uses
+    swaps = [  # (pair, original composite, swapped composite, joined map)
+        ("injection/injection", injection_map(space1, 2) @ injection_map(space0, 1),
+         injection_map(space1, 1) @ injection_map(space0, 1), immersion_map(space0, 1, 2)),
+        ("projection/injection", injection_map(space0, 1) @ projection_map(space1, 1),
+         projection_map(space2, 2) @ injection_map(space1, 1),
+         LinearMap.identity(space1.total_dim)),
+        ("projection/projection", projection_map(space1, 1) @ projection_map(space2, 1),
+         projection_map(space1, 1) @ projection_map(space2, 2), contraction_map(space2, 1, 2)),
+    ]
+    fails = [pair for pair, canonical, swapped, joined in swaps
+             if swapped != joined.scale(RootTwoNumber(2)) - canonical]
     passed = not fails
     return VerificationReport(
         "clifford_relation", params, passed,

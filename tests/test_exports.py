@@ -21,6 +21,12 @@ def test_every_exported_name_exists(name):
     assert missing == []
 
 
+def test_every_check_is_exported():
+    from spinbrauer import verify
+
+    assert [c.__name__ for c in verify.CHECKS.values() if c.__name__ not in verify.__all__] == []
+
+
 def test_star_import_of_the_package():
     namespace: dict = {}
     exec("from spinbrauer import *", namespace)

@@ -9,13 +9,12 @@ from spinbrauer.diagrams import SpinDiagram, enumerate_basis, identity_diagram
 from spinbrauer.linalg import LinearMap
 from spinbrauer.multiply import multiply_diagrams
 from spinbrauer.realization import (
-    EquivariantMapSpec,
+    BLOCKS,
     SoSymbol,
     SpaceSpec,
     act_gamma,
     act_so,
     apply_fock_operator,
-    build_equivariant_map,
     contraction_map,
     immersion_map,
     injection_map,
@@ -244,12 +243,29 @@ def test_swap_map_permutes_slots():
     assert out == vec(space, (2, 0), 0)
 
 
-def test_build_dispatch():
-    space = SpaceSpec(3, 1)
-    built = build_equivariant_map(EquivariantMapSpec("projection", (1,)), space)
-    assert built == projection_map(space, 1)
-    with pytest.raises(ValueError):
-        build_equivariant_map(EquivariantMapSpec("unknown", ()), space)
+# Each block's builder and valid positions for it on SpaceSpec(3, 2).
+_BLOCK_CASES = {"projection": (projection_map, (2,)), "injection": (injection_map, (1,)),
+                "immersion": (immersion_map, (1, 3)), "contraction": (contraction_map, (1, 2)),
+                "swap": (swap_map, ((2, 1),))}
+
+
+@pytest.mark.parametrize("kind", list(BLOCKS))
+def test_block_table_gives_each_builder_and_its_codomain(kind):
+    build, gained = BLOCKS[kind]
+    builder, positions = _BLOCK_CASES[kind]
+    assert build is builder
+    space = SpaceSpec(3, 2)
+    built = build(space, *positions)
+    assert built.domain_dim == space.total_dim
+    assert built.codomain_dim == space.with_n(space.n + gained).total_dim
+
+
+@pytest.mark.parametrize("N", range(2, 6))
+def test_basis_runs_in_index_order(N):
+    # The block maps take each column's index from its position in basis().
+    for n in range(3):
+        space = SpaceSpec(N, n)
+        assert [space.encode(s, m) for s, m in space.basis()] == list(range(space.total_dim))
 
 
 def test_realize_identity_diagram():
@@ -304,13 +320,13 @@ class _DiagramComposer(_SlotComposer):
     def __init__(self, N, names):
         super().__init__(N)
         self.slots = list(names)
-        self.matrix = LinearMap.identity(self._space().total_dim)
+        self.matrix = LinearMap.identity(SpaceSpec(N, len(self.slots)).total_dim)
 
     def rename(self, new_names):
         """Route each slot to its new name through one swap_map."""
         new = sorted(new_names[s] for s in self.slots)
         images = [new.index(new_names[s]) + 1 for s in self.slots]
-        self.matrix = swap_map(self._space(), images) @ self.matrix
+        self.matrix = swap_map(SpaceSpec(self.N, len(self.slots)), images) @ self.matrix
         self.slots = new
 
 
@@ -318,14 +334,14 @@ def block_composite(d, N):
     """The product of the block maps a diagram stands for, in the documented order."""
     comp = _DiagramComposer(N, range(1, d.n + 1))
     for a, b in d.top_arcs:
-        comp.contract(a, b)
+        comp.step("contraction", (a, b))
     for v in d.top_isolated:
-        comp.project(v)
+        comp.step("projection", (v,))
     comp.rename(dict(d.through))
     for v in d.bottom_isolated:
-        comp.inject(v)
+        comp.step("injection", (v,))
     for a, b in d.bottom_arcs:
-        comp.immerse(a, b)
+        comp.step("immersion", (a, b))
     assert comp.slots == list(range(1, d.n + 1))
     return comp.matrix
 

@@ -122,6 +122,8 @@ def test_equivariance_all_kinds_at_three():
     for kind in ("projection", "injection", "immersion", "contraction",
                  "swap", "invariant"):
         assert verify_equivariance(3, kind).passed
+    with pytest.raises(ValueError, match="unknown map kind 'bogus'"):
+        verify_equivariance(3, "bogus")
 
 
 def test_circuit_scaling_representatives():
