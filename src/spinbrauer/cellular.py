@@ -17,10 +17,8 @@ from typing import Optional, Sequence
 
 from .diagrams import (
     Block,
-    CellTriple,
     Partition,
     SpinDiagram,
-    cell_decode,
     cell_encode,
     singletons,
 )
@@ -228,34 +226,17 @@ def literal_pairing_rules(
     return len(gamma_S), tuple(perm[i] for i in range(ell))
 
 
-def _reference_factors(
-    ell: int,
-    xS: tuple[Partition, Sequence[Block]],
-    yT: tuple[Partition, Sequence[Block]],
-) -> tuple[SpinDiagram, SpinDiagram]:
-    """Factors with identity outer rows realizing exactly this middle data."""
-    x, S = xS
-    y, T = yT
-    n = sum(len(b) for b in x)
-    s_verts = sorted(b[0] for b in S)
-    t_verts = sorted(b[0] for b in T)
-    top = SpinDiagram(
-        n,
-        tuple(v for v in range(1, n + 1) if v not in s_verts),
-        tuple(b[0] for b in singletons(x) if b not in set(S)),
-        (),
-        tuple(b for b in x if len(b) == 2),
-        tuple((v, v) for v in s_verts),
+def _reference_fields(upper: tuple, lower: tuple) -> tuple[tuple, tuple]:
+    """The fields of the two factors with identity outer rows whose middle
+    rows are upper (the first factor's bottom row) and lower (the second
+    factor's top row), each given as (n, isolated, arcs, through ends)."""
+    (n1, iso1, arcs1, ends1), (n2, iso2, arcs2, ends2) = upper, lower
+    return (
+        (n1, tuple(v for v in range(1, n1 + 1) if v not in ends1), iso1,
+         (), arcs1, tuple((v, v) for v in ends1)),
+        (n2, iso2, tuple(v for v in range(1, n2 + 1) if v not in ends2),
+         arcs2, (), tuple((v, v) for v in ends2)),
     )
-    bottom = SpinDiagram(
-        n,
-        tuple(b[0] for b in singletons(y) if b not in set(T)),
-        tuple(v for v in range(1, n + 1) if v not in t_verts),
-        tuple(b for b in y if len(b) == 2),
-        (),
-        tuple((v, v) for v in t_verts),
-    )
-    return top, bottom
 
 
 class CellFormError(ValueError):
@@ -266,6 +247,18 @@ class CellFormError(ValueError):
     seen on two rows of four vertices); the closed-form wrapper cannot
     represent such a value.
     """
+
+
+def _maximal_term(
+    ell: int, top: SpinDiagram, bottom: SpinDiagram
+) -> Optional[tuple[SpinDiagram, DeltaPolynomial]]:
+    """The single term of the product with ell through strings, or None when
+    there is none; CellFormError when there are several."""
+    leading = [(d, c) for d, c in multiply_diagrams(top, bottom).terms.items()
+               if d.through_count >= ell]
+    if len(leading) > 1:
+        raise CellFormError(f"maximal part spreads over {len(leading)} diagrams")
+    return leading[0] if leading else None
 
 
 def phi_ell(
@@ -287,16 +280,16 @@ def phi_ell(
     y, T = yT
     if len(S) != ell or len(T) != ell:
         raise ValueError(f"S and T must have size ell={ell}")
-    top, bottom = _reference_factors(ell, xS, yT)
-    product = multiply_diagrams(top, bottom)
-    leading = {d: c for d, c in product.terms.items() if d.through_count >= ell}
-    if not leading:
+    # The partitions are caller input, so the factors are validated.
+    n = sum(len(b) for b in x)
+    rows = [(n, tuple(b[0] for b in singletons(p) if b not in set(O)),
+             tuple(b for b in p if len(b) == 2), sorted(b[0] for b in O))
+            for p, O in (xS, yT)]
+    top, bottom = (SpinDiagram(*fields) for fields in _reference_fields(*rows))
+    term = _maximal_term(ell, top, bottom)
+    if term is None:
         return None
-    if len(leading) > 1:
-        raise CellFormError(
-            f"maximal part spreads over {len(leading)} diagrams"
-        )
-    (d, coeff), = leading.items()
+    d, coeff = term
     ell2, t = cell_encode(d)
     assert ell2 == ell
     join = join_partitions(x, y)
@@ -321,30 +314,31 @@ def _divide_by_power_of_two(p: DeltaPolynomial, k: int) -> DeltaPolynomial:
     return DeltaPolynomial(out)
 
 
-def _compose_lr(*perms: tuple[int, ...]) -> tuple[int, ...]:
-    """Left-to-right composite: apply the first permutation first."""
-    if not perms:
-        return ()
-    out = list(range(len(perms[0])))
-    for p in perms:
-        out = [p[v] for v in out]
-    return tuple(out)
-
-
 def predicted_leading_term(
     top: SpinDiagram, bottom: SpinDiagram
 ) -> Optional[tuple[SpinDiagram, DeltaPolynomial]]:
-    """The unique maximal-through-count term of a product of equal-count diagrams."""
-    ell1, t1 = cell_encode(top)
-    ell2, t2 = cell_encode(bottom)
-    if ell1 != ell2:
+    """The unique maximal-through-count term of a product of equal-count diagrams.
+
+    It is phi_ell of top's bottom row and bottom's top row, carried to the
+    outer rows: top's top row, bottom's bottom row, and the through strings
+    of top, then of the pairing's maximal term, then of bottom.
+    """
+    ell = top.through_count
+    if ell != bottom.through_count:
         raise ValueError("through counts differ")
-    val = phi_ell(ell1, (t1.y, t1.T), (t2.x, t2.S))
-    if val is None:
+    # Rows of validated diagrams: the factors and the result are canonical
+    # by construction, so they are built unchecked.
+    upper = (top.n, top.bottom_isolated, top.bottom_arcs, sorted(j for _, j in top.through))
+    lower = (bottom.n, bottom.top_isolated, bottom.top_arcs, [i for i, _ in bottom.through])
+    term = _maximal_term(ell, *(SpinDiagram._trusted(*fields)
+                                for fields in _reference_fields(upper, lower)))
+    if term is None:
         return None
-    sigma = _compose_lr(t1.sigma, val.perm, t2.sigma)
-    diagram = cell_decode(ell1, CellTriple(t1.x, t1.S, t2.y, t2.T, sigma))
-    return diagram, val.coefficient()
+    d, coeff = term
+    via, down = d.through_map(), bottom.through_map()
+    through = tuple((i, down[via[j]]) for i, j in top.through)
+    return SpinDiagram._trusted(top.n, top.top_isolated, bottom.bottom_isolated,
+                                top.top_arcs, bottom.bottom_arcs, through), coeff
 
 
 def modmult_check(top: SpinDiagram, bottom: SpinDiagram) -> bool:

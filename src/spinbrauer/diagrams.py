@@ -108,8 +108,7 @@ def _adopt(cls, *values):
     if names is None:
         names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
     d = object.__new__(cls)
-    for name, value in zip(names, values, strict=True):
-        object.__setattr__(d, name, value)
+    d.__dict__.update(zip(names, values, strict=True))
     return d
 
 
@@ -456,6 +455,10 @@ class CellTriple:
             if list(blocks) != sorted(blocks):
                 raise DiagramError(f"{name} not sorted by vertex")
 
+    # Adopt the fields, in order, unchecked. Only cell_encode builds triples
+    # this way, from a validated diagram.
+    _trusted = classmethod(_adopt)
+
 
 def _row_partition(n: int, isolated: Sequence[int], arcs: Sequence[Arc],
                    through_row: Sequence[int]) -> tuple[Partition, tuple[Block, ...]]:
@@ -474,7 +477,7 @@ def cell_encode(d: SpinDiagram) -> tuple[int, CellTriple]:
     fmap = d.through_map()
     t_index = {b[0]: i for i, b in enumerate(T)}
     sigma = tuple(t_index[fmap[b[0]]] for b in S)
-    return len(d.through), CellTriple(x, S, y, T, sigma)
+    return len(d.through), CellTriple._trusted(x, S, y, T, sigma)
 
 
 def cell_decode(ell: int, t: CellTriple) -> SpinDiagram:

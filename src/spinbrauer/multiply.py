@@ -36,6 +36,7 @@ form: stitch_and_resolve returns one and clifford_normalize takes one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -68,7 +69,10 @@ State = tuple[tuple[Arc, ...], tuple[Arc, ...], tuple[Arc, ...], tuple[int, ...]
 
 def _settle(word: list[int]) -> tuple[int, tuple[int, ...]]:
     """Drop every circuit pair whose ends became adjacent, then number the
-    remaining pairs -1, -2, ... by their first end; returns (dropped, word)."""
+    remaining pairs -1, -2, ... by their first end; returns (dropped, word).
+    A word without pairs is already settled."""
+    if min(word, default=0) >= 0:
+        return 0, tuple(word)
     kept: list[int] = []
     for x in word:
         if x < 0 and kept and kept[-1] == x:
@@ -86,14 +90,24 @@ def _labeled(n: int, state: State) -> LabeledDiagram:
     """The boundary form of a settled state; its labels are the word
     positions 1..t by construction, so it is built unchecked."""
     top_arcs, bottom_arcs, through, word = state
-    top = sorted((v, k) for k, v in enumerate(word, 1) if 0 < v <= n)
-    bottom = sorted((v - n, k) for k, v in enumerate(word, 1) if v > n)
-    ends = [k for _, k in sorted((-v, k) for k, v in enumerate(word, 1) if v < 0)]
+    # label[v]: the label of vertex code v, 0 if v is not isolated; ends[j]:
+    # the labels of pair -1 - j, numbered by their first end as settled.
+    label = [0] * (2 * n + 1)
+    ends: list[list[int]] = []
+    for k, v in enumerate(word, 1):
+        if v > 0:
+            label[v] = k
+        elif -v > len(ends):
+            ends.append([k])
+        else:
+            ends[-1 - v].append(k)
+    top = [v for v in range(1, n + 1) if label[v]]
+    bottom = [v for v in range(n + 1, 2 * n + 1) if label[v]]
     return LabeledDiagram._trusted(
-        n, tuple(v for v, _ in top), tuple(v for v, _ in bottom),
+        n, tuple(top), tuple(v - n for v in bottom),
         top_arcs, bottom_arcs, through,
-        tuple(k for _, k in top), tuple(k for _, k in bottom),
-        tuple(zip(ends[::2], ends[1::2])),
+        tuple(label[v] for v in top), tuple(label[v] for v in bottom),
+        tuple(map(tuple, ends)),
     )
 
 
@@ -195,7 +209,7 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
             pairs += 1
             word[~x] = word[~y] = -pairs
 
-    dropped, settled = _settle(word)
+    dropped, settled = _settle(word) if pairs else (0, tuple(word))
     state = (*(tuple(sorted(p)) for p in parts), settled)
     return StitchResolution(cycles + dropped, _labeled(n, state))
 
@@ -259,6 +273,14 @@ def _join_labels(state: State, i: int, n: int) -> tuple[int, State]:
     return dropped, (*parts, settled)
 
 
+def _canonical(n: int, state: State) -> SpinDiagram:
+    """The basis diagram of a canonical state (no pairs, ascending word)."""
+    top_arcs, bottom_arcs, through, word = state
+    k = bisect_right(word, n)
+    return SpinDiagram._trusted(n, word[:k], tuple(v - n for v in word[k:]),
+                                top_arcs, bottom_arcs, through)
+
+
 def clifford_normalize(
     d: LabeledDiagram,
     coeff: Union[DeltaPolynomial, int],
@@ -281,54 +303,65 @@ def clifford_normalize(
         coeff = DeltaPolynomial.constant(coeff)
     dropped, word = _settle(_word_of(d))
     root = (d.top_arcs, d.bottom_arcs, d.through, word)
-    # succ[s]: the (successor, shift, factor) edges of s, or None for a
-    # canonical s; an edge multiplies by factor * delta**shift.
-    succ: dict[State, Optional[tuple]] = {}
-    post_order: list[State] = []
-    stack: list[tuple[State, bool]] = [(root, False)]
+    if word == tuple(sorted(word)):
+        # Canonical already: a settled word holds no two equal entries in a
+        # row, so an ascending one holds no circuit pair either.
+        c = {e + dropped: v for e, v in coeff.items()}
+        return AlgebraElement._wrap(n, {_canonical(n, root): DeltaPolynomial._wrap(c)}
+                                    if c else {})
+    # States are numbered as they are first reached (ids, states), so that a
+    # state is hashed only when a rewrite reaches it. succ[k]: the
+    # (successor, shift, factor) edges of state k, or None for a canonical
+    # state; an edge multiplies by factor * delta**shift.
+    ids = {root: 0}
+    states = [root]
+    succ: dict[int, Optional[tuple]] = {}
+    post_order: list[int] = []
+    stack: list[tuple[int, bool]] = [(0, False)]
     while stack:
-        cur, expanded = stack.pop()
+        k, expanded = stack.pop()
         if expanded:
-            post_order.append(cur)
+            post_order.append(k)
             continue
-        if cur in succ:
+        if k in succ:
             continue
+        cur = states[k]
         word = cur[3]
         if -1 in word:
             # Move the second end of pair -1 one label down.
             i = word.index(-1, word.index(-1) + 1)
         else:
             # Adjacent descents: row labels (i, i + 1) out of canonical order.
-            pairs = [(k, (a <= n) != (b <= n))
-                     for k, (a, b) in enumerate(zip(word, word[1:]), 1) if a > b]
+            pairs = [(p, (a <= n) != (b <= n))
+                     for p, (a, b) in enumerate(zip(word, word[1:]), 1) if a > b]
             if not pairs:
-                succ[cur] = None
-                post_order.append(cur)
+                succ[k] = None
+                post_order.append(k)
                 continue
             i = strategy(pairs)
-        swap_dropped, swapped = _swap_labels(cur, i)
-        join_dropped, joined = _join_labels(cur, i, n)
-        succ[cur] = ((swapped, swap_dropped, -1), (joined, join_dropped, 2))
-        stack += ((cur, True), (swapped, False), (joined, False))
+        edges = []
+        for (shift, nxt), factor in ((_swap_labels(cur, i), -1), (_join_labels(cur, i, n), 2)):
+            j = ids.setdefault(nxt, len(states))
+            if j == len(states):
+                states.append(nxt)
+            edges.append((j, shift, factor))
+        succ[k] = edges
+        stack += ((k, True), (edges[0][0], False), (edges[1][0], False))
 
     # Reverse post-order is topological: every path into a state is summed
     # before the state passes its coefficient on. Coefficients flow as plain
     # {exponent: int} tables; a canonical state strips its zeros once.
-    coeffs = {root: {e + dropped: c for e, c in coeff.items()}}
+    coeffs = {0: {e + dropped: c for e, c in coeff.items()}}
     terms: dict[SpinDiagram, DeltaPolynomial] = {}
-    for cur in reversed(post_order):
-        c = coeffs.pop(cur, None)
+    for k in reversed(post_order):
+        c = coeffs.pop(k, None)
         if not c:
             continue
-        successors = succ[cur]
+        successors = succ[k]
         if successors is None:
             c = {e: v for e, v in c.items() if v}
             if c:
-                top_arcs, bottom_arcs, through, word = cur
-                spin = SpinDiagram._trusted(n, tuple(v for v in word if v <= n),
-                                            tuple(v - n for v in word if v > n),
-                                            top_arcs, bottom_arcs, through)
-                terms[spin] = DeltaPolynomial._wrap(c)
+                terms[_canonical(n, states[k])] = DeltaPolynomial._wrap(c)
             continue
         for nxt, shift, factor in successors:
             acc = coeffs.get(nxt)

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
-from conftest import DEMO_B, DEMO_BOTTOM, DEMO_TOP
+from conftest import DEMO_B, DEMO_BOTTOM, DEMO_TOP, assert_validated
 from spinbrauer.cellular import (
     CellFormError,
     PhiValue,
@@ -18,6 +19,10 @@ from spinbrauer.cellular import (
     predicted_leading_term,
 )
 from spinbrauer.diagrams import (
+    CellTriple,
+    DiagramError,
+    cell_decode,
+    cell_encode,
     enumerate_S,
     enumerate_basis,
     enumerate_size_le2_partitions,
@@ -152,6 +157,18 @@ def test_phi_size_validation():
         phi_ell(1, (blocks((1,)), ()), (blocks((1,)), ()))
 
 
+@pytest.mark.parametrize("xS, yT, message", [
+    ((((1, 2, 3),), ()), (((1, 2, 3),), ()), r"bottom vertices \[1, 2, 3\] not covered"),
+    ((((1,), (2,)), ((3,),)), (((1,), (2,)), ((1,),)), r"top vertex 3 outside 1\.\.2"),
+    ((((1,), (1,)), ()), (((1,), (2,)), ()), "bottom vertex 1 used twice"),
+])
+def test_phi_validates_its_partitions(xS, yT, message):
+    # The partitions are caller input: the reference factors built from
+    # them go through the checking constructor.
+    with pytest.raises(DiagramError, match=message):
+        phi_ell(len(xS[1]), xS, yT)
+
+
 def test_literal_rules_match_extraction_at_small_size():
     for n in (1, 2):
         for ell in range(n + 1):
@@ -196,6 +213,64 @@ def test_modmult_demo_pair():
     assert DEMO_TOP.through_count == DEMO_BOTTOM.through_count == 2
     assert predicted_leading_term(DEMO_TOP, DEMO_BOTTOM) == (DEMO_B, 2 * D(1))
     assert modmult_check(DEMO_TOP, DEMO_BOTTOM)
+
+
+def _outcome(f, *args):
+    """f(*args), or CellFormError when it raises that."""
+    try:
+        return f(*args)
+    except CellFormError:
+        return CellFormError
+
+
+def _phi_prediction(top, bottom):
+    """The leading term by its defining formula: phi_ell of the middle rows,
+    carried to the outer rows through sigma_1, then the pairing's
+    permutation, then sigma_2."""
+    ell, t1 = cell_encode(top)
+    _, t2 = cell_encode(bottom)
+    value = phi_ell(ell, (t1.y, t1.T), (t2.x, t2.S))
+    if value is None:
+        return None
+    sigma = tuple(t2.sigma[value.perm[s]] for s in t1.sigma)
+    return (cell_decode(ell, CellTriple(t1.x, t1.S, t2.y, t2.T, sigma)),
+            value.coefficient())
+
+
+def _check_prediction(top, bottom):
+    """predicted_leading_term agrees with the formula, zero and raising
+    alike; returns its outcome."""
+    got = _outcome(predicted_leading_term, top, bottom)
+    assert got == _outcome(_phi_prediction, top, bottom)
+    if isinstance(got, tuple):
+        assert_validated(got[0])
+    return got
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_prediction_matches_the_pairing_formula(n):
+    basis = enumerate_basis(n)
+    for top in basis:
+        for bottom in basis:
+            if top.through_count == bottom.through_count:
+                _check_prediction(top, bottom)
+
+
+def test_prediction_matches_the_pairing_formula_at_four():
+    # One pair for each ell and middle data: top's bottom row (x, S) meets
+    # bottom's top row (y, T).
+    outcomes = Counter()
+    for ell in range(5):
+        rows = enumerate_S(4, ell)
+        ident = tuple(range(ell))
+        for x, S in rows:
+            top = cell_decode(ell, CellTriple(x, S, x, S, ident))
+            for y, T in rows:
+                bottom = cell_decode(ell, CellTriple(y, T, y, T, ident))
+                got = _check_prediction(top, bottom)
+                outcomes[got if got in (None, CellFormError) else "term"] += 1
+    assert sum(outcomes.values()) == 517
+    assert outcomes[CellFormError] == 6
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -185,6 +186,25 @@ def test_cell_decode_trivial_isolated_pair():
 def test_cell_triple_validation():
     with pytest.raises(DiagramError):
         CellTriple(((1, 2),), ((1,),), ((1,), (2,)), ((1,),), (0,))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_cell_encode_builds_the_validated_triples(n):
+    for d in enumerate_basis(n):
+        _, t = cell_encode(d)
+        # replace() rebuilds the triple through the checking constructor.
+        assert dataclasses.replace(t) == t
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (SpinDiagram, (1, (1,), (1,), (), (), ())),
+    (CellTriple, (((1,),), ((1,),), ((1,),), ((1,),), (0,))),
+])
+def test_trusted_rejects_a_wrong_number_of_fields(cls, fields):
+    assert cls._trusted(*fields) == cls(*fields)
+    for wrong in (fields[:-1], fields + ((),)):
+        with pytest.raises(ValueError):
+            cls._trusted(*wrong)
 
 
 def test_diagram_key_orders_terms_deterministically():

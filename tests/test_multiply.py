@@ -99,6 +99,25 @@ def test_normalize_canonical_input_passes_through():
     assert out.terms == {DEMO_A: D(1)}
 
 
+def test_settle_leaves_a_pair_free_word_alone():
+    for word in ([], [3], [2, 1, 5], [6, 1, 4, 2]):
+        assert multiply._settle(word) == (0, tuple(word))
+    # Words with pairs still settle: adjacent ends drop, and the pairs left
+    # are renumbered by their first end.
+    assert multiply._settle([1, -2, -2, -1, 3, -1]) == (1, (1, -1, 3, -1))
+    assert multiply._settle([-2, 1, -1, 2, -2, -1]) == (0, (-1, 1, -2, 2, -1, -2))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_normalize_returns_a_basis_diagram_unchanged(n):
+    for d in enumerate_basis(n):
+        labeled = LabeledDiagram.from_spin(d)
+        for c in (DeltaPolynomial.one(), 3 * D(2) - 1, -2):
+            assert clifford_normalize(labeled, c) == AlgebraElement.from_diagram(d, c)
+        assert clifford_normalize(labeled, 0) == AlgebraElement.zero(n)
+        assert not clifford_normalize(labeled, DeltaPolynomial.zero())
+
+
 def test_normalize_within_row_positional_order_is_canonical():
     labeled = LabeledDiagram(2, (1, 2), (), (), ((1, 2),), (), (1, 2), ())
     out = clifford_normalize(labeled, DeltaPolynomial.one())

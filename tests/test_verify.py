@@ -107,10 +107,14 @@ def test_equivariance_failure_names_first_differing_entry(monkeypatch):
         act_so(sym, space).scale(RootTwoNumber(2)) if space.n == 0 else act_so(sym, space)))
     report = verify_equivariance(4, "invariant")
     assert not report.passed
-    entry = report.counterexample["entry"]
+    # The immersion applies after the action on the spin factor: the
+    # doubled side is the left one.
+    ce = report.counterexample
+    assert (ce["n"], ce["positions"]) == (0, "(1, 2)")
+    entry = ce["entry"]
     assert 0 <= entry["row"] < 4 * 4 * 4 and 0 <= entry["col"] < 4
     left, right = (RootTwoNumber.from_json(entry[k]) for k in ("lhs", "rhs"))
-    assert left and right == left * 2
+    assert right and left == right * 2
 
 
 def test_homomorphism_rejects_unknown_mode():
