@@ -41,6 +41,7 @@ from .realization import (
     act_gamma,
     act_so,
     apply_fock_operator,
+    commutant_dimension,
     realize_diagram,
     so_basis,
 )

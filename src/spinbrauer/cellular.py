@@ -314,24 +314,34 @@ def _divide_by_power_of_two(p: DeltaPolynomial, k: int) -> DeltaPolynomial:
     return DeltaPolynomial(out)
 
 
-def predicted_leading_term(
-    top: SpinDiagram, bottom: SpinDiagram
-) -> Optional[tuple[SpinDiagram, DeltaPolynomial]]:
-    """The unique maximal-through-count term of a product of equal-count diagrams.
-
-    It is phi_ell of top's bottom row and bottom's top row, carried to the
-    outer rows: top's top row, bottom's bottom row, and the through strings
-    of top, then of the pairing's maximal term, then of bottom.
-    """
-    ell = top.through_count
-    if ell != bottom.through_count:
+def _middle_rows(top: SpinDiagram, bottom: SpinDiagram) -> tuple[tuple, tuple]:
+    """top's bottom row and bottom's top row, each as (n, isolated, arcs,
+    through ends): the key of the reference product of a prediction."""
+    if top.through_count != bottom.through_count:
         raise ValueError("through counts differ")
-    # Rows of validated diagrams: the factors and the result are canonical
-    # by construction, so they are built unchecked.
-    upper = (top.n, top.bottom_isolated, top.bottom_arcs, sorted(j for _, j in top.through))
-    lower = (bottom.n, bottom.top_isolated, bottom.top_arcs, [i for i, _ in bottom.through])
-    term = _maximal_term(ell, *(SpinDiagram._trusted(*fields)
-                                for fields in _reference_fields(upper, lower)))
+    upper_ends = tuple(sorted(j for _, j in top.through))
+    lower_ends = tuple(i for i, _ in bottom.through)
+    return ((top.n, top.bottom_isolated, top.bottom_arcs, upper_ends),
+            (bottom.n, bottom.top_isolated, bottom.top_arcs, lower_ends))
+
+
+def _reference_term(upper: tuple,
+                    lower: tuple) -> Optional[tuple[SpinDiagram, DeltaPolynomial]]:
+    """The maximal term of the reference product with the given middle rows.
+
+    The rows come from validated diagrams, so the factors are canonical by
+    construction and built unchecked.
+    """
+    return _maximal_term(len(upper[3]), *(SpinDiagram._trusted(*fields)
+                                          for fields in _reference_fields(upper, lower)))
+
+
+def _carried(top: SpinDiagram, bottom: SpinDiagram,
+             term: Optional[tuple[SpinDiagram, DeltaPolynomial]]
+             ) -> Optional[tuple[SpinDiagram, DeltaPolynomial]]:
+    """A reference term carried to the outer rows: top's top row, bottom's
+    bottom row, and the through strings of top, then of the term, then of
+    bottom. The result is canonical by construction."""
     if term is None:
         return None
     d, coeff = term
@@ -341,7 +351,20 @@ def predicted_leading_term(
                                 top.top_arcs, bottom.bottom_arcs, through), coeff
 
 
-def modmult_check(top: SpinDiagram, bottom: SpinDiagram) -> bool:
+def predicted_leading_term(
+    top: SpinDiagram, bottom: SpinDiagram
+) -> Optional[tuple[SpinDiagram, DeltaPolynomial]]:
+    """The unique maximal-through-count term of a product of equal-count diagrams.
+
+    It is phi_ell of top's bottom row and bottom's top row, carried to the
+    outer rows: top's top row, bottom's bottom row, and the through strings
+    of top, then of the pairing's maximal term, then of bottom.
+    """
+    return _carried(top, bottom, _reference_term(*_middle_rows(top, bottom)))
+
+
+def modmult_check(top: SpinDiagram, bottom: SpinDiagram,
+                  references: Optional[dict] = None) -> bool:
     """Compare the engine's product against the pairing-form prediction.
 
     For equal through counts ell, the product with all terms of fewer than
@@ -350,6 +373,11 @@ def modmult_check(top: SpinDiagram, bottom: SpinDiagram) -> bool:
     as a single permutation multiple the check fails. For unequal counts the
     check degrades to the filtration property: no term may exceed the
     smaller count.
+
+    references, when given, is the caller's table of reference terms keyed
+    by the two middle rows (CellFormError standing for a value that is not
+    a single term): pairs that share their middle rows share one reference
+    product.
     """
     ell1 = top.through_count
     ell2 = bottom.through_count
@@ -359,10 +387,17 @@ def modmult_check(top: SpinDiagram, bottom: SpinDiagram) -> bool:
     leading = {
         d: c for d, c in product.terms.items() if d.through_count >= ell1
     }
-    try:
-        predicted = predicted_leading_term(top, bottom)
-    except CellFormError:
+    rows = _middle_rows(top, bottom)
+    references = {} if references is None else references
+    if rows not in references:
+        try:
+            references[rows] = _reference_term(*rows)
+        except CellFormError:
+            references[rows] = CellFormError
+    term = references[rows]
+    if term is CellFormError:
         return False
+    predicted = _carried(top, bottom, term)
     if predicted is None:
         return not leading
     d, coeff = predicted

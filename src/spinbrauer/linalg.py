@@ -10,7 +10,8 @@ public constructor, column, apply, entries, flatten and to_json.
 
 Rank is exact over Q(sqrt2) but computed by elimination over F_p for primes
 p = 7 mod 8, where 2 has a square root; a Hadamard bound on the integer
-vectors says when enough primes have been tried (see _rank_of_pairs).
+vectors, or a known ceiling on the rank, says when enough primes have been
+tried (see _rank_of_pairs).
 """
 
 from __future__ import annotations
@@ -274,13 +275,15 @@ def _scaled(col: Mapping[int, RootTwoNumber], den: int) -> PairColumn:
             for r, v in col.items() if v}
 
 
-def rank_of_vectors(vectors: Iterable[Mapping[int, RootTwoNumber]]) -> int:
+def rank_of_vectors(vectors: Iterable[Mapping[int, RootTwoNumber]], *,
+                    ceiling: Optional[int] = None) -> int:
     """Exact rank over Q(sqrt2) of the span of sparse vectors.
 
     Each vector's denominators are cleared once; the integer pairs then go to
-    the modular elimination of _rank_of_pairs.
+    the modular elimination of _rank_of_pairs, with the same ceiling.
     """
-    return _rank_of_pairs([_scaled(vec, _denominator(vec.values())) for vec in vectors])
+    return _rank_of_pairs([_scaled(vec, _denominator(vec.values())) for vec in vectors],
+                          ceiling=ceiling)
 
 
 # --- exact rank by elimination modulo primes ---------------------------------
@@ -383,12 +386,20 @@ def _weights(vectors: list[PairColumn]) -> tuple[list[int], list[int]]:
     return sorted(rows, reverse=True), sorted(cols.values(), reverse=True)
 
 
-def _rank_of_pairs(vectors: Iterable[PairColumn]) -> int:
+def _rank_of_pairs(vectors: Iterable[PairColumn], *,
+                   ceiling: Optional[int] = None) -> int:
     """Exact rank over Q(sqrt2) of integer pair vectors (entries a + b sqrt2).
 
     Zero vectors are dropped and the others divided by the gcd of their
     integers, which shrinks the bound. Primes are tried until the best rank
-    seen is full or their product exceeds the Hadamard bound for one more.
+    seen is full, equals the ceiling, or their product exceeds the Hadamard
+    bound for one more.
+
+    The ceiling is the caller's proof that the rank is at most that number.
+    A rank modulo a prime never exceeds the rank, so reaching the ceiling
+    settles it. Every vector is still reduced, so a rank modulo a prime
+    above a wrong ceiling is seen: a ceiling that is not the rank only
+    leaves the bound to stop the search, and never changes the answer.
     """
     primitive: list[PairColumn] = []
     for vec in vectors:
@@ -399,7 +410,7 @@ def _rank_of_pairs(vectors: Iterable[PairColumn]) -> int:
     best, modulus, rows = 0, 1, []
     for p in _primes():
         best = max(best, _rank_mod(primitive, p))
-        if best == len(primitive):
+        if best in (len(primitive), ceiling):
             return best
         modulus *= p
         if not rows:  # only a deficient rank needs the bound

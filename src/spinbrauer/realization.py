@@ -46,6 +46,7 @@ __all__ = [
     "contraction_map",
     "swap_map",
     "realize_diagram",
+    "commutant_dimension",
 ]
 
 
@@ -520,3 +521,67 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
             for tc, tr in through:
                 cols[ac + co + tc] = {tr + ro: v for ro, v in out}
     return LinearMap._from_pairs(dim, dim, cols)
+
+
+# --- the dimension of the commutant -------------------------------------------
+
+
+def _straighten(v: list[int], odd: bool) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(det w, w v) for the Weyl group element w taking v to the dominant
+    chamber, or None when v lies on a wall.
+
+    Type B (odd N) acts by all signed permutations, so x_i = 0 is a wall too;
+    type D (even N) by those with an even number of sign changes, so the
+    last coordinate keeps the sign that is left over. Only |x_i| = |x_j| is
+    a wall of both.
+    """
+    out = sorted(map(abs, v), reverse=True)
+    if (odd and out and out[-1] == 0) or any(a == b for a, b in zip(out, out[1:])):
+        return None
+    negatives = sum(x < 0 for x in v)
+    inversions = sum(abs(x) < abs(y) for i, x in enumerate(v) for y in v[i + 1:])
+    det = (-1) ** (inversions + (negatives if odd else 0))
+    if not odd and negatives % 2:
+        out[-1] = -out[-1]
+    return det, tuple(out)
+
+
+def commutant_dimension(space: SpaceSpec) -> int:
+    """dim End_Pin(N)(V^(x)n (x) Delta), the sum of the squared multiplicities.
+
+    The highest weights of so(N) in V^(x)n (x) Delta come from Delta's,
+    (1/2, ..., 1/2) (and (1/2, ..., 1/2, -1/2) at even N), by tensoring with
+    V n times by the Brauer-Klimyk rule: each weight mu of V sends lambda to
+    w(lambda + mu + rho) - rho with sign det w, where w straightens
+    lambda + mu + rho into the dominant chamber; a weight on a wall drops
+    out. Coordinates are doubled, so they stay integers, and the Weyl group
+    is never enumerated.
+
+    At odd N the odd reflection is a scalar times an element of Spin(N) on
+    this space (the volume element is central in the Clifford algebra and
+    acts on V by -1), so the Pin and Spin commutants agree: sum m_lambda^2.
+    At even N every weight has half-integer coordinates, so lambda_m != 0,
+    and the odd reflection exchanges the isotypic parts of lambda and
+    (..., -lambda_m), which have equal multiplicities: sum m_lambda^2 / 2.
+    """
+    m, odd = space.m, space.odd
+    rho = [2 * (m - 1 - i) + odd for i in range(m)]
+    shifts = [(i, s) for i in range(m) for s in (2, -2)] + ([(0, 0)] if odd else [])
+    weights = {(1,) * m: 1}
+    if not odd:
+        weights[(1,) * (m - 1) + (-1,)] = 1
+    for _ in range(space.n):
+        tensored: dict[tuple[int, ...], int] = {}
+        for lam, mult in weights.items():
+            shifted = [x + r for x, r in zip(lam, rho)]
+            for i, s in shifts:
+                v = list(shifted)
+                v[i] += s
+                got = _straighten(v, odd)
+                if got is not None:
+                    det, w = got
+                    nu = tuple(x - r for x, r in zip(w, rho))
+                    tensored[nu] = tensored.get(nu, 0) + det * mult
+        weights = {lam: mult for lam, mult in tensored.items() if mult}
+    total = sum(mult * mult for mult in weights.values())
+    return total if odd else total // 2

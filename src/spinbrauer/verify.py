@@ -29,6 +29,7 @@ from .realization import (
     SpaceSpec,
     act_gamma,
     act_so,
+    commutant_dimension,
     contraction_map,
     immersion_map,
     injection_map,
@@ -47,6 +48,7 @@ __all__ = [
     "verify_circuit_scaling",
     "verify_clifford_relation",
     "verify_rank",
+    "verify_surjectivity",
     "verify_brauer_consistency",
     "verify_associativity",
     "verify_filtration",
@@ -371,12 +373,8 @@ def _blocks_certify(basis: list[SpinDiagram], space: SpaceSpec) -> bool:
     return True
 
 
-def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
-    """Rank of the span of realized basis diagrams, flattened to vectors.
-
-    The rank is exact over Q(sqrt2). Passes when the rank equals the basis
-    size for N >= 2n; for N < 2n the observed rank is reported without any
-    assertion.
+def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
+    """Rank over Q(sqrt2) of the realized basis, exact.
 
     For N >= 2n, full rank is first certified block by block: the basis is
     grouped by top-arc set A, and each group is realized on A's columns only
@@ -387,17 +385,34 @@ def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> Verific
     top-arc sets therefore leaves A's group dependent on A's columns.
     Restricting to columns and reducing modulo a prime cannot raise a rank,
     so every group independent modulo one prime proves full rank exactly.
+
     When a group fails, and always for N < 2n, the whole realizations are
-    flattened and their rank computed by elimination modulo primes under a
-    Hadamard bound (see linalg).
+    flattened and eliminated modulo primes (see linalg) under the ceiling
+    commutant_dimension(space). The ceiling is exact: each realization is a
+    composite of the Pin(N)-equivariant blocks that verify_equivariance
+    checks, so the rank is at most dim End_Pin(N)(V^(x)n (x) Delta); the rank
+    modulo a prime is at most the rank. A prime that reaches the ceiling
+    therefore settles the rank; when the realization is onto the commutant,
+    the first prime reaches it unless it divides every maximal minor.
+    Otherwise the Hadamard bound decides.
+    """
+    if space.N >= 2 * space.n and _blocks_certify(basis, space):
+        return len(basis)
+    return rank_of_vectors([realize_diagram(d, space).flatten() for d in basis],
+                           ceiling=commutant_dimension(space))
+
+
+def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
+    """Rank of the span of realized basis diagrams, flattened to vectors.
+
+    The rank is exact over Q(sqrt2) (see _realized_rank). Passes when the
+    rank equals the basis size for N >= 2n; for N < 2n the observed rank is
+    reported without any assertion (verify_surjectivity asserts it).
     """
     space = SpaceSpec(N, n)
     _check_bound(space, bound)
     basis = enumerate_basis(n)
-    if N >= 2 * n and _blocks_certify(basis, space):
-        rank = len(basis)
-    else:
-        rank = rank_of_vectors([realize_diagram(d, space).flatten() for d in basis])
+    rank = _realized_rank(basis, space)
     info = {"basis_size": len(basis), "rank": rank, "asserted": N >= 2 * n}
     if N >= 2 * n:
         passed = rank == len(basis)
@@ -405,6 +420,25 @@ def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> Verific
         passed = True
     ce = None if passed else {"rank": rank, "basis_size": len(basis)}
     return VerificationReport("rank", {"n": n, "N": N}, passed, ce, info)
+
+
+def verify_surjectivity(n: int, N: int,
+                        bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
+    """The realization SB_n(N) -> End_Pin(N)(V^(x)n (x) Delta) is onto.
+
+    Passes when the rank of the realized basis equals the commutant
+    dimension, for every N; for N >= 2n the commutant dimension must also
+    equal the basis size, so that the map is an isomorphism.
+    """
+    space = SpaceSpec(N, n)
+    _check_bound(space, bound)
+    basis = enumerate_basis(n)
+    dim = commutant_dimension(space)
+    rank = _realized_rank(basis, space)
+    info = {"basis_size": len(basis), "commutant_dim": dim, "rank": rank}
+    passed = rank == dim and (N < 2 * n or dim == len(basis))
+    return VerificationReport("surjectivity", {"n": n, "N": N}, passed,
+                              None if passed else dict(info), info)
 
 
 # --- independent classical Brauer oracle -------------------------------------
@@ -552,9 +586,10 @@ def verify_modmult(n: int) -> VerificationReport:
     """Exhaustive agreement of products with the pairing-form prediction."""
     basis = enumerate_basis(n)
     params = {"n": n, "pairs": len(basis) ** 2}
+    references: dict = {}  # one reference product per pair of middle rows
     for d1 in basis:
         for d2 in basis:
-            if not modmult_check(d1, d2):
+            if not modmult_check(d1, d2, references):
                 return VerificationReport(
                     "modmult", params, False,
                     {"top": emit_diagram(d1), "bottom": emit_diagram(d2)},
@@ -607,6 +642,7 @@ CHECKS: dict[str, Callable[..., VerificationReport]] = {
     "circuit": verify_circuit_scaling,
     "clifford": verify_clifford_relation,
     "rank": verify_rank,
+    "surjectivity": verify_surjectivity,
     "brauer": verify_brauer_consistency,
     "associativity": verify_associativity,
     "filtration": verify_filtration,

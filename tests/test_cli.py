@@ -184,6 +184,7 @@ SMALLEST_CHECKS = {
     "circuit": (["--N", "2"], dict(N=2, circuit_type="IV", arcs=0, bound=4096)),
     "clifford": (["--N", "2"], dict(N=2, bound=4096)),
     "rank": (["--n", "1", "--N", "2"], dict(n=1, N=2, bound=4096)),
+    "surjectivity": (["--n", "1", "--N", "2"], dict(n=1, N=2, bound=4096)),
     "brauer": (["--n", "1"], dict(n=1)),
     "associativity": (["--n", "1"], dict(n=1, samples=50, seed=0)),
     "filtration": (["--n", "1"], dict(n=1)),
@@ -212,6 +213,8 @@ def test_verify_cli_matches_direct_call(name):
     (["equivariance", "--N", "8", "--map-kind", "immersion"], 8192, 4096),
     (["circuit", "--N", "5", "--type", "II", "--arcs", "2", "--bound", "10"], 500, 10),
     (["circuit", "--N", "8", "--type", "I", "--arcs", "2"], 65536, 4096),
+    (["surjectivity", "--n", "4", "--N", "8"], 65536, 4096),
+    (["surjectivity", "--n", "3", "--N", "5", "--bound", "100"], 500, 100),
 ])
 def test_verify_over_bound_is_usage_error(argv, dim, bound, capsys):
     code, out = run(["verify", *argv])
@@ -271,6 +274,7 @@ def test_enumerate_over_bound_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "associativity", "--n", "4", "--samples", "2"],
+    ["verify", "surjectivity", "--n", "4", "--N", "2"],
     ["classify", "--n", "4"],
 ])
 def test_verify_over_max_n_is_usage_error(argv, tmp_path, capsys):

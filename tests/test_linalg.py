@@ -249,10 +249,12 @@ def spanned_vectors(draw):
     ]
 
 
-@given(spanned_vectors())
-def test_rank_matches_elimination_over_q_sqrt2(vectors):
+@given(spanned_vectors(), st.integers(0, 3))
+def test_rank_matches_elimination_over_q_sqrt2(vectors, slack):
     rank = exact_rank(vectors)
     assert rank_of_vectors(vectors) == rank
+    # A true ceiling, reached or not, never changes the answer.
+    assert rank_of_vectors(vectors, ceiling=rank + slack) == rank
     length = len(vectors[0])
     as_map = LinearMap(len(vectors), length, dict(enumerate(vectors)))
     assert as_map.rank() == rank
@@ -319,3 +321,48 @@ def test_deficient_rank_of_multiples():
     vectors = [v, {i: c * RootTwoNumber(5, -2) for i, c in v.items()}, {}]
     assert rank_of_vectors(vectors) == 1
     assert rank_of_vectors([]) == 0
+
+
+def counted_rank_mod(monkeypatch):
+    """Count the eliminations modulo a prime that linalg runs."""
+    calls = []
+    rank_mod = linalg._rank_mod
+
+    def counted(vectors, p):
+        calls.append(p)
+        return rank_mod(vectors, p)
+
+    monkeypatch.setattr(linalg, "_rank_mod", counted)
+    return calls
+
+
+def test_ceiling_reached_stops_after_one_prime(monkeypatch):
+    # Rank 1 with entries near 2^40: the Hadamard bound for rank 2 is ~2^162.
+    v = {0: r2(2 ** 40 + 1, 3), 2: r2(2 ** 40 + 3, -1)}
+    vectors = [v, {i: c * r2(5, -2) for i, c in v.items()}]
+    calls = counted_rank_mod(monkeypatch)
+    assert rank_of_vectors(vectors) == 1
+    assert len(calls) > 1  # the Hadamard bound needs more than one prime
+    calls.clear()
+    assert rank_of_vectors(vectors, ceiling=1) == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, N", [(3, 2), (3, 3)])
+@pytest.mark.parametrize("offset", [1, -1])
+def test_ceiling_not_the_rank_changes_nothing(monkeypatch, n, N, offset):
+    # Above the rank it is never reached; below it, the first prime's rank
+    # already exceeds it. Either way the Hadamard bound stops the search.
+    space = SpaceSpec(N, n)
+    vectors = [realize_diagram(d, space).flatten() for d in enumerate_basis(n)]
+    calls = counted_rank_mod(monkeypatch)
+    rank = rank_of_vectors(vectors)
+    plain = list(calls)
+    calls.clear()
+    assert rank_of_vectors(vectors, ceiling=rank + offset) == rank
+    assert calls == plain and len(plain) > 1
+
+
+def test_ceiling_is_keyword_only():
+    with pytest.raises(TypeError):
+        rank_of_vectors([{0: r2(1)}], 1)

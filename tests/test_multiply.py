@@ -425,7 +425,7 @@ def test_interleaved_circuits():
     strict=True,
     reason="the row swap matches products only for the order-insensitive "
     "reading; against the operator-faithful product the identity fails "
-    "(40 of 100 pairs at n=2), see notes on transposition corrections",
+    "(40 of 100 pairs at n=2); the operator-order anti-involution is ROADMAP item 6",
 )
 def test_involution_antiautomorphism():
     basis = enumerate_basis(2)

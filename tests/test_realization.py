@@ -15,6 +15,7 @@ from spinbrauer.realization import (
     act_gamma,
     act_so,
     apply_fock_operator,
+    commutant_dimension,
     contraction_map,
     immersion_map,
     injection_map,
@@ -410,3 +411,32 @@ def test_actions_match_golden_digest():
                 yield act_gamma(space)
     assert _digest(maps()) == (
         "898b0aa21f4c5ce7b0f8758b18c1f50665e27f48e70f345843704758a3e30ca4")
+
+
+# --- the commutant dimension ---------------------------------------------------
+
+# Below N = 2n: the ranks pinned by tests/test_verify.py and measured by
+# elimination at (2, 2), (3, 2), (2, 3) and (4, 3).
+@pytest.mark.parametrize("n, N, dim", [
+    (2, 2, 6), (3, 2, 20), (2, 3, 9), (3, 3, 51), (4, 3, 323),
+    (2, 4, 10), (3, 4, 70), (3, 5, 75),
+])
+def test_commutant_dimension_below_stability(n, N, dim):
+    assert commutant_dimension(SpaceSpec(N, n)) == dim
+
+
+@pytest.mark.parametrize("n, N", [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (2, 5),
+                                  (3, 6), (3, 7), (4, 8), (4, 9)])
+def test_commutant_dimension_is_the_basis_size_from_2n(n, N):
+    assert commutant_dimension(SpaceSpec(N, n)) == len(enumerate_basis(n))
+
+
+def test_commutant_dimension_of_the_spin_factor_alone():
+    # Delta is irreducible under Pin(N) at every N; no Weyl group is enumerated.
+    assert [commutant_dimension(SpaceSpec(N)) for N in (2, 3, 4, 5, 40, 41)] == [1] * 6
+
+
+@pytest.mark.parametrize("N, n", [(1, 0), (0, 2), (3, -1)])
+def test_commutant_dimension_takes_a_validated_space(N, n):
+    with pytest.raises(ValueError):
+        commutant_dimension(SpaceSpec(N, n))

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from spinbrauer import verify
+from spinbrauer import cellular, linalg, verify
 from spinbrauer.diagrams import AlgebraElement, SpinDiagram, enumerate_basis, parse_diagram
 from spinbrauer.multiply import multiply_diagrams
 from spinbrauer.realization import SpaceSpec, realize_diagram
@@ -26,6 +26,7 @@ from spinbrauer.verify import (
     verify_involution_compatibility,
     verify_modmult,
     verify_rank,
+    verify_surjectivity,
 )
 
 CUP_CAP = SpinDiagram(2, (), (), ((1, 2),), ((1, 2),), ())
@@ -196,7 +197,7 @@ def test_rank_informational_below_stability():
     assert report.info["rank"] < report.info["basis_size"]
 
 
-@pytest.mark.parametrize("n, N, rank", [(3, 3, 51), (3, 4, 70)])
+@pytest.mark.parametrize("n, N, rank", [(3, 3, 51), (3, 4, 70), (3, 5, 75)])
 def test_deficient_ranks_below_stability(n, N, rank):
     report = verify_rank(n, N)
     assert report.passed and report.info == {
@@ -241,17 +242,68 @@ def test_rank_falls_back_to_elimination_when_a_block_fails(monkeypatch):
     calls = Counter()
     exact = verify.rank_of_vectors
 
-    def counted(vectors):
-        calls["rank_of_vectors"] += 1
-        return exact(vectors)
+    def counted(vectors, *, ceiling):
+        calls["rank_of_vectors", ceiling] += 1
+        return exact(vectors, ceiling=ceiling)
 
     monkeypatch.setattr(verify, "enumerate_basis", lambda n: doubled)
     monkeypatch.setattr(verify, "rank_of_vectors", counted)
     report = verify_rank(2, 6)
-    assert calls == {"rank_of_vectors": 1}
+    # The elimination runs once, under the commutant dimension of (2, 6).
+    assert calls == {("rank_of_vectors", 10): 1}
     assert not report.passed
     assert report.info == {"basis_size": 11, "rank": 10, "asserted": True}
     assert report.counterexample == {"rank": 10, "basis_size": 11}
+
+
+def test_rank_elimination_stops_at_the_commutant_dimension(monkeypatch):
+    # (3, 5) has rank 75 of 76: one prime reaches the ceiling, where the
+    # Hadamard bound alone needs ten.
+    calls = Counter()
+    rank_mod = linalg._rank_mod
+
+    def counted(vectors, p):
+        calls["_rank_mod"] += 1
+        return rank_mod(vectors, p)
+
+    monkeypatch.setattr(linalg, "_rank_mod", counted)
+    assert verify_rank(3, 5).info["rank"] == 75
+    assert calls == {"_rank_mod": 1}
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("N", range(2, 8))
+def test_surjectivity(n, N):
+    report = verify_surjectivity(n, N)
+    size = len(enumerate_basis(n))
+    assert report.passed, report.counterexample
+    assert report.info["basis_size"] == size
+    assert report.info["rank"] == report.info["commutant_dim"]
+    if N >= 2 * n:
+        assert report.info["rank"] == size
+
+
+@pytest.mark.parametrize("n, N, offset, info", [
+    # A ceiling above or below the rank: the Hadamard bound finds the rank 6.
+    (2, 2, 1, {"basis_size": 10, "commutant_dim": 7, "rank": 6}),
+    (2, 2, -1, {"basis_size": 10, "commutant_dim": 5, "rank": 6}),
+    # Full rank certified by the blocks, but not the commutant dimension.
+    (2, 4, 1, {"basis_size": 10, "commutant_dim": 11, "rank": 10}),
+])
+def test_surjectivity_failure_names_both_numbers(monkeypatch, n, N, offset, info):
+    true_dim = verify.commutant_dimension
+    monkeypatch.setattr(verify, "commutant_dimension",
+                        lambda space: true_dim(space) + offset)
+    report = verify_surjectivity(n, N)
+    assert not report.passed
+    assert report.info == report.counterexample == info
+
+
+def test_surjectivity_bound_checked_before_any_realization(monkeypatch):
+    monkeypatch.setattr(verify, "realize_diagram", None)
+    monkeypatch.setattr(verify, "enumerate_basis", None)
+    with pytest.raises(ResourceBoundError, match="total dimension 500 exceeds bound 499"):
+        verify_surjectivity(3, 5, bound=499)
 
 
 @pytest.mark.parametrize("map_kind", [
@@ -280,6 +332,27 @@ def test_associativity_symbolic():
 
 def test_filtration():
     assert verify_filtration(2).passed
+
+
+def test_modmult_runs_one_reference_product_per_middle_datum(monkeypatch):
+    basis = enumerate_basis(3)
+    middles = {cellular._middle_rows(a, b) for a in basis for b in basis
+               if a.through_count == b.through_count}
+    calls = Counter()
+    maximal_term = cellular._maximal_term
+
+    def counted(*args):
+        calls["_maximal_term"] += 1
+        return maximal_term(*args)
+
+    monkeypatch.setattr(cellular, "_maximal_term", counted)
+    assert verify_modmult(3).passed
+    assert calls["_maximal_term"] == len(middles) == 62
+    # The prediction itself keeps no table: each call runs its reference product.
+    calls.clear()
+    for _ in range(3):
+        cellular.predicted_leading_term(basis[5], basis[5])
+    assert calls["_maximal_term"] == 3
 
 
 def test_modmult_and_cell_checks():
