@@ -13,6 +13,7 @@ altogether (CellFormError).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional, Sequence
 
 from .diagrams import (
@@ -435,6 +436,8 @@ def irreducible_indices(
     """Index set (m, regular partition of m) for the irreducible modules."""
     if n < 0 or char < 0:
         raise ValueError(f"n and char must be nonnegative, got n={n}, char={char}")
+    if char == 1 or any(char % p == 0 for p in range(2, isqrt(char) + 1)):
+        raise ValueError(f"char={char} is neither 0 nor a prime")
     if delta_zero:
         return [(0, ())]
     out = []

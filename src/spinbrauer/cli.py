@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .cellular import CellFormError, irreducible_indices, phi_ell
 from .diagrams import (
+    DiagramError,
     cell_encode,
     emit_diagram,
     enumerate_basis,
@@ -96,7 +97,12 @@ def _read_json(path: str, config: CliConfig):
 
 
 def _read_diagram(path: str, config: CliConfig):
-    return parse_diagram(_read_json(path, config))
+    """The diagram in a file; a malformed diagram names the file."""
+    obj = _read_json(path, config)
+    try:
+        return parse_diagram(obj)
+    except DiagramError as exc:
+        raise DiagramError(f"{path}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,11 +165,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _partition_arg(path: str, config: CliConfig) -> tuple[tuple, tuple]:
     obj = _read_json(path, config)
     try:
-        blocks = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in obj["blocks"]))
-        chosen = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in obj["S"]))
+        rows = [[list(b) for b in obj["blocks"]], [list(b) for b in obj["S"]]]
+        if any(type(v) is not int for row in rows for b in row for v in b):
+            raise TypeError
     except (KeyError, TypeError):
         raise ValueError(f'{path}: expected an object with "blocks" and "S", '
                          "each a list of integer lists") from None
+    blocks, chosen = (tuple(sorted(tuple(sorted(b)) for b in row)) for row in rows)
     return blocks, chosen
 
 

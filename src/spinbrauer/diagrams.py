@@ -162,24 +162,33 @@ def diagram_key(d: SpinDiagram) -> str:
     return json.dumps(emit_diagram(d), sort_keys=True, separators=(",", ":"))
 
 
+def _integers(*values) -> tuple[int, ...]:
+    """The values, each checked to be an int (a bool is not one)."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{v!r} is not an integer")
+    return values
+
+
 def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
     """Parse and validate the JSON form of a diagram.
 
-    Strict: isolated lists must already be ascending, arcs must be stored
-    smaller-vertex-first in sorted order, and through pairs sorted by first
-    coordinate, so that emit is the exact inverse of parse.
+    Strict: every number must be a JSON integer (not a float, a bool or a
+    numeric string), isolated lists must already be ascending, arcs must be
+    stored smaller-vertex-first in sorted order, and through pairs sorted by
+    first coordinate, so that emit is the exact inverse of parse.
     """
     obj = json.loads(source) if isinstance(source, str) else source
     try:
-        n = int(obj["n"])
+        (n,) = _integers(obj["n"])
         top = obj["top"]
         bottom = obj["bottom"]
-        through = [(int(i), int(j)) for i, j in obj["through"]]
+        through = [_integers(i, j) for i, j in obj["through"]]
         rows = {
-            "top": ([int(v) for v in top["isolated"]],
-                    [(int(a), int(b)) for a, b in top["arcs"]]),
-            "bottom": ([int(v) for v in bottom["isolated"]],
-                       [(int(a), int(b)) for a, b in bottom["arcs"]]),
+            "top": (_integers(*top["isolated"]),
+                    [_integers(a, b) for a, b in top["arcs"]]),
+            "bottom": (_integers(*bottom["isolated"]),
+                       [_integers(a, b) for a, b in bottom["arcs"]]),
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram JSON: {exc}") from exc
@@ -193,8 +202,8 @@ def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
         raise DiagramError("through pairs not sorted by first coordinate")
     return SpinDiagram(
         n,
-        tuple(rows["top"][0]),
-        tuple(rows["bottom"][0]),
+        rows["top"][0],
+        rows["bottom"][0],
         tuple(rows["top"][1]),
         tuple(rows["bottom"][1]),
         tuple(through),

@@ -91,15 +91,6 @@ class SpaceSpec:
             idx = idx * self.N + v
         return idx * self.fock_dim + mask
 
-    def decode(self, idx: int) -> tuple[tuple[int, ...], int]:
-        mask = idx % self.fock_dim
-        code = idx // self.fock_dim
-        slots = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            slots[i] = code % self.N
-            code //= self.N
-        return tuple(slots), mask
-
     def basis(self) -> Iterator[tuple[tuple[int, ...], int]]:
         for slots in itertools.product(range(self.N), repeat=self.n):
             for mask in range(self.fock_dim):
@@ -435,7 +426,7 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
 
 
 def realize_diagram(d: SpinDiagram, space: SpaceSpec,
-                    columns: Optional[Iterable[int]] = None) -> LinearMap:
+                    contents: Optional[Sequence[Iterable[int]]] = None) -> LinearMap:
     """The endomorphism of V^(x)n (x) Delta carried by a canonical diagram.
 
     The building blocks act in the order of the module docstring, sharing
@@ -446,16 +437,24 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
     content from the column to the row, and the top isolated vertices
     absorb their contents into the mask in label order. The bottom isolated
     vertices and arcs depend only on the mask that is left, so their terms
-    are tabulated once per mask.
+    are tabulated once per mask reached.
 
-    Given columns, only those columns are built (the others are zero; the
-    shape stays total_dim x total_dim): each is decoded, checked against the
-    top arcs and absorbed into its mask, and the bottom terms are tabulated
-    only for the masks that are reached.
+    Given contents, one collection of V-contents per slot, only the columns
+    at Fock mask 0 whose slot p holds a content of contents[p] are built
+    (the others are zero; the shape stays total_dim x total_dim). Without
+    them the walk starts from every mask and every slot holds any content.
     """
     if d.n != space.n:
         raise DiagramError(f"diagram has n={d.n}, space has n={space.n}")
     N, fock, dim = space.N, space.fock_dim, space.total_dim
+    if contents is None:
+        allowed: list[Sequence[int]] = [range(N)] * space.n
+        starts: Iterable[int] = range(fock)
+    else:
+        allowed = [sorted(set(slot)) for slot in contents]
+        if len(allowed) != space.n or not all(0 <= c < N for c in itertools.chain(*allowed)):
+            raise ValueError(f"contents must be {space.n} sets of contents in 0..{N - 1}")
+        starts = (0,)
     place = [N ** (space.n - 1 - p) * fock for p in range(space.n)]
     pairs = _invariant_pairs(space)
     emits = [_emit(mask, space) for mask in range(fock)]
@@ -472,49 +471,28 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
         # The contents a term emits determine its path, so its row is its own.
         return [(ro + tmask, ta, tb) for ro, ta, tb, tmask in terms]
 
-    cols: dict[int, PairColumn] = {}
-    if columns is not None:
-        reached: dict[int, list[tuple[int, int, int]]] = {}
-        for col in columns:
-            if not 0 <= col < dim:
-                raise ValueError(f"column index {col} out of range")
-            slots, mask = space.decode(col)
-            if any(slots[b - 1] != _dual(slots[a - 1], space) for a, b in d.top_arcs):
-                continue
-            ca, cb = 1, 0
-            for v in d.top_isolated:
-                res = _absorb(slots[v - 1], mask, space)
-                if res is None:
-                    break
-                a, b, mask = res
-                ca, cb = _times(ca, cb, a, b)
-            else:
-                tr = sum(slots[i - 1] * place[j - 1] for i, j in d.through)
-                if mask not in reached:
-                    reached[mask] = bottom(mask)
-                cols[col] = {tr + ro: _times(ca, cb, a, b) for ro, a, b in reached[mask]}
-        return LinearMap._from_pairs(dim, dim, cols)
-
     arc_cols = [0]
     for a, b in d.top_arcs:
-        arc_cols = [o + u * place[a - 1] + _dual(u, space) * place[b - 1]
-                    for o in arc_cols for u in range(N)]
+        ends = [(u, _dual(u, space)) for u in allowed[a - 1]]
+        arc_cols = [o + u * place[a - 1] + w * place[b - 1]
+                    for o in arc_cols for u, w in ends if w in allowed[b - 1]]
     through = [(0, 0)]  # (column offset, row offset)
     for i, j in d.through:
         through = [(co + c * place[i - 1], ro + c * place[j - 1])
-                   for co, ro in through for c in range(N)]
-    top = [(mask, 1, 0, mask) for mask in range(fock)]  # (column offset, a, b, mask)
+                   for co, ro in through for c in allowed[i - 1]]
+    top = [(mask, 1, 0, mask) for mask in starts]  # (column offset, a, b, mask)
     for v in d.top_isolated:
         absorbed = []
         for co, ca, cb, mask in top:
-            for c in range(N):
+            for c in allowed[v - 1]:
                 res = _absorb(c, mask, space)
                 if res is not None:
                     a, b, mk = res
                     absorbed.append((co + c * place[v - 1], *_times(ca, cb, a, b), mk))
         top = absorbed
 
-    table = [bottom(mask) for mask in range(fock)]
+    table = {mask: bottom(mask) for mask in {t[3] for t in top}}
+    cols: dict[int, PairColumn] = {}
     for co, ca, cb, mask in top:
         out = [(ro, _times(ca, cb, a, b)) for ro, a, b in table[mask]]
         for ac in arc_cols:

@@ -345,30 +345,27 @@ def verify_clifford_relation(N: int,
     )
 
 
-def _block_columns(arcs: tuple, space: SpaceSpec) -> list[int]:
-    """The columns of a top-arc set, at Fock mask 0: arc k carries w_k at its
-    left end and w_k* at its right, and every other vertex w_j or w_j* on a
-    mode of its own, in all combinations."""
-    m, slots = space.m, [0] * space.n
+def _block_contents(arcs: tuple, space: SpaceSpec) -> list[tuple[int, ...]]:
+    """The slot contents of a top-arc set, at Fock mask 0: arc k carries w_k
+    at its left end and w_k* at its right, and every other vertex w_j or w_j*
+    on a mode j of its own."""
+    m, contents = space.m, [()] * space.n
     for k, (a, b) in enumerate(arcs):
-        slots[a - 1], slots[b - 1] = k, m + k
+        contents[a - 1], contents[b - 1] = (k,), (m + k,)
     free = sorted(set(range(1, space.n + 1)).difference(*arcs))
-    columns = []
-    for stars in range(1 << len(free)):
-        for j, v in enumerate(free):
-            slots[v - 1] = len(arcs) + j + m * (stars >> j & 1)
-        columns.append(space.encode(slots, 0))
-    return columns
+    for j, v in enumerate(free, len(arcs)):
+        contents[v - 1] = (j, m + j)
+    return contents
 
 
 def _blocks_certify(basis: list[SpinDiagram], space: SpaceSpec) -> bool:
-    """Whether each top-arc group is independent modulo a prime on its columns."""
+    """Whether each top-arc group is independent modulo a prime on its contents."""
     groups: dict[tuple, list[SpinDiagram]] = {}
     for d in basis:
         groups.setdefault(d.top_arcs, []).append(d)
     for arcs, group in groups.items():
-        columns = _block_columns(arcs, space)
-        if not independent_mod_p([realize_diagram(d, space, columns) for d in group]):
+        contents = _block_contents(arcs, space)
+        if not independent_mod_p([realize_diagram(d, space, contents) for d in group]):
             return False
     return True
 
@@ -377,14 +374,15 @@ def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
     """Rank over Q(sqrt2) of the realized basis, exact.
 
     For N >= 2n, full rank is first certified block by block: the basis is
-    grouped by top-arc set A, and each group is realized on A's columns only
-    (see _block_columns). These give every vertex outside A's arcs a mode of
-    its own, so they need n <= N // 2 modes. A top arc pairs the contents at
-    its ends, so a diagram is zero on A's columns unless its top arcs lie
-    inside A. In a dependency, an inclusion-minimal A among its diagrams'
-    top-arc sets therefore leaves A's group dependent on A's columns.
-    Restricting to columns and reducing modulo a prime cannot raise a rank,
-    so every group independent modulo one prime proves full rank exactly.
+    grouped by top-arc set A, and each group is realized on A's columns only,
+    those its slot contents select (see _block_contents). These give every
+    vertex outside A's arcs a mode of its own, so they need n <= N // 2
+    modes. A top arc pairs the contents at its ends, so a diagram is zero on
+    A's columns unless its top arcs lie inside A. In a dependency, an
+    inclusion-minimal A among its diagrams' top-arc sets therefore leaves
+    A's group dependent on A's columns. Restricting to columns and reducing
+    modulo a prime cannot raise a rank, so every group independent modulo
+    one prime proves full rank exactly, with nothing flattened.
 
     When a group fails, and always for N < 2n, the whole realizations are
     flattened and eliminated modulo primes (see linalg) under the ceiling
@@ -403,7 +401,7 @@ def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
 
 
 def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
-    """Rank of the span of realized basis diagrams, flattened to vectors.
+    """Rank of the span of the realized basis diagrams.
 
     The rank is exact over Q(sqrt2) (see _realized_rank). Passes when the
     rank equals the basis size for N >= 2n; for N < 2n the observed rank is

@@ -316,6 +316,13 @@ def test_irreducible_indices_char_two():
     assert irreducible_indices(2, 2) == [(0, ()), (1, (1,)), (2, (2,))]
 
 
+@pytest.mark.parametrize("char", [1, 4, 9])
+def test_irreducible_indices_reject_a_characteristic_no_field_has(char):
+    for delta_zero in (False, True):
+        with pytest.raises(ValueError, match="neither 0 nor a prime"):
+            irreducible_indices(2, char, delta_zero)
+
+
 def test_irreducible_indices_delta_zero():
     assert irreducible_indices(2, 0, delta_zero=True) == [(0, ())]
 

@@ -112,11 +112,45 @@ def test_classify():
     ]
 
 
+@pytest.mark.parametrize("char", [1, 4])
+def test_classify_rejects_a_characteristic_no_field_has(char, capsys):
+    assert run(["classify", "--n", "3", "--char", str(char)]) == (2, "")
+    assert capsys.readouterr().err == f"char={char} is neither 0 nor a prime\n"
+
+
+@pytest.mark.parametrize("char, partitions", [
+    (0, [[], [1], [2], [1, 1], [3], [2, 1], [1, 1, 1]]),
+    (2, [[], [1], [2], [3], [2, 1]]),
+    (3, [[], [1], [2], [1, 1], [3], [2, 1]]),
+])
+def test_classify_at_a_field_characteristic(char, partitions):
+    code, out = run(["classify", "--n", "3", "--char", str(char)])
+    assert code == 0
+    assert json.loads(out)["indices"] == [{"m": sum(p), "partition": p} for p in partitions]
+
+
+_FLOAT_DIAGRAM = {"n": 1.5, "top": {"isolated": [], "arcs": []},
+                  "bottom": {"isolated": [], "arcs": []}, "through": [[1.9, True]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["involute"], ["encode"], ["realize", "--N", "2"],
+    ["multiply", "product_demo_top.json"],
+])
+def test_diagram_file_with_non_integers_is_named(argv, fixtures_dir, tmp_path, capsys):
+    bad = tmp_path / "float.json"
+    bad.write_text(json.dumps(_FLOAT_DIAGRAM))
+    good = [str(fixtures_dir / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert run([*good, str(bad)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: malformed diagram JSON") and err.count("\n") == 1
+
+
 def test_verify_exit_codes():
     code, out = run(["verify", "circuit", "--N", "3", "--type", "IV", "--arcs", "0"])
     assert code == 0
     assert json.loads(out)["passed"] is True
-    # Both rank cases are certified by the top-arc blocks; their stdout is
+    # Every rank case is certified by the top-arc blocks; their stdout is
     # pinned byte for byte.
     for argv, stdout in [
         (["--n", "1", "--N", "3"],
@@ -125,6 +159,9 @@ def test_verify_exit_codes():
         (["--n", "2", "--N", "6"],
          '{"check": "rank", "info": {"asserted": true, "basis_size": 10, "rank": 10}, '
          '"parameters": {"N": 6, "n": 2}, "passed": true}\n'),
+        (["--n", "4", "--N", "8", "--bound", "65536"],
+         '{"check": "rank", "info": {"asserted": true, "basis_size": 764, "rank": 764}, '
+         '"parameters": {"N": 8, "n": 4}, "passed": true}\n'),
     ]:
         assert run(["verify", "rank", *argv]) == (0, stdout)
 
@@ -288,6 +325,10 @@ def test_verify_over_max_n_is_usage_error(argv, tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     {"blocks": [[1], [2]]},
     [[[1], [2]], [[1]]],
+    {"blocks": [[1.7], [2]], "S": [[2]]},
+    {"blocks": [[1], [2]], "S": [[True]]},
+    {"blocks": [["1"], [2]], "S": [[2]]},
+    {"blocks": [["a"]], "S": []},
 ])
 def test_malformed_partition_file_is_usage_error(content, tmp_path, capsys):
     bad = tmp_path / "bad.json"

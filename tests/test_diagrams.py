@@ -65,6 +65,44 @@ def test_parse_rejects_misordered_arcs():
         )
 
 
+_ONE_STRAND = {"n": 1, "top": {"isolated": [], "arcs": []},
+               "bottom": {"isolated": [], "arcs": []}, "through": [[1, 1]]}
+
+
+@pytest.mark.parametrize("path, value", [
+    (("n",), 1.0),
+    (("n",), True),
+    (("n",), "1"),
+    (("through", 0, 0), 1.9),
+    (("through", 0, 1), True),
+    (("through", 0, 1), "1"),
+], ids=["n-float", "n-bool", "n-string", "through-float", "through-bool", "through-string"])
+def test_parse_rejects_a_number_that_is_not_an_integer(path, value):
+    obj = json.loads(json.dumps(_ONE_STRAND))
+    *parents, key = path
+    target = obj
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    with pytest.raises(DiagramError, match="is not an integer"):
+        parse_diagram(obj)
+
+
+@pytest.mark.parametrize("row, field, value", [
+    ("top", "isolated", [1.0]),
+    ("bottom", "isolated", [False]),
+    ("top", "arcs", [[1, 2.0]]),
+    ("bottom", "arcs", [["1", 2]]),
+])
+def test_parse_rejects_non_integer_vertices(row, field, value):
+    obj = {"n": 2, "top": {"isolated": [1, 2], "arcs": []},
+           "bottom": {"isolated": [1, 2], "arcs": []}, "through": []}
+    obj[row] = {"isolated": [], "arcs": []}
+    obj[row][field] = value
+    with pytest.raises(DiagramError, match="is not an integer"):
+        parse_diagram(obj)
+
+
 def test_round_trip_is_byte_stable(fixtures_dir):
     for name in ("five_vertex_datum", "product_demo_top", "product_demo_bottom"):
         raw = (fixtures_dir / f"{name}.json").read_text()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -364,25 +365,35 @@ def _restricted(m, columns):
                          + [(3, [3]), (6, [3])],
                          ids=[f"N{N}-n<=2" for N in range(2, 9)] + ["N3-n3", "N6-n3"])
 def test_realize_on_columns_equals_the_restricted_realization(N, ns):
+    # Slot contents select the Fock-mask-0 columns whose slot p holds a
+    # content of contents[p].
     rng = random.Random(N)
     for n in ns:
         space = SpaceSpec(N, n)
         dim = space.total_dim
+
+        def columns(contents):
+            return [space.encode(slots, 0) for slots in itertools.product(*contents)]
         for d in enumerate_basis(n):
             full = realize_diagram(d, space)
-            assert realize_diagram(d, space, []) == LinearMap.zero(dim, dim)
-            assert realize_diagram(d, space, range(dim)) == full
+            every = [range(N)] * n
+            for p in range(n):
+                empty = every[:p] + [[]] + every[p + 1:]
+                assert realize_diagram(d, space, empty) == LinearMap.zero(dim, dim)
+            assert realize_diagram(d, space, every) == _restricted(full, columns(every))
             for _ in range(3):
-                columns = rng.sample(range(dim), rng.randint(1, min(dim, 96)))
-                part = realize_diagram(d, space, columns)
-                assert part == _restricted(full, columns), (d, columns)
+                contents = [rng.sample(range(N), rng.randint(1, N)) for _ in range(n)]
+                part = realize_diagram(d, space, contents)
+                assert part == _restricted(full, columns(contents)), (d, contents)
 
 
-@pytest.mark.parametrize("column", [-1, 64])
-def test_realize_rejects_a_column_outside_the_space(column):
+@pytest.mark.parametrize("contents", [
+    [(0,), (-1,)], [(0,), (4,)], [(0,), (64,)], [(0,)], [(0,), (1,), (2,)],
+], ids=["-1", "4", "64", "one-slot", "three-slots"])
+def test_realize_rejects_a_column_outside_the_space(contents):
     d = enumerate_basis(2)[0]
-    with pytest.raises(ValueError, match="out of range"):
-        realize_diagram(d, SpaceSpec(4, 2), [0, column])
+    with pytest.raises(ValueError, match=r"must be 2 sets of contents in 0\.\.3"):
+        realize_diagram(d, SpaceSpec(4, 2), contents)
 
 
 def _digest(maps):

@@ -215,15 +215,15 @@ def test_full_rank_at_n3(N):
 
 @pytest.mark.parametrize("n, N", [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)])
 def test_block_columns_see_only_top_arcs_inside_their_set(n, N):
-    # The property the block certificate rests on: on the columns of a
-    # top-arc set A, a diagram vanishes unless its top arcs lie inside A,
-    # and A's own group does not vanish.
+    # The property the block certificate rests on: on the columns that the
+    # slot contents of a top-arc set A select, a diagram vanishes unless its
+    # top arcs lie inside A, and A's own group does not vanish.
     space = SpaceSpec(N, n)
     basis = enumerate_basis(n)
     for arcs in {d.top_arcs for d in basis}:
-        columns = verify._block_columns(arcs, space)
+        contents = verify._block_contents(arcs, space)
         for d in basis:
-            nnz = realize_diagram(d, space, columns).nnz()
+            nnz = realize_diagram(d, space, contents).nnz()
             if not set(d.top_arcs) <= set(arcs):
                 assert nnz == 0, (d, arcs)
             elif d.top_arcs == arcs:
