@@ -36,11 +36,9 @@ from .multiply import (
     stitch_and_resolve,
 )
 from .realization import (
-    SoSymbol,
     SpaceSpec,
     act_gamma,
     act_so,
-    apply_fock_operator,
     commutant_dimension,
     realize_diagram,
     so_basis,

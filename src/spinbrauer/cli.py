@@ -32,6 +32,7 @@ from .verify import (
     DEFAULT_DIMENSION_BOUND,
     ResourceBoundError,
     VerificationReport,
+    _EQUIVARIANT_FAMILIES,
     _check_bound,
 )
 
@@ -153,9 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--map-kind", default="projection",
-                   choices=("projection", "injection", "immersion",
-                            "contraction", "swap", "invariant"))
+    p.add_argument("--map-kind", default="projection", choices=tuple(_EQUIVARIANT_FAMILIES))
     p.add_argument("--type", dest="circuit_type", default="IV",
                    choices=("I", "II", "III", "IV", "V"))
     p.add_argument("--arcs", type=int, default=0)

@@ -45,6 +45,10 @@ __all__ = [
 
 DEFAULT_ENUMERATION_BOUND = 5
 
+# The largest n whose partitions into blocks of size 1 or 2 are listed
+# (140,152 of them at n = 12).
+_PARTITION_BOUND = 12
+
 Arc = tuple[int, int]
 
 
@@ -514,12 +518,12 @@ def _row_of(part: Partition,
 # --- basis enumeration ------------------------------------------------------
 
 
-def enumerate_size_le2_partitions(n: int, bound: int = 12) -> list[Partition]:
+def enumerate_size_le2_partitions(n: int) -> list[Partition]:
     """All partitions of {1..n} into blocks of size 1 or 2 (count = involution numbers)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds bound {bound}")
+    if n > _PARTITION_BOUND:
+        raise ValueError(f"n={n} exceeds bound {_PARTITION_BOUND}")
 
     def rec(verts: tuple[int, ...]) -> Iterator[tuple[Block, ...]]:
         if not verts:

@@ -2,7 +2,9 @@
 
 V is the N-dimensional orthogonal space W + W* (+ C e for odd N) with
 pairing omega(w_i, w_j*) = delta_ij, omega(e, e) = 1; Delta is the exterior
-algebra on W, modeled on bitmasks with fermionic wedge/contraction operators.
+algebra on W, modeled on bitmasks (bit i-1 set when w_i is in the wedge).
+Each basis vector of V is one content code: w_i is i-1, w_i* is m+i-1 and
+e is 2m.
 
 Two primitives define the spin side; everything else derives from them.
 The Clifford action gamma (`_absorb`) sends w_i to sqrt2 times the wedge,
@@ -10,10 +12,11 @@ w_i* to sqrt2 times the contraction and e to the parity, and `_dual` names
 the content omega pairs with a content (w_i <-> w_i*, e <-> e). The
 projection applies gamma; the injection emits the dual of each content gamma
 absorbs; the invariant element of V (x) V pairs each content with its dual,
-and the contraction pairs slots by omega. A bivector u ^ v of so(N) acts on V
-by c -> omega(v, c) u - omega(u, c) v and on Delta by the commutator
-(gamma(u) gamma(v) - gamma(v) gamma(u)) / 4; the odd reflection acts on
-Delta by gamma(w_1 - w_1*) / 2.
+and the contraction pairs slots by omega. The rotation algebra so(N) is
+wedge^2 V, spanned by the bivectors u ^ v of distinct contents, each named
+by its content pair (u, v): it acts on V by c -> omega(v, c) u - omega(u, c) v
+and on Delta by the commutator (gamma(u) gamma(v) - gamma(v) gamma(u)) / 4;
+the odd reflection acts on Delta by gamma(w_1 - w_1*) / 2.
 
 A diagram acts through the equivariant building blocks: contractions on top
 arcs, one projection per top isolated vertex (in label order), a tensor-slot
@@ -34,8 +37,6 @@ from .linalg import LinearMap, PairColumn
 __all__ = [
     "SpaceSpec",
     "BLOCKS",
-    "SoSymbol",
-    "apply_fock_operator",
     "omega_pairing",
     "so_basis",
     "act_so",
@@ -82,8 +83,8 @@ class SpaceSpec:
     def with_n(self, n: int) -> SpaceSpec:
         return SpaceSpec(self.N, n)
 
-    # V-basis content codes: 0..m-1 are w_1..w_m, m..2m-1 are w_1*..w_m*,
-    # and 2m is e (odd N only).
+    # A basis vector is one content per slot (the codes of the module
+    # docstring) and a Fock mask.
 
     def encode(self, slots: Sequence[int], mask: int) -> int:
         idx = 0
@@ -97,48 +98,7 @@ class SpaceSpec:
                 yield slots, mask
 
 
-# --- fermionic operators on the Fock model of Delta -------------------------
-
-
-def _wedge(i0: int, mask: int) -> Optional[tuple[int, int]]:
-    """Prepend w_{i0+1} to a sorted wedge: sign counts set bits below i0."""
-    bit = 1 << i0
-    if mask & bit:
-        return None
-    sign = -1 if bin(mask & (bit - 1)).count("1") % 2 else 1
-    return sign, mask | bit
-
-
-def _contract(i0: int, mask: int) -> Optional[tuple[int, int]]:
-    """Remove w_{i0+1} from a sorted wedge; same sign count."""
-    bit = 1 << i0
-    if not mask & bit:
-        return None
-    sign = -1 if bin(mask & (bit - 1)).count("1") % 2 else 1
-    return sign, mask & ~bit
-
-
-def _parity(mask: int) -> int:
-    return -1 if bin(mask).count("1") % 2 else 1
-
-
-def apply_fock_operator(op: tuple, space: SpaceSpec, mask: int) -> Optional[tuple[int, int]]:
-    """Apply a wedge ("X", i), contraction ("Dstar", i) or parity ("parity",).
-
-    Indices are 1-based and bounded by m; returns (sign, new mask) or None
-    when the operator annihilates the basis vector.
-    """
-    kind = op[0]
-    if kind == "parity":
-        return _parity(mask), mask
-    i = op[1]
-    if not 1 <= i <= space.m:
-        raise ValueError(f"mode index {i} outside 1..{space.m}")
-    if kind == "X":
-        return _wedge(i - 1, mask)
-    if kind == "Dstar":
-        return _contract(i - 1, mask)
-    raise ValueError(f"unknown operator {op!r}")
+# --- the orthogonal pairing ------------------------------------------------
 
 
 def _dual(c: int, space: SpaceSpec) -> int:
@@ -167,22 +127,19 @@ def _times(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 def _absorb(c: int, mask: int, space: SpaceSpec) -> Optional[tuple[int, int, int]]:
     """The Clifford action gamma of one slot content on Delta.
 
-    w_i wedges and w_i* contracts mode i (each scaled by sqrt2); e acts by the
-    parity. The projection absorbs a slot's content this way. Returns
-    (a, b, new mask) for the factor a + b sqrt2, or None when the basis
-    vector is annihilated.
+    w_i wedges and w_i* contracts mode i (each scaled by sqrt2), with the
+    sign of the occupied modes below i, which a sorted wedge lists first; e
+    acts by the parity. The projection absorbs a slot's content this way.
+    Returns (a, b, new mask) for the factor a + b sqrt2, or None when the
+    basis vector is annihilated.
     """
     m = space.m
-    if c < m:
-        res = _wedge(c, mask)
-    elif c < 2 * m:
-        res = _contract(c - m, mask)
-    else:
-        return _parity(mask), 0, mask
-    if res is None:
+    if c == 2 * m:
+        return (-1 if bin(mask).count("1") % 2 else 1), 0, mask
+    bit = 1 << (c if c < m else c - m)
+    if bool(mask & bit) == (c < m):  # wedge onto an occupied mode, or contract an empty one
         return None
-    sign, mk = res
-    return 0, sign, mk
+    return 0, (-1 if bin(mask & (bit - 1)).count("1") % 2 else 1), mask ^ bit
 
 
 def _emit(mask: int, space: SpaceSpec) -> list[tuple[int, int, int, int]]:
@@ -304,70 +261,39 @@ BLOCKS = {"projection": (projection_map, -1), "injection": (injection_map, 1),
 # --- the rotation Lie algebra action -----------------------------------------
 
 
-@dataclass(frozen=True)
-class SoSymbol:
-    """Basis element of so(N) in the isotropic decomposition of wedge^2 V.
+def so_basis(space: SpaceSpec) -> list[tuple[int, int]]:
+    """The bivectors u ^ v spanning so(N), each as its content pair (u, v).
 
-    kinds ("raising", i, j): w_i ^ w_j;     ("lowering", i, j): w_i* ^ w_j*;
-          ("mixed", i, j):   w_i ^ w_j*;    ("raising_e", i):   w_i ^ e;
-          ("lowering_e", i): e ^ w_i*.      Indices are 1-based.
+    Every unordered pair of distinct contents appears once, in the isotropic
+    order: w_i ^ w_j and w_i* ^ w_j* for i < j, then w_i ^ w_j*, then (odd N)
+    w_i ^ e and e ^ w_i*.
     """
-
-    kind: str
-    i: int
-    j: int = 0
-
-
-def so_basis(space: SpaceSpec) -> list[SoSymbol]:
-    m = space.m
-    out: list[SoSymbol] = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            out.append(SoSymbol("raising", i, j))
-            out.append(SoSymbol("lowering", i, j))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            out.append(SoSymbol("mixed", i, j))
+    m, e = space.m, 2 * space.m
+    out: list[tuple[int, int]] = []
+    for i, j in itertools.combinations(range(m), 2):
+        out += [(i, j), (m + i, m + j)]
+    out += [(i, m + j) for i in range(m) for j in range(m)]
     if space.odd:
-        for i in range(1, m + 1):
-            out.append(SoSymbol("raising_e", i))
-            out.append(SoSymbol("lowering_e", i))
+        for i in range(m):
+            out += [(i, e), (e, m + i)]
     return out
 
 
-def _bivector(sym: SoSymbol, space: SpaceSpec) -> tuple[int, int]:
-    """The contents (u, v) of the bivector u ^ v a symbol stands for."""
-    m = space.m
-
-    def w(k: int) -> int:
-        if not 1 <= k <= m:
-            raise ValueError(f"mode index {k} outside 1..{m}")
-        return k - 1
-
-    kinds = {"raising": lambda: (w(sym.i), w(sym.j)),
-             "lowering": lambda: (m + w(sym.i), m + w(sym.j)),
-             "mixed": lambda: (w(sym.i), m + w(sym.j)),
-             "raising_e": lambda: (w(sym.i), 2 * m),
-             "lowering_e": lambda: (2 * m, m + w(sym.i))}
-    if sym.kind not in kinds:
-        raise ValueError(f"unknown so symbol kind {sym.kind!r}")
-    return kinds[sym.kind]()
-
-
-def _v_action(sym: SoSymbol, c: int, space: SpaceSpec) -> list[tuple[int, int]]:
+def _v_action(pair: tuple[int, int], c: int, space: SpaceSpec) -> list[tuple[int, int]]:
     """Action on one V-basis content, c -> omega(v, c) u - omega(u, c) v."""
-    u, v = _bivector(sym, space)
+    u, v = pair
     terms = [(omega_pairing(v, c, space), u), (-omega_pairing(u, c, space), v)]
     return [(coeff, nc) for coeff, nc in terms if coeff]
 
 
-def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[int, int, int]]:
+def _spin_action(pair: tuple[int, int], mask: int,
+                 space: SpaceSpec) -> list[tuple[int, int, int]]:
     """Action on one Fock basis vector of Delta, the commutator quarter.
 
     The bivector u ^ v acts by (gamma(u) gamma(v) - gamma(v) gamma(u)) / 4.
     Returns the terms as (a, b, new mask) for the coefficient (a + b sqrt2)/2.
     """
-    u, v = _bivector(sym, space)
+    u, v = pair
     out: dict[int, tuple[int, int]] = {}
     for x, y, s in ((u, v, 1), (v, u, -1)):
         first = _absorb(y, mask, space)
@@ -380,12 +306,12 @@ def _spin_action(sym: SoSymbol, mask: int, space: SpaceSpec) -> list[tuple[int, 
     return [(a // 2, b // 2, mk) for mk, (a, b) in out.items() if a or b]
 
 
-def act_so(sym: SoSymbol, space: SpaceSpec) -> LinearMap:
-    """Derivation action of an so(N) basis element on V^(x)n (x) Delta."""
-    if (sym.kind in ("raising_e", "lowering_e")) and not space.odd:
-        raise ValueError(f"{sym.kind} requires odd N")
-    v_terms = [_v_action(sym, c, space) for c in range(space.N)]
-    spin_terms = [_spin_action(sym, mask, space) for mask in range(space.fock_dim)]
+def act_so(pair: tuple[int, int], space: SpaceSpec) -> LinearMap:
+    """Derivation action of the bivector u ^ v, pair = (u, v), on V^(x)n (x) Delta."""
+    if len(pair) != 2 or pair[0] == pair[1] or not all(c in range(space.N) for c in pair):
+        raise ValueError(f"{pair!r} is not a pair of distinct contents in 0..{space.N - 1}")
+    v_terms = [_v_action(pair, c, space) for c in range(space.N)]
+    spin_terms = [_spin_action(pair, mask, space) for mask in range(space.fock_dim)]
 
     def rule(slots, mask):
         # coefficients (a + b sqrt2)/2

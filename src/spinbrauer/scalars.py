@@ -154,7 +154,13 @@ class DeltaPolynomial:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> DeltaPolynomial:
-        return cls((int(e), int(c)) for e, c in pairs)
+        """Inverse of to_pairs, as strict as the JSON boundary it serves: every
+        exponent and coefficient must be an int (not a float, a bool or a
+        numeric string)."""
+        out = [(e, c) for e, c in pairs]
+        if any(type(x) is not int for pair in out for x in pair):
+            raise TypeError(f"{out!r} is not a list of integer [exponent, coefficient] pairs")
+        return cls(out)
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -25,7 +25,6 @@ from .linalg import LinearMap, independent_mod_p, rank_of_vectors
 from .multiply import multiply_diagrams, multiply_elements
 from .realization import (
     BLOCKS,
-    SoSymbol,
     SpaceSpec,
     act_gamma,
     act_so,
@@ -189,24 +188,24 @@ def verify_equivariance(N: int, map_kind: str,
     for dom, cod, _ in family:
         _check_bound(dom, bound)
         _check_bound(cod, bound)
-    # The family's spaces repeat, so each action is built once: symbol None
-    # stands for the odd reflection.
-    actions: dict[tuple[Optional[SoSymbol], SpaceSpec], LinearMap] = {}
+    # The family's spaces repeat, so each action is built once: the pair
+    # None stands for the odd reflection.
+    actions: dict[tuple[Optional[tuple[int, int]], SpaceSpec], LinearMap] = {}
 
-    def action(sym: Optional[SoSymbol], space: SpaceSpec) -> LinearMap:
-        if (sym, space) not in actions:
-            actions[sym, space] = act_gamma(space) if sym is None else act_so(sym, space)
-        return actions[sym, space]
+    def action(pair: Optional[tuple[int, int]], space: SpaceSpec) -> LinearMap:
+        if (pair, space) not in actions:
+            actions[pair, space] = act_gamma(space) if pair is None else act_so(pair, space)
+        return actions[pair, space]
 
     for dom, cod, pos in family:
         fmap = build(dom, *pos)
-        for sym in (*so_basis(dom), None):
-            lhs = fmap @ action(sym, dom)
-            rhs = action(sym, cod) @ fmap
+        for pair in (*so_basis(dom), None):
+            lhs = fmap @ action(pair, dom)
+            rhs = action(pair, cod) @ fmap
             if lhs != rhs:
                 return VerificationReport(
                     "equivariance", params, False,
-                    {"symbol": "gamma" if sym is None else repr(sym), "n": dom.n,
+                    {"symbol": "gamma" if pair is None else repr(pair), "n": dom.n,
                      "positions": repr(pos), "entry": _first_entry(lhs, rhs)},
                 )
     return VerificationReport("equivariance", params, True)

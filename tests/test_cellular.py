@@ -57,6 +57,11 @@ def test_partitions_reject_negative_n():
         enumerate_size_le2_partitions(-1)
 
 
+def test_partitions_reject_n_above_the_bound():
+    with pytest.raises(ValueError, match="n=13 exceeds bound 12"):
+        enumerate_size_le2_partitions(13)
+
+
 def test_singleton_counter():
     p = blocks((1, 2), (3,), (4,))
     assert m1(p) == 2 and singletons(p) == ((3,), (4,))

@@ -244,6 +244,16 @@ def test_verify_cli_matches_direct_call(name):
     assert out == json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def test_verify_map_kinds_are_the_equivariance_families(capsys):
+    from spinbrauer.verify import _EQUIVARIANT_FAMILIES
+
+    for kind in _EQUIVARIANT_FAMILIES:
+        assert run(["verify", "equivariance", "--N", "2", "--map-kind", kind])[0] == 0
+    for kind in ("bogus", "", "gamma"):
+        assert run(["verify", "equivariance", "--N", "2", "--map-kind", kind])[0] == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,dim,bound", [
     (["clifford", "--N", "6", "--bound", "100"], 288, 100),
     (["equivariance", "--N", "5", "--map-kind", "invariant", "--bound", "10"], 100, 10),

@@ -11,6 +11,7 @@ from spinbrauer.diagrams import (
     DiagramError,
     LabeledDiagram,
     SpinDiagram,
+    emit_diagram,
     enumerate_basis,
     identity_diagram,
     involution,
@@ -195,6 +196,18 @@ def test_element_json_round_trip():
     assert AlgebraElement.from_json(elem.to_json()) == elem
     with pytest.raises(DiagramError):
         AlgebraElement.from_json({"terms": []})
+
+
+def test_element_json_coefficients_are_strict_integers():
+    # As strict as the diagram: a float, a bool or a numeric string in a
+    # coefficient pair is rejected, not rounded or cast.
+    term = {"coeff": [[1.5, 2.7], [True, "3"]], "diagram": emit_diagram(DEMO_TOP)}
+    with pytest.raises(TypeError):
+        AlgebraElement.from_json({"terms": [term]})
+    elem = AlgebraElement.from_diagram(DEMO_TOP, D(2) * 3 - 5)
+    text = json.dumps(elem.to_json())
+    assert AlgebraElement.from_json(text) == elem
+    assert json.loads(text)["terms"][0]["coeff"] == [[0, -5], [2, 3]]
 
 
 def test_identity_laws():

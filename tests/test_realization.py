@@ -11,11 +11,12 @@ from spinbrauer.linalg import LinearMap
 from spinbrauer.multiply import multiply_diagrams
 from spinbrauer.realization import (
     BLOCKS,
-    SoSymbol,
     SpaceSpec,
+    _absorb,
+    _times,
+    _v_action,
     act_gamma,
     act_so,
-    apply_fock_operator,
     commutant_dimension,
     contraction_map,
     immersion_map,
@@ -33,63 +34,34 @@ ONE = RootTwoNumber(1)
 SQRT2 = RootTwoNumber(0, 1)
 
 
-def fock_maps(space, op):
-    dim = space.fock_dim
-    cols = {}
-    for mask in range(dim):
-        res = apply_fock_operator(op, space, mask)
-        if res is not None:
-            sign, out = res
-            cols[mask] = {out: RootTwoNumber(sign)}
-    return LinearMap(dim, dim, cols)
-
-
 def test_wedge_inserts_at_front():
-    space = SpaceSpec(4)  # m = 2
-    assert apply_fock_operator(("X", 1), space, 0b10) == (1, 0b11)
+    space = SpaceSpec(4)  # m = 2; contents: w1 w2 w1* w2*
+    assert _absorb(0, 0b10, space) == (0, 1, 0b11)
 
 
 def test_contraction_removes_first_mode():
     space = SpaceSpec(4)
-    assert apply_fock_operator(("Dstar", 1), space, 0b11) == (1, 0b10)
+    assert _absorb(2, 0b11, space) == (0, 1, 0b10)
 
 
 def test_wedge_annihilates_occupied_mode():
     space = SpaceSpec(4)
-    assert apply_fock_operator(("X", 2), space, 0b10) is None
+    assert _absorb(1, 0b10, space) is None
 
 
-def test_index_out_of_range():
-    with pytest.raises(ValueError):
-        apply_fock_operator(("X", 3), SpaceSpec(4), 0)
-
-
-def test_anticommutators_m3():
-    space = SpaceSpec(7, 0)  # m = 3
-    ident = LinearMap.identity(space.fock_dim)
-    zero = LinearMap.zero(space.fock_dim, space.fock_dim)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            X_i, X_j = fock_maps(space, ("X", i)), fock_maps(space, ("X", j))
-            D_i, D_j = fock_maps(space, ("Dstar", i)), fock_maps(space, ("Dstar", j))
-            assert X_i @ X_j + X_j @ X_i == zero
-            assert D_i @ D_j + D_j @ D_i == zero
-            expected = ident if i == j else zero
-            assert X_i @ D_j + D_j @ X_i == expected
-    parity = fock_maps(space, ("parity",))
-    for i in range(1, 4):
-        X_i = fock_maps(space, ("X", i))
-        D_i = fock_maps(space, ("Dstar", i))
-        assert parity @ X_i + X_i @ parity == zero
-        assert parity @ D_i + D_i @ parity == zero
+def test_absorb_signs_count_the_modes_below():
+    space = SpaceSpec(5)  # m = 2; contents: w1 w2 w1* w2* e
+    assert _absorb(1, 0b01, space) == (0, -1, 0b11)  # w2 passes w1
+    assert _absorb(3, 0b11, space) == (0, -1, 0b01)
+    assert _absorb(2, 0b10, space) is None           # w1* on an empty mode
+    assert _absorb(4, 0b01, space) == (-1, 0, 0b01)  # e acts by the parity
+    assert _absorb(4, 0b11, space) == (1, 0, 0b11)
 
 
 @pytest.mark.parametrize("N", range(2, 8))
 def test_gamma_satisfies_the_clifford_relation(N):
     # gamma(u) gamma(v) + gamma(v) gamma(u) = 2 omega(u, v) on every mask,
     # with gamma's sqrt2 scaling and e's parity, in integer pairs.
-    from spinbrauer.realization import _absorb, _times
-
     space = SpaceSpec(N)
     for u in range(N):
         for v in range(N):
@@ -123,7 +95,7 @@ def vec(space, slots, mask):
 def test_mixed_symbol_action_on_v():
     # h applied to its dual partner returns the raising vector.
     space = SpaceSpec(5, 1)
-    act = act_so(SoSymbol("mixed", 1, 1), space)
+    act = act_so((0, 2), space)  # w1 ^ w1*
     out = act.apply(vec(space, (0,), 0))
     # slot part w1 -> w1 plus the spin part (-1/2 on the empty wedge).
     assert out[space.encode((0,), 0)] == RootTwoNumber(1) + RootTwoNumber(Fraction(-1, 2))
@@ -131,22 +103,28 @@ def test_mixed_symbol_action_on_v():
 
 def test_lowering_e_symbol_sends_e_to_dual():
     space = SpaceSpec(5, 1)
-    act = act_so(SoSymbol("lowering_e", 1), space)
+    act = act_so((4, 2), space)  # e ^ w1*
     out = act.apply(vec(space, (4,), 0))  # e in the only slot
     assert out[space.encode((2,), 0)] == RootTwoNumber(-1)  # -w1*
 
 
 def test_lowering_pair_on_full_wedge():
     space = SpaceSpec(5, 0)
-    act = act_so(SoSymbol("lowering", 1, 2), space)
+    act = act_so((2, 3), space)  # w1* ^ w2*
     out = act.apply({0b11: ONE})
     assert out == {0b00: RootTwoNumber(-1)}
 
 
-@pytest.mark.parametrize("sym", [
-    SoSymbol("raising", 1, 3), SoSymbol("lowering", 1), SoSymbol("mixed", 3, 1),
-    SoSymbol("raising_e", 3), SoSymbol("lowering_e", 0), SoSymbol("bogus", 1, 2),
-])
+@pytest.mark.parametrize("N", range(2, 9))
+def test_so_basis_lists_each_pair_of_distinct_contents_once(N):
+    pairs = so_basis(SpaceSpec(N))
+    assert len(pairs) == N * (N - 1) // 2  # dim so(N)
+    assert {frozenset(p) for p in pairs} == {
+        frozenset(p) for p in itertools.combinations(range(N), 2)}
+
+
+# An so(N) symbol is a pair of distinct contents in 0..N-1, here N = 5.
+@pytest.mark.parametrize("sym", [(1, 1), (0, 5), (-1, 2), (0, 1, 2), (5, 0), (0,)])
 def test_act_so_rejects_a_symbol_outside_the_basis_range(sym):
     for n in (0, 1):
         with pytest.raises(ValueError):
@@ -154,19 +132,17 @@ def test_act_so_rejects_a_symbol_outside_the_basis_range(sym):
 
 
 def test_so_action_respects_omega():
-    # skew: omega(g u, v) + omega(u, g v) = 0 for all so-basis symbols.
-    from spinbrauer.realization import _v_action, so_basis
-
+    # skew: omega(g u, v) + omega(u, g v) = 0 for every so(N) basis pair.
     for N in (4, 5):
         space = SpaceSpec(N, 0)
         dim = N
-        for sym in so_basis(space):
+        for pair in so_basis(space):
             for u in range(dim):
                 for v in range(dim):
                     total = 0
-                    for coeff, nu in _v_action(sym, u, space):
+                    for coeff, nu in _v_action(pair, u, space):
                         total += coeff * omega_pairing(nu, v, space)
-                    for coeff, nv in _v_action(sym, v, space):
+                    for coeff, nv in _v_action(pair, v, space):
                         total += coeff * omega_pairing(u, nv, space)
                     assert total == 0
 
@@ -214,8 +190,8 @@ def test_invariant_vector_annihilated():
     for N in (3, 4):
         vacuum, pair = SpaceSpec(N, 0), SpaceSpec(N, 2)
         iota = immersion_map(vacuum, 1, 2)
-        for sym in so_basis(vacuum):
-            assert act_so(sym, pair) @ iota == iota @ act_so(sym, vacuum)
+        for bivector in so_basis(vacuum):
+            assert act_so(bivector, pair) @ iota == iota @ act_so(bivector, vacuum)
 
 
 def test_contracting_an_injected_slot_is_a_projection():
@@ -418,7 +394,7 @@ def test_actions_match_golden_digest():
         for N in range(2, 8):
             for n in range(3):
                 space = SpaceSpec(N, n)
-                yield from (act_so(sym, space) for sym in so_basis(space))
+                yield from (act_so(pair, space) for pair in so_basis(space))
                 yield act_gamma(space)
     assert _digest(maps()) == (
         "898b0aa21f4c5ce7b0f8758b18c1f50665e27f48e70f345843704758a3e30ca4")

@@ -45,6 +45,12 @@ def test_pairs_round_trip():
     assert p.to_pairs() == [[0, -3], [4, 7]]
 
 
+@pytest.mark.parametrize("pairs", [[[1.5, 2]], [[1, 2.0]], [[True, 3]], [[1, "3"]], [[0, None]]])
+def test_pairs_must_hold_integers(pairs):
+    with pytest.raises(TypeError):
+        DeltaPolynomial.from_pairs(pairs)
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         DeltaPolynomial({-1: 2})

@@ -104,14 +104,15 @@ def test_homomorphism_failure_names_first_differing_entry(monkeypatch):
 def test_equivariance_failure_names_first_differing_entry(monkeypatch):
     # Doubling the action on the spin factor alone breaks the commutation.
     act_so = verify.act_so
-    monkeypatch.setattr(verify, "act_so", lambda sym, space: (
-        act_so(sym, space).scale(RootTwoNumber(2)) if space.n == 0 else act_so(sym, space)))
+    monkeypatch.setattr(verify, "act_so", lambda pair, space: (
+        act_so(pair, space).scale(RootTwoNumber(2)) if space.n == 0 else act_so(pair, space)))
     report = verify_equivariance(4, "invariant")
     assert not report.passed
     # The immersion applies after the action on the spin factor: the
     # doubled side is the left one.
     ce = report.counterexample
-    assert (ce["n"], ce["positions"]) == (0, "(1, 2)")
+    # The first so(4) basis pair, w1 ^ w2, already moves the spin factor.
+    assert (ce["symbol"], ce["n"], ce["positions"]) == ("(0, 1)", 0, "(1, 2)")
     entry = ce["entry"]
     assert 0 <= entry["row"] < 4 * 4 * 4 and 0 <= entry["col"] < 4
     left, right = (RootTwoNumber.from_json(entry[k]) for k in ("lhs", "rhs"))
@@ -312,9 +313,9 @@ def test_equivariance_builds_each_action_once(monkeypatch, map_kind):
     calls = Counter()
     act_so, act_gamma = verify.act_so, verify.act_gamma
 
-    def counted_so(sym, space):
-        calls[sym, space] += 1
-        return act_so(sym, space)
+    def counted_so(pair, space):
+        calls[pair, space] += 1
+        return act_so(pair, space)
 
     def counted_gamma(space):
         calls["gamma", space] += 1
