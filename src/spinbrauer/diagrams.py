@@ -59,7 +59,7 @@ class DiagramError(ValueError):
 def _normalize_arcs(arcs: Iterable[Sequence[int]]) -> tuple[Arc, ...]:
     out = []
     for pair in arcs:
-        a, b = int(pair[0]), int(pair[1])
+        a, b = pair[0], pair[1]
         if a == b:
             raise DiagramError(f"arc ({a},{b}) joins a vertex to itself")
         out.append((min(a, b), max(a, b)))
@@ -84,14 +84,17 @@ def _check_row(n: int, isolated: Sequence[int], arcs: Sequence[Arc],
 
 def _normalize_rows(d) -> None:
     """Put the rows of d (a SpinDiagram or LabeledDiagram under
-    construction) in canonical form and check them."""
+    construction) in canonical form and check them. n and every vertex must
+    be an int: a float, a bool or a numeric string is refused, not coerced."""
+    for v in itertools.chain((d.n,), d.top_isolated, d.bottom_isolated,
+                             *d.top_arcs, *d.bottom_arcs, *d.through):
+        if type(v) is not int:
+            raise DiagramError(f"{v!r} is not an integer")
     object.__setattr__(d, "top_isolated", tuple(d.top_isolated))
     object.__setattr__(d, "bottom_isolated", tuple(d.bottom_isolated))
     object.__setattr__(d, "top_arcs", _normalize_arcs(d.top_arcs))
     object.__setattr__(d, "bottom_arcs", _normalize_arcs(d.bottom_arcs))
-    object.__setattr__(
-        d, "through", tuple(sorted((int(i), int(j)) for i, j in d.through))
-    )
+    object.__setattr__(d, "through", tuple(sorted((i, j) for i, j in d.through)))
     if d.n < 0:
         raise DiagramError("n must be nonnegative")
     tops = [i for i, _ in d.through]

@@ -12,6 +12,12 @@ from typing import Iterable, Iterator, Mapping, Union
 __all__ = ["DeltaPolynomial", "RootTwoNumber"]
 
 
+def _check_int(x: object) -> None:
+    """Refuse a float, a bool or a numeric string, which int() would coerce."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+
+
 class DeltaPolynomial:
     """A polynomial in the circuit parameter delta with integer coefficients.
 
@@ -29,10 +35,11 @@ class DeltaPolynomial:
             items = coeffs
         table: dict[int, int] = {}
         for exp, c in items:
-            exp = int(exp)
+            _check_int(exp)
+            _check_int(c)
             if exp < 0:
                 raise ValueError(f"negative exponent {exp}")
-            c = table.get(exp, 0) + int(c)
+            c = table.get(exp, 0) + c
             if c:
                 table[exp] = c
             else:
@@ -56,13 +63,15 @@ class DeltaPolynomial:
 
     @classmethod
     def constant(cls, k: int) -> DeltaPolynomial:
-        return cls._wrap({0: int(k)} if k else {})
+        _check_int(k)
+        return cls._wrap({0: k} if k else {})
 
     @classmethod
     def delta(cls, power: int = 1) -> DeltaPolynomial:
+        _check_int(power)
         if power < 0:
             raise ValueError(f"negative exponent {power}")
-        return cls._wrap({int(power): 1})
+        return cls._wrap({power: 1})
 
     @property
     def degree(self) -> int:
@@ -80,7 +89,7 @@ class DeltaPolynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = DeltaPolynomial.constant(other)
+            return self._coeffs == ({0: other} if other else {})
         if not isinstance(other, DeltaPolynomial):
             return NotImplemented
         return self._coeffs == other._coeffs
@@ -154,13 +163,8 @@ class DeltaPolynomial:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> DeltaPolynomial:
-        """Inverse of to_pairs, as strict as the JSON boundary it serves: every
-        exponent and coefficient must be an int (not a float, a bool or a
-        numeric string)."""
-        out = [(e, c) for e, c in pairs]
-        if any(type(x) is not int for pair in out for x in pair):
-            raise TypeError(f"{out!r} is not a list of integer [exponent, coefficient] pairs")
-        return cls(out)
+        """Inverse of to_pairs; as strict as the constructor."""
+        return cls((e, c) for e, c in pairs)
 
     def __str__(self) -> str:
         if not self._coeffs:

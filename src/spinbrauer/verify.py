@@ -383,19 +383,26 @@ def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
     modulo a prime cannot raise a rank, so every group independent modulo
     one prime proves full rank exactly, with nothing flattened.
 
-    When a group fails, and always for N < 2n, the whole realizations are
-    flattened and eliminated modulo primes (see linalg) under the ceiling
-    commutant_dimension(space). The ceiling is exact: each realization is a
-    composite of the Pin(N)-equivariant blocks that verify_equivariance
-    checks, so the rank is at most dim End_Pin(N)(V^(x)n (x) Delta); the rank
-    modulo a prime is at most the rank. A prime that reaches the ceiling
-    therefore settles the rank; when the realization is onto the commutant,
-    the first prime reaches it unless it divides every maximal minor.
-    Otherwise the Hadamard bound decides.
+    When a group fails, and always for N < 2n, each diagram is realized on
+    the Fock-mask-0 columns only, those of V^(x)n (x) |0>, then flattened and
+    eliminated modulo primes (see linalg). Restricting to these columns keeps
+    the rank. Each realization is Pin(N)-equivariant, a composite of the
+    blocks that verify_equivariance checks, and g in Pin(N) maps
+    V^(x)n (x) |0> onto V^(x)n (x) g|0>. The vectors g|0> span Delta: so(N)
+    carries the vacuum onto Delta_+ (all of Delta at odd N), and the odd
+    reflection carries Delta_+ onto Delta_-. So an equivariant map, such as
+    a combination of realizations, that vanishes there is zero.
+
+    Equivariance also bounds the rank by the ceiling commutant_dimension(space)
+    = dim End_Pin(N)(V^(x)n (x) Delta), and a rank modulo a prime is at most
+    the rank, so a prime that reaches the ceiling settles it; when the
+    realization is onto the commutant, the first prime does unless it
+    divides every maximal minor. Otherwise the Hadamard bound decides.
     """
     if space.N >= 2 * space.n and _blocks_certify(basis, space):
         return len(basis)
-    return rank_of_vectors([realize_diagram(d, space).flatten() for d in basis],
+    vacuum = [range(space.N)] * space.n
+    return rank_of_vectors([realize_diagram(d, space, vacuum).flatten() for d in basis],
                            ceiling=commutant_dimension(space))
 
 

@@ -74,7 +74,8 @@ def test_traced_rank_block_and_exact_paths(monkeypatch):
     assert blocks["realization.realize.calls"] == 10
     assert 0 < blocks["realization.realized_nnz"] < full_nnz
     assert blocks["linalg.flatten.calls"] == blocks["linalg.rank.calls"] == 0
-    # Below N = 2n every map is realized whole, flattened and eliminated.
+    # Below N = 2n every map is realized on its Fock-mask-0 columns, flattened
+    # and eliminated.
     assert eliminated["realization.realize.calls"] == 76
     assert eliminated["linalg.flatten.calls"] == 76
     assert eliminated["linalg.rank.calls"] == 1

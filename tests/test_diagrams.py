@@ -103,6 +103,20 @@ def test_parse_rejects_non_integer_vertices(row, field, value):
         parse_diagram(obj)
 
 
+@pytest.mark.parametrize("fields", [
+    (2, (), (), ((1.9, 2),), ((1, 2),), ()),
+    (2, (), (), ((1, 2),), ((1, 2),), (("1", 1.2),)),
+    (1, (1.0,), (1,), (), (), ()),
+    (1, (True,), (1,), (), (), ()),
+    (1.0, (), (), (), (), ((1, 1),)),
+    (True, (), (), (), (), ((1, 1),)),
+], ids=["arc-float", "through-string-float", "isolated-float", "isolated-bool",
+        "n-float", "n-bool"])
+def test_constructor_rejects_a_number_that_is_not_an_integer(fields):
+    with pytest.raises(DiagramError, match="is not an integer"):
+        SpinDiagram(*fields)
+
+
 def test_round_trip_is_byte_stable(fixtures_dir):
     for name in ("five_vertex_datum", "product_demo_top", "product_demo_bottom"):
         raw = (fixtures_dir / f"{name}.json").read_text()

@@ -8,12 +8,17 @@ from hypothesis import given, strategies as st
 from spinbrauer import linalg
 from spinbrauer.diagrams import enumerate_basis
 from spinbrauer.linalg import LinearMap, rank_of_vectors
-from spinbrauer.realization import SpaceSpec, realize_diagram
+from spinbrauer.realization import SpaceSpec, act_so, realize_diagram, so_basis
 from spinbrauer.scalars import RootTwoNumber
 
 
 def r2(a, b=0):
     return RootTwoNumber(a, b)
+
+
+def as_pairs(vec):
+    """A RootTwoNumber vector as the integer pairs rank_of_vectors takes."""
+    return LinearMap(1, max(vec, default=-1) + 1, {0: vec}).flatten()
 
 
 def random_map(rng, rows, cols, density=0.3, fractional=False):
@@ -47,6 +52,16 @@ def test_span_of_realized_basis_on_one_strand():
     vectors = [realize_diagram(d, space).flatten() for d in enumerate_basis(1)]
     assert len(vectors) == 2
     assert rank_of_vectors(vectors) == 2
+
+
+def test_flatten_is_den_times_entries_as_pairs():
+    space = SpaceSpec(3, 1)
+    m = act_so(so_basis(space)[0], space)
+    den = m._den
+    assert den == 2  # the so(N) action halves
+    flat = {r * m.domain_dim + j: (int(v.a * den), int(v.b * den)) for r, j, v in m.entries()}
+    assert m.flatten() == flat
+    assert all(type(x) is int for pair in m.flatten().values() for x in pair)
 
 
 def test_compose_dimension_check():
@@ -252,9 +267,10 @@ def spanned_vectors(draw):
 @given(spanned_vectors(), st.integers(0, 3))
 def test_rank_matches_elimination_over_q_sqrt2(vectors, slack):
     rank = exact_rank(vectors)
-    assert rank_of_vectors(vectors) == rank
+    pairs = [as_pairs(v) for v in vectors]
+    assert rank_of_vectors(pairs) == rank
     # A true ceiling, reached or not, never changes the answer.
-    assert rank_of_vectors(vectors, ceiling=rank + slack) == rank
+    assert rank_of_vectors(pairs, ceiling=rank + slack) == rank
     length = len(vectors[0])
     as_map = LinearMap(len(vectors), length, dict(enumerate(vectors)))
     assert as_map.rank() == rank
@@ -285,19 +301,19 @@ def test_rank_when_the_first_prime_kills_an_entry():
     # s - sqrt2 is nonzero, but s is a square root of 2 mod the first prime.
     vectors = [{0: RootTwoNumber(SQRT2_MOD_P0, -1)}]
     assert linalg._rank_mod([{0: (SQRT2_MOD_P0, -1)}], P0) == 0
-    assert rank_of_vectors(vectors) == 1
+    assert rank_of_vectors([{0: (SQRT2_MOD_P0, -1)}]) == 1
     assert LinearMap(1, 1, dict(enumerate(vectors))).rank() == 1
 
 
 def test_rank_when_the_first_prime_divides_a_minor():
     # diag(1, P0) has rank 1 mod P0; dividing out row contents already helps.
     diag = [{0: r2(1)}, {1: r2(P0)}]
-    assert rank_of_vectors(diag) == 2
+    assert rank_of_vectors(map(as_pairs, diag)) == 2
     assert LinearMap(2, 2, dict(enumerate(diag))).rank() == 2
     # The same determinant P0 with primitive rows, which stay rank 1 mod P0.
     rows = [{0: r2(1), 1: r2(1)}, {0: r2(1), 1: r2(1 + P0)}]
     assert linalg._rank_mod([{0: (1, 0), 1: (1, 0)}, {0: (1, 0), 1: (1 + P0, 0)}], P0) == 1
-    assert rank_of_vectors(rows) == 2
+    assert rank_of_vectors(map(as_pairs, rows)) == 2
     assert LinearMap(2, 2, dict(enumerate(rows))).rank() == 2
 
 
@@ -319,7 +335,7 @@ def test_deficient_rank_of_multiples():
     # Rank 1: the bound must stop the search, not a full rank.
     v = {0: r2(3, 1), 2: RootTwoNumber(Fraction(1, 2), Fraction(-1, 3))}
     vectors = [v, {i: c * RootTwoNumber(5, -2) for i, c in v.items()}, {}]
-    assert rank_of_vectors(vectors) == 1
+    assert rank_of_vectors(map(as_pairs, vectors)) == 1
     assert rank_of_vectors([]) == 0
 
 
@@ -339,7 +355,7 @@ def counted_rank_mod(monkeypatch):
 def test_ceiling_reached_stops_after_one_prime(monkeypatch):
     # Rank 1 with entries near 2^40: the Hadamard bound for rank 2 is ~2^162.
     v = {0: r2(2 ** 40 + 1, 3), 2: r2(2 ** 40 + 3, -1)}
-    vectors = [v, {i: c * r2(5, -2) for i, c in v.items()}]
+    vectors = [as_pairs(v), as_pairs({i: c * r2(5, -2) for i, c in v.items()})]
     calls = counted_rank_mod(monkeypatch)
     assert rank_of_vectors(vectors) == 1
     assert len(calls) > 1  # the Hadamard bound needs more than one prime
@@ -365,4 +381,4 @@ def test_ceiling_not_the_rank_changes_nothing(monkeypatch, n, N, offset):
 
 def test_ceiling_is_keyword_only():
     with pytest.raises(TypeError):
-        rank_of_vectors([{0: r2(1)}], 1)
+        rank_of_vectors([{0: (1, 0)}], 1)

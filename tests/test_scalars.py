@@ -51,6 +51,21 @@ def test_pairs_must_hold_integers(pairs):
         DeltaPolynomial.from_pairs(pairs)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DeltaPolynomial({0: 1.5}),
+    lambda: DeltaPolynomial({0.9: 2}),
+    lambda: DeltaPolynomial({True: 2}),
+    lambda: DeltaPolynomial([(0, "3")]),
+    lambda: DeltaPolynomial.constant(2.7),
+    lambda: DeltaPolynomial.constant(True),
+    lambda: DeltaPolynomial.delta(1.5),
+], ids=["coeff-float", "exp-float", "exp-bool", "coeff-string", "constant-float",
+        "constant-bool", "delta-float"])
+def test_non_integers_rejected(build):
+    with pytest.raises(TypeError, match="is not an integer"):
+        build()
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         DeltaPolynomial({-1: 2})

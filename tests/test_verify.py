@@ -7,7 +7,7 @@ import pytest
 from spinbrauer import cellular, linalg, verify
 from spinbrauer.diagrams import AlgebraElement, SpinDiagram, enumerate_basis, parse_diagram
 from spinbrauer.multiply import multiply_diagrams
-from spinbrauer.realization import SpaceSpec, realize_diagram
+from spinbrauer.realization import SpaceSpec, commutant_dimension, realize_diagram
 from spinbrauer.scalars import DeltaPolynomial, RootTwoNumber
 from spinbrauer.verify import (
     ResourceBoundError,
@@ -270,6 +270,28 @@ def test_rank_elimination_stops_at_the_commutant_dimension(monkeypatch):
     monkeypatch.setattr(linalg, "_rank_mod", counted)
     assert verify_rank(3, 5).info["rank"] == 75
     assert calls == {"_rank_mod": 1}
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_vacuum_columns_keep_the_rank(n):
+    # V^(x)n (x) |0> generates V^(x)n (x) Delta under Pin(N); the restricted
+    # rank is found without a ceiling, the whole one under the true ceiling.
+    basis = enumerate_basis(n)
+    for N in range(2, 6):
+        space = SpaceSpec(N, n)
+        whole = [realize_diagram(d, space).flatten() for d in basis]
+        vacuum = [realize_diagram(d, space, [range(N)] * n).flatten() for d in basis]
+        assert linalg.rank_of_vectors(vacuum) == linalg.rank_of_vectors(
+            whole, ceiling=commutant_dimension(space)), (n, N)
+
+
+def test_rank_path_builds_no_root_two_number(monkeypatch):
+    def refuse(self, a=0, b=0):
+        raise AssertionError("a RootTwoNumber was built")
+
+    monkeypatch.setattr(RootTwoNumber, "__init__", refuse)
+    assert verify_rank(3, 2).info["rank"] == 20
+    assert verify_rank(2, 6).info["rank"] == 10
 
 
 @pytest.mark.parametrize("n", range(4))
