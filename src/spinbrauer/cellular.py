@@ -23,7 +23,7 @@ from .diagrams import (
     cell_encode,
     singletons,
 )
-from .multiply import multiply_diagrams
+from .multiply import _normal_form, _stitch, default_strategy, multiply_diagrams
 from .scalars import DeltaPolynomial
 
 __all__ = [
@@ -212,18 +212,14 @@ def literal_pairing_rules(
 
     comp_to_s = {c: i for i, c in enumerate(s_comps)}
     comp_to_t = {c: j for j, c in enumerate(t_comps)}
-    perm: dict[int, int] = {}
-    for i, j in crossings:
-        assert i not in perm
-        perm[i] = j
+    perm = dict(crossings)
     for s_pos, t_pos in pairs:
-        cs = gamma_comps[union[s_pos]]
-        ct = gamma_comps[union[t_pos]]
-        i = comp_to_s[cs]
-        j = comp_to_t[ct]
-        assert i not in perm
-        perm[i] = j
-    assert sorted(perm) == list(range(ell))
+        i = comp_to_s[gamma_comps[union[s_pos]]]
+        if i in perm:
+            raise RuntimeError(f"S-origin {i} assigned twice")
+        perm[i] = comp_to_t[gamma_comps[union[t_pos]]]
+    if sorted(perm) != list(range(ell)) or sorted(perm.values()) != list(range(ell)):
+        raise RuntimeError(f"assembled {perm} is not a permutation of {ell} strings")
     return len(gamma_S), tuple(perm[i] for i in range(ell))
 
 
@@ -254,9 +250,13 @@ def _maximal_term(
     ell: int, top: SpinDiagram, bottom: SpinDiagram
 ) -> Optional[tuple[SpinDiagram, DeltaPolynomial]]:
     """The single term of the product with ell through strings, or None when
-    there is none; CellFormError when there are several."""
-    leading = [(d, c) for d, c in multiply_diagrams(top, bottom).terms.items()
-               if d.through_count >= ell]
+    there is none; CellFormError when there are several.
+
+    The normal form runs with floor ell: states that cannot reach ell through
+    strings are never expanded, and the terms it keeps are exact.
+    """
+    closed, state = _stitch(top, bottom)
+    leading = list(_normal_form(top.n, state, {closed: 1}, default_strategy, ell).items())
     if len(leading) > 1:
         raise CellFormError(f"maximal part spreads over {len(leading)} diagrams")
     return leading[0] if leading else None
@@ -292,7 +292,8 @@ def phi_ell(
         return None
     d, coeff = term
     ell2, t = cell_encode(d)
-    assert ell2 == ell
+    if ell2 != ell:
+        raise RuntimeError(f"maximal term has {ell2} through strings, not {ell}")
     join = join_partitions(x, y)
     comp_of: dict[int, int] = {}
     for ci, block in enumerate(join):
@@ -310,7 +311,9 @@ def _divide_by_power_of_two(p: DeltaPolynomial, k: int) -> DeltaPolynomial:
     out = {}
     for e, c in p.to_pairs():
         q, r = divmod(c, 2**k)
-        assert r == 0, "coefficient not divisible by the transposition factor"
+        if r:
+            raise ArithmeticError(
+                f"coefficient {c} of delta^{e} not divisible by the transposition factor 2^{k}")
         out[e] = q
     return DeltaPolynomial(out)
 

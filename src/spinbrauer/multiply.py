@@ -25,13 +25,34 @@ of two different circuit pairs fuses them into one. Distinct rewrite paths
 meet at common intermediates, so each distinct intermediate is expanded only
 once, carrying the sum of the coefficients of all paths into it.
 
+A caller that needs only the terms with at least some number of through
+strings (the floor) can leave out every state that cannot reach it. The
+bound _reach(state) is len(through) + min(#top labels, #bottom labels)
+while circuit pairs remain, and len(through) + the bracket matching of
+bottom labels (opening) against later top labels (closing) once none do. It
+never increases along a rewrite:
+* a swap keeps the label counts and, with no pairs left, either keeps the
+  row pattern or turns a (bottom, top) descent into (top, bottom), which
+  cannot add a matched pair;
+* a join of a top and a bottom label adds one through string and takes one
+  off the minimum, or an adjacent matched pair off the matching; any other
+  join removes labels of one row or none;
+* the matching never exceeds the minimum, so dropping the last pair cannot
+  raise the bound either.
+
+On a canonical state every top label comes first, so the bound is the
+through count. Hence every path to a term at or above the floor runs
+through states at or above it, and the DAG cut to those states gives
+exactly those terms with their exact coefficients.
+
 Inside the normal form an intermediate is a plain tuple
 (top_arcs, bottom_arcs, through, word). word[k] holds label k + 1: a top-row
 vertex v is stored as v, a bottom-row vertex v as n + v, and both ends of
 circuit pair j as -j, the pairs numbered -1, -2, ... by the position of their
 first end. Labels are positions, so deleting an entry renumbers the rest, and
 equal intermediates are equal tuples. LabeledDiagram is only the boundary
-form: stitch_and_resolve returns one and clifford_normalize takes one.
+form: stitch_and_resolve returns one and clifford_normalize takes one, while
+their state-level cores _stitch and _normal_form pass states.
 """
 
 from __future__ import annotations
@@ -135,8 +156,9 @@ def _joined(x: int, y: int, n: int) -> tuple[int, Arc]:
     return 2, (a, b - n)
 
 
-def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolution:
-    """Stack `top` over `bottom` and resolve every middle-row component.
+def _stitch(top: SpinDiagram, bottom: SpinDiagram) -> tuple[int, State]:
+    """Stack `top` over `bottom` and resolve every middle-row component;
+    returns (closed, state), the state settled.
 
     Middle vertex v has an upper end (in the bottom row of `top`) and a lower
     end (in the top row of `bottom`). Each end leads along an arc to another
@@ -145,9 +167,9 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
     isolated at some word position. Following both ends of v gives the
     component's two far ends, or brings the path back to v: a cycle.
 
-    circuits_closed counts the cycles plus the closed circuits removable
-    right away (adjacent labels); any other closed circuit survives in the
-    intermediate as a circuit pair.
+    closed counts the cycles plus the closed circuits removable right away
+    (adjacent labels); any other closed circuit survives in the state as a
+    circuit pair.
     """
     if top.n != bottom.n:
         raise DiagramError(f"cannot stack diagrams with n={top.n} and n={bottom.n}")
@@ -210,8 +232,14 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
             word[~x] = word[~y] = -pairs
 
     dropped, settled = _settle(word) if pairs else (0, tuple(word))
-    state = (*(tuple(sorted(p)) for p in parts), settled)
-    return StitchResolution(cycles + dropped, _labeled(n, state))
+    return cycles + dropped, (*(tuple(sorted(p)) for p in parts), settled)
+
+
+def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolution:
+    """Stack `top` over `bottom` and resolve every middle-row component
+    (see _stitch); the intermediate comes in its boundary form."""
+    closed, state = _stitch(top, bottom)
+    return StitchResolution(closed, _labeled(top.n, state))
 
 
 # --- normal ordering --------------------------------------------------------
@@ -281,41 +309,64 @@ def _canonical(n: int, state: State) -> SpinDiagram:
                                 top_arcs, bottom_arcs, through)
 
 
-def clifford_normalize(
-    d: LabeledDiagram,
-    coeff: Union[DeltaPolynomial, int],
-    strategy: Strategy = default_strategy,
-) -> AlgebraElement:
-    """Expand coeff * d as a Z[delta]-combination of canonical diagrams.
+def _reach(n: int, state: State) -> int:
+    """An upper bound on the through count of every canonical state that
+    state rewrites to, equal to the through count on a canonical state.
+
+    Only a join of a top and a bottom label draws a through string, and
+    while circuit pairs remain the normal form joins none. Once none
+    remain, a join needs the two labels adjacent with the bottom one first,
+    and no swap puts a bottom label back before a top one; so at most the
+    bottom labels standing before top labels, matched like brackets, can
+    still join. See the module docstring for why this never increases.
+    """
+    through, word = len(state[2]), state[3]
+    if min(word, default=0) < 0:
+        top = sum(1 for v in word if 0 < v <= n)
+        return through + min(top, sum(1 for v in word if v > n))
+    waiting = matched = 0
+    for v in word:
+        if v > n:
+            waiting += 1
+        elif waiting:
+            waiting -= 1
+            matched += 1
+    return through + matched
+
+
+def _normal_form(
+    n: int, root: State, coeff: dict[int, int], strategy: Strategy, floor: int
+) -> dict[SpinDiagram, DeltaPolynomial]:
+    """The terms of coeff * root with at least floor through strings, each
+    with its exact coefficient; root is settled and coeff an
+    {exponent: int} table without zeros.
 
     Circuit pairs are resolved first (the pair with the smallest first label,
     walking its second end down); row labels are then sorted by the given
-    strategy. The resulting element is independent of these choices.
+    strategy. The result is independent of these choices.
 
     Different rewrite paths reach the same intermediate again and again, so
     the rewrites form a DAG over the settled states. Each distinct state is
     expanded exactly once: a depth-first pass records every state's two
     successors, then the coefficients flow through the states in topological
-    order, summed over all paths into a state before they move on.
+    order, summed over all paths into a state before they move on. A state
+    whose _reach is below floor leads only to lower terms, so a positive
+    floor leaves it out of the DAG; floor 0 never computes _reach.
     """
-    n = d.n
-    if isinstance(coeff, int):
-        coeff = DeltaPolynomial.constant(coeff)
-    dropped, word = _settle(_word_of(d))
-    root = (d.top_arcs, d.bottom_arcs, d.through, word)
-    if word == tuple(sorted(word)):
+    if floor and _reach(n, root) < floor:
+        return {}
+    if root[3] == tuple(sorted(root[3])):
         # Canonical already: a settled word holds no two equal entries in a
         # row, so an ascending one holds no circuit pair either.
-        c = {e + dropped: v for e, v in coeff.items()}
-        return AlgebraElement._wrap(n, {_canonical(n, root): DeltaPolynomial._wrap(c)}
-                                    if c else {})
+        return {_canonical(n, root): DeltaPolynomial._wrap(coeff)} if coeff else {}
     # States are numbered as they are first reached (ids, states), so that a
-    # state is hashed only when a rewrite reaches it. succ[k]: the
-    # (successor, shift, factor) edges of state k, or None for a canonical
-    # state; an edge multiplies by factor * delta**shift.
+    # state is hashed only when a rewrite reaches it; a state left out for
+    # the floor is numbered -1. succ[k]: the (successor, shift, factor)
+    # edges of state k, or None for a canonical state; an edge multiplies
+    # by factor * delta**shift.
     ids = {root: 0}
     states = [root]
-    succ: dict[int, Optional[tuple]] = {}
+    succ: dict[int, Optional[list]] = {}
     post_order: list[int] = []
     stack: list[tuple[int, bool]] = [(0, False)]
     while stack:
@@ -340,18 +391,24 @@ def clifford_normalize(
                 continue
             i = strategy(pairs)
         edges = []
+        stack.append((k, True))
         for (shift, nxt), factor in ((_swap_labels(cur, i), -1), (_join_labels(cur, i, n), 2)):
             j = ids.setdefault(nxt, len(states))
             if j == len(states):
+                if floor and _reach(n, nxt) < floor:
+                    ids[nxt] = -1
+                    continue
                 states.append(nxt)
+            elif j < 0:
+                continue
             edges.append((j, shift, factor))
+            stack.append((j, False))
         succ[k] = edges
-        stack += ((k, True), (edges[0][0], False), (edges[1][0], False))
 
     # Reverse post-order is topological: every path into a state is summed
     # before the state passes its coefficient on. Coefficients flow as plain
     # {exponent: int} tables; a canonical state strips its zeros once.
-    coeffs = {0: {e + dropped: c for e, c in coeff.items()}}
+    coeffs = {0: coeff}
     terms: dict[SpinDiagram, DeltaPolynomial] = {}
     for k in reversed(post_order):
         c = coeffs.pop(k, None)
@@ -371,7 +428,26 @@ def clifford_normalize(
                 for e, v in c.items():
                     e += shift
                     acc[e] = acc.get(e, 0) + v * factor
-    return AlgebraElement._wrap(n, terms)
+    return terms
+
+
+def clifford_normalize(
+    d: LabeledDiagram,
+    coeff: Union[DeltaPolynomial, int],
+    strategy: Strategy = default_strategy,
+) -> AlgebraElement:
+    """Expand coeff * d as a Z[delta]-combination of canonical diagrams.
+
+    Circuit pairs are resolved first, then row labels are sorted by the
+    given strategy (see _normal_form); the resulting element is independent
+    of these choices.
+    """
+    if isinstance(coeff, int):
+        coeff = DeltaPolynomial.constant(coeff)
+    dropped, word = _settle(_word_of(d))
+    root = (d.top_arcs, d.bottom_arcs, d.through, word)
+    c = {e + dropped: v for e, v in coeff.items()}
+    return AlgebraElement._wrap(d.n, _normal_form(d.n, root, c, strategy, 0))
 
 
 def multiply_diagrams(

@@ -69,7 +69,8 @@ class VerificationReport:
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.passed or self.counterexample is not None
+        if not self.passed and self.counterexample is None:
+            raise ValueError(f"failed {self.check_name} report needs a counterexample")
 
     def to_json(self) -> dict:
         out = {

@@ -1,9 +1,11 @@
 import math
+import random
 from collections import Counter
 
 import pytest
 
 from conftest import DEMO_B, DEMO_BOTTOM, DEMO_TOP, assert_validated
+from spinbrauer import cellular, multiply
 from spinbrauer.cellular import (
     CellFormError,
     PhiValue,
@@ -21,6 +23,7 @@ from spinbrauer.cellular import (
 from spinbrauer.diagrams import (
     CellTriple,
     DiagramError,
+    SpinDiagram,
     cell_decode,
     cell_encode,
     enumerate_S,
@@ -29,6 +32,7 @@ from spinbrauer.diagrams import (
     identity_diagram,
     singletons,
 )
+from spinbrauer.multiply import default_strategy, multiply_diagrams
 from spinbrauer.scalars import DeltaPolynomial
 
 D = DeltaPolynomial.delta
@@ -276,6 +280,84 @@ def test_prediction_matches_the_pairing_formula_at_four():
                 outcomes[got if got in (None, CellFormError) else "term"] += 1
     assert sum(outcomes.values()) == 517
     assert outcomes[CellFormError] == 6
+
+
+def _check_floor(ell, top, bottom):
+    """The normal form with floor ell keeps exactly the terms of the
+    unpruned product with ell or more through strings, and _maximal_term
+    raises where that part holds several terms."""
+    closed, state = multiply._stitch(top, bottom)
+    pruned = multiply._normal_form(top.n, state, {closed: 1}, default_strategy, ell)
+    leading = {d: c for d, c in multiply_diagrams(top, bottom).terms.items()
+               if d.through_count >= ell}
+    assert pruned == leading, (top, bottom)
+    expected = (CellFormError if len(leading) > 1
+                else next(iter(leading.items()), None))
+    assert _outcome(cellular._maximal_term, ell, top, bottom) == expected
+    return expected
+
+
+def _reference_factors(ell, xS, yT):
+    """The reference product's factors for the middle rows (x, S), (y, T)."""
+    top = cell_decode(ell, CellTriple(xS[0], xS[1], xS[0], xS[1], tuple(range(ell))))
+    bottom = cell_decode(ell, CellTriple(yT[0], yT[1], yT[0], yT[1], tuple(range(ell))))
+    rows = cellular._middle_rows(top, bottom)
+    return [SpinDiagram(*fields) for fields in cellular._reference_fields(*rows)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_floor_keeps_the_leading_part_of_every_product(n):
+    basis = enumerate_basis(n)
+    for top in basis:
+        for bottom in basis:
+            if top.through_count == bottom.through_count:
+                _check_floor(top.through_count, top, bottom)
+
+
+def test_floor_keeps_the_leading_part_at_every_middle_datum_at_four():
+    outcomes = Counter()
+    for ell in range(5):
+        rows = enumerate_S(4, ell)
+        for xS in rows:
+            for yT in rows:
+                got = _check_floor(ell, *_reference_factors(ell, xS, yT))
+                outcomes[got if got in (None, CellFormError) else "term"] += 1
+    assert sum(outcomes.values()) == 517
+    assert outcomes[CellFormError] == 6
+
+
+def test_floor_keeps_the_leading_part_at_seeded_middle_data_at_five():
+    rng = random.Random("floor/5")
+    rows = [enumerate_S(5, ell) for ell in range(6)]
+    outcomes = Counter()
+    for _ in range(2000):
+        ell = rng.randrange(6)
+        got = _check_floor(ell, *_reference_factors(ell, rng.choice(rows[ell]),
+                                                    rng.choice(rows[ell])))
+        outcomes[got if got in (None, CellFormError) else "term"] += 1
+    # Every outcome occurs, so the comparison covers each kind.
+    assert min(outcomes.values()) > 0 and len(outcomes) == 3
+
+
+def test_prediction_refuses_diagrams_of_different_n():
+    one_string = SpinDiagram(2, (2,), (2,), (), (), ((1, 1),))
+    with pytest.raises(DiagramError, match="cannot stack"):
+        predicted_leading_term(identity_diagram(1), one_string)
+
+
+def test_phi_refuses_a_coefficient_the_transposition_factor_does_not_divide(monkeypatch):
+    # The pairing below has two_power 1; a maximal term with an odd
+    # coefficient must stop phi_ell, also under python -O.
+    maximal_term = cellular._maximal_term
+
+    def odd(*args):
+        d, coeff = maximal_term(*args)
+        return d, coeff + 1
+
+    monkeypatch.setattr(cellular, "_maximal_term", odd)
+    x = blocks((1,), (2,))
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        phi_ell(1, (x, ((1,),)), (x, ((2,),)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,31 @@ def test_cell_phi_fixture(fixtures_dir):
     assert code == 0
     expected = json.loads((fixtures_dir / "bilinear_demo_result.json").read_text())
     assert json.loads(out) == expected
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cli_process(argv, *flags):
+    """(exit code, stdout) of the command line run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, *flags, "-m", "spinbrauer.cli", *argv],
+                          stdout=subprocess.PIPE, env=env, text=True, check=False)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["cell", "phi", "--ell", "3", "bilinear_demo_x.json", "bilinear_demo_y.json"],
+    ["verify", "modmult", "--n", "2"],
+    ["verify", "cell-symmetry", "--n", "2"],
+])
+def test_optimized_interpreter_gives_the_same_output(argv, fixtures_dir):
+    # python -O strips assert statements; no answer may depend on one.
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+    plain = _cli_process(argv)
+    assert plain[0] == 0 and plain[1]
+    assert _cli_process(argv, "-O") == plain
 
 
 def test_cell_phi_zero(tmp_path):

@@ -355,6 +355,69 @@ def test_normal_form_expands_each_state_once(monkeypatch):
     assert 0 < calls["join"] < 100
 
 
+def _rewrite_edges(n, root):
+    """Every rewrite edge (state, successor) below root, under every choice
+    of descent once no circuit pair remains, and the states reached."""
+    seen, stack, edges = {root}, [root], []
+    while stack:
+        state = stack.pop()
+        word = state[3]
+        if -1 in word:
+            labels = [word.index(-1, word.index(-1) + 1)]
+        else:
+            labels = [i for i, (a, b) in enumerate(zip(word, word[1:]), 1) if a > b]
+        for i in labels:
+            for _, nxt in (multiply._swap_labels(state, i), multiply._join_labels(state, i, n)):
+                edges.append((state, nxt))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return edges, seen
+
+
+def _stitched_roots():
+    """(n, settled root) of every product at n <= 3, and of seeded
+    isolated-heavy products at n = 5..7."""
+    for n in range(4):
+        basis = enumerate_basis(n)
+        for a in basis:
+            for b in basis:
+                yield n, multiply._stitch(a, b)[1]
+    for n, p in ((5, 0.8), (6, 0.7), (7, 0.6)):
+        rng = random.Random(f"reach/{n}")
+        for _ in range(25):
+            yield n, multiply._stitch(isolated_heavy(rng, n, p), isolated_heavy(rng, n, p))[1]
+
+
+def test_reach_bounds_every_rewrite():
+    # The floor of the normal form is sound only if the bound never grows
+    # along an edge and is exact where the rewriting stops.
+    reach = multiply._reach
+    edges = canonical = 0
+    for n, root in _stitched_roots():
+        below, states = _rewrite_edges(n, root)
+        for state, nxt in below:
+            assert reach(n, nxt) <= reach(n, state), (state, nxt)
+        edges += len(below)
+        for state in states:
+            word = state[3]
+            if min(word, default=0) >= 0 and list(word) == sorted(word):
+                assert reach(n, state) == len(state[2])
+                canonical += 1
+    assert edges > 20_000 and canonical > 5_000
+
+
+def test_reach_counts_bottom_labels_before_top_labels():
+    # n = 2: codes 1, 2 are top vertices and 3, 4 bottom ones.
+    reach = multiply._reach
+    assert reach(2, ((), (), (), (1, 2, 3, 4))) == 0
+    assert reach(2, ((), (), (), (3, 1, 4, 2))) == 2
+    assert reach(2, ((), (), (), (1, 3, 4, 2))) == 1
+    assert reach(2, ((), (), ((1, 1),), (4, 2))) == 2
+    # A circuit pair left: every top label may still meet a bottom one.
+    assert reach(2, ((), (), (), (1, 2, -1, 3, 4, -1))) == 2
+
+
 def _product_digest(pairs):
     h = hashlib.sha256()
     for a, b in pairs:

@@ -33,7 +33,7 @@ CUP_CAP = SpinDiagram(2, (), (), ((1, 2),), ((1, 2),), ())
 
 
 def test_report_requires_witness_on_failure():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="needs a counterexample"):
         VerificationReport("x", {}, False)
 
 
