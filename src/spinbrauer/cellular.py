@@ -13,16 +13,17 @@ altogether (CellFormError).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Optional, Sequence
 
 from .diagrams import (
     Block,
     Partition,
     SpinDiagram,
+    _row_of,
     cell_encode,
     singletons,
 )
+from .linalg import _MR_BOUND, _is_prime
 from .multiply import _normal_form, _stitch, default_strategy, multiply_diagrams
 from .scalars import DeltaPolynomial
 
@@ -283,9 +284,7 @@ def phi_ell(
         raise ValueError(f"S and T must have size ell={ell}")
     # The partitions are caller input, so the factors are validated.
     n = sum(len(b) for b in x)
-    rows = [(n, tuple(b[0] for b in singletons(p) if b not in set(O)),
-             tuple(b for b in p if len(b) == 2), sorted(b[0] for b in O))
-            for p, O in (xS, yT)]
+    rows = [(n, *_row_of(p, O), sorted(b[0] for b in O)) for p, O in (xS, yT)]
     top, bottom = (SpinDiagram(*fields) for fields in _reference_fields(*rows))
     term = _maximal_term(ell, top, bottom)
     if term is None:
@@ -439,7 +438,9 @@ def irreducible_indices(
     """Index set (m, regular partition of m) for the irreducible modules."""
     if n < 0 or char < 0:
         raise ValueError(f"n and char must be nonnegative, got n={n}, char={char}")
-    if char == 1 or any(char % p == 0 for p in range(2, isqrt(char) + 1)):
+    if char >= _MR_BOUND:
+        raise ValueError(f"char={char} is too large: primality is decided below {_MR_BOUND}")
+    if char and not _is_prime(char):
         raise ValueError(f"char={char} is neither 0 nor a prime")
     if delta_zero:
         return [(0, ())]

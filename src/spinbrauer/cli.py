@@ -32,6 +32,7 @@ from .verify import (
     DEFAULT_DIMENSION_BOUND,
     ResourceBoundError,
     VerificationReport,
+    _CIRCUITS,
     _EQUIVARIANT_FAMILIES,
     _check_bound,
 )
@@ -155,8 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--map-kind", default="projection", choices=tuple(_EQUIVARIANT_FAMILIES))
-    p.add_argument("--type", dest="circuit_type", default="IV",
-                   choices=("I", "II", "III", "IV", "V"))
+    p.add_argument("--type", dest="circuit_type", default="IV", choices=tuple(_CIRCUITS))
     p.add_argument("--arcs", type=int, default=0)
     return parser
 

@@ -169,14 +169,6 @@ def diagram_key(d: SpinDiagram) -> str:
     return json.dumps(emit_diagram(d), sort_keys=True, separators=(",", ":"))
 
 
-def _integers(*values) -> tuple[int, ...]:
-    """The values, each checked to be an int (a bool is not one)."""
-    for v in values:
-        if type(v) is not int:
-            raise TypeError(f"{v!r} is not an integer")
-    return values
-
-
 def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
     """Parse and validate the JSON form of a diagram.
 
@@ -187,34 +179,23 @@ def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
     """
     obj = json.loads(source) if isinstance(source, str) else source
     try:
-        (n,) = _integers(obj["n"])
-        top = obj["top"]
-        bottom = obj["bottom"]
-        through = [_integers(i, j) for i, j in obj["through"]]
-        rows = {
-            "top": (_integers(*top["isolated"]),
-                    [_integers(a, b) for a, b in top["arcs"]]),
-            "bottom": (_integers(*bottom["isolated"]),
-                       [_integers(a, b) for a, b in bottom["arcs"]]),
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        n, top, bottom, through = obj["n"], obj["top"], obj["bottom"], obj["through"]
+        d = SpinDiagram(n, top["isolated"], bottom["isolated"],
+                        top["arcs"], bottom["arcs"], through)
+    except (LookupError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram JSON: {exc}") from exc
-    for row, (_iso, arcs) in rows.items():
-        for a, b in arcs:
-            if a >= b:
-                raise DiagramError(f"{row} arc ({a},{b}) not stored smaller vertex first")
-        if arcs != sorted(arcs):
+    # The constructor canonicalizes; the input must already be canonical.
+    for row, arcs, canonical in (("top", top["arcs"], d.top_arcs),
+                                 ("bottom", bottom["arcs"], d.bottom_arcs)):
+        arcs = [tuple(arc) for arc in arcs]
+        for arc in arcs:
+            if arc not in canonical:
+                raise DiagramError(f"{row} arc {arc} is not a pair stored smaller vertex first")
+        if arcs != list(canonical):
             raise DiagramError(f"{row} arcs not sorted")
-    if through != sorted(through):
+    if [tuple(pair) for pair in through] != list(d.through):
         raise DiagramError("through pairs not sorted by first coordinate")
-    return SpinDiagram(
-        n,
-        rows["top"][0],
-        rows["bottom"][0],
-        tuple(rows["top"][1]),
-        tuple(rows["bottom"][1]),
-        tuple(through),
-    )
+    return d
 
 
 @dataclass(frozen=True)

@@ -285,10 +285,12 @@ def _flat(m: LinearMap) -> PairColumn:
 # than the smaller product, the rank is k.
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to every base in _MR_BASES.
+_MR_BOUND = 318_665_857_834_031_151_167_461
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the prime bases up to 37: exact for n < 3.18 * 10^23."""
+    """Miller-Rabin on the prime bases up to 37: exact for n < _MR_BOUND."""
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from itertools import accumulate, chain, repeat
+from typing import Callable, Optional
 
 from .cellular import modmult_check, phi_ell
 from .diagrams import (
@@ -212,107 +213,54 @@ def verify_equivariance(N: int, map_kind: str,
     return VerificationReport("equivariance", params, True)
 
 
-class _SlotComposer:
-    """Builds a composite of equivariant blocks over named slots.
-
-    Slots are identified by integer names whose sorted order is the final
-    left-to-right layout; positions are recomputed at every step, so a plan
-    reads like the circuit picture regardless of arity changes.
-    """
-
-    def __init__(self, N: int):
-        self.N = N
-        self.slots: list[int] = []
-        self.matrix = LinearMap.identity(SpaceSpec(N, 0).fock_dim)
-
-    def step(self, kind: str, names: tuple[int, ...]) -> None:
-        """Apply a block of BLOCKS (not the swap) to the named slots.
-
-        A block that adds slots finds their positions in the new sorted
-        layout; one that removes slots finds them in the old layout.
-        """
-        build, gained = BLOCKS[kind]
-        if gained > 0:
-            new = layout = sorted(self.slots + list(names))
-        else:
-            layout, new = self.slots, [s for s in self.slots if s not in names]
-        positions = sorted(layout.index(s) + 1 for s in names)
-        space = SpaceSpec(self.N, len(self.slots))
-        self.matrix = build(space, *positions) @ self.matrix
-        self.slots = new
-
-
-def _circuit_plan(circuit_type: str, arcs: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """The steps of a closed circuit as (block kind, slot names).
-
-    Slots 1..k lie on one chain: arcs alternate between immersions (below)
-    and contractions (above), and each end is closed by a contraction (type
-    I), an injection (from the spin factor) or a projection (into it). The
-    plan walks the chain from its first spin step and contracts as it goes,
-    so at most four slots are open at once. Spin steps keep their relative
-    order: they do not commute in general (the Clifford swap rule), while
-    blocks on disjoint slots do. The steps are generated one at a time, so a
-    walk of the plan holds none of them.
-    """
-    if arcs < 0:
-        raise ValueError("the number of arcs must be nonnegative")
-    i = arcs
-    if circuit_type == "I":
-        if i < 1:
-            raise ValueError("type I needs at least one arc")
-        k = 2 * i
-        yield "immersion", (1, 2)
-        for a in range(3, k, 2):
-            yield from (("immersion", (a, a + 1)), ("contraction", (a - 1, a)))
-        yield "contraction", (1, k)
-    elif circuit_type == "II":
-        k = 2 * i + 2
-        yield "injection", (1,)
-        for a in range(2, k - 1, 2):
-            yield from (("immersion", (a, a + 1)), ("contraction", (a - 1, a)))
-        yield from (("injection", (k,)), ("contraction", (k - 1, k)))
-    elif circuit_type == "III":
-        k = 2 * i + 2
-        yield from (("immersion", (1, 2)), ("projection", (1,)))
-        for a in range(3, k, 2):
-            yield from (("immersion", (a, a + 1)), ("contraction", (a - 1, a)))
-        yield "projection", (k,)
-    elif circuit_type == "IV":
-        k = 2 * i + 1
-        yield "injection", (1,)
-        for a in range(2, k, 2):
-            yield from (("immersion", (a, a + 1)), ("contraction", (a - 1, a)))
-        yield "projection", (k,)
-    elif circuit_type == "V":
-        k = 2 * i + 1
-        yield "injection", (k,)
-        for a in range(k - 2, 0, -2):
-            yield from (("immersion", (a, a + 1)), ("contraction", (a + 1, a + 2)))
-        yield "projection", (1,)
-    else:
-        raise ValueError(f"unknown circuit type {circuit_type!r}")
+# Each circuit type's plan as (arcs the opening spends, opening, link,
+# closing), every step a block kind of BLOCKS and its positions on the open
+# slots. The slots lie on one chain: each arc is a link, an immersion below
+# and a contraction above, and each end is closed by a contraction (type I),
+# an injection (from the spin factor) or a projection (into it). Spin steps
+# keep their relative order: they do not commute (the Clifford swap rule).
+_LINK = (("immersion", 2, 3), ("contraction", 1, 2))
+_CIRCUITS: dict[str, tuple[int, tuple, tuple, tuple]] = {
+    "I": (1, (("immersion", 1, 2),), (("immersion", 3, 4), ("contraction", 2, 3)),
+          (("contraction", 1, 2),)),
+    "II": (0, (("injection", 1),), _LINK, (("injection", 2), ("contraction", 1, 2))),
+    "III": (0, (("immersion", 1, 2), ("projection", 1)), _LINK, (("projection", 1),)),
+    "IV": (0, (("injection", 1),), _LINK, (("projection", 1),)),
+    "V": (0, (("injection", 1),), (("immersion", 1, 2), ("contraction", 2, 3)),
+          (("projection", 1),)),
+}
 
 
 def verify_circuit_scaling(N: int, circuit_type: str, arcs: int,
                            bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:
-    """A closed-circuit composite equals N times the identity on the spin factor."""
+    """A closed-circuit composite equals N times the identity on the spin factor.
+
+    The composite is the opening, the link once per arc the opening leaves,
+    and the closing. Type I's opening immersion is already the circuit's
+    first arc, so it takes arcs - 1 links. A link opens two slots and closes
+    two, so every link starts at the width the first one did and passes the
+    same widths: the peak width, checked against the bound before any map
+    is built, is read from the opening, one link and the closing.
+    """
     params = {"N": N, "type": circuit_type, "arcs": arcs}
-    # The plan is walked twice: for its peak width (which validates the type
-    # and arc count before any map is built), then to compose it.
-    open_slots = peak = 0
-    for kind, _ in _circuit_plan(circuit_type, arcs):
-        open_slots += BLOCKS[kind][1]
-        peak = max(peak, open_slots)
+    if arcs < 0:
+        raise ValueError("the number of arcs must be nonnegative")
+    if circuit_type not in _CIRCUITS:
+        raise ValueError(f"unknown circuit type {circuit_type!r}")
+    spent, opening, link, closing = _CIRCUITS[circuit_type]
+    links = arcs - spent
+    if links < 0:
+        raise ValueError(f"type {circuit_type} needs at least one arc")
+    peak = max(accumulate(BLOCKS[kind][1]
+                          for kind, *_ in chain(opening, link if links else (), closing)))
     _check_bound(SpaceSpec(N, peak), bound)
-    composer = _SlotComposer(N)
-    for kind, names in _circuit_plan(circuit_type, arcs):
-        composer.step(kind, names)
-    if composer.slots:
-        raise AssertionError("circuit plan left open slots")
-    fock = SpaceSpec(N, 0).fock_dim
-    expected = LinearMap.identity(fock).scale(RootTwoNumber(N))
-    passed = composer.matrix == expected
-    ce = None if passed else {"got_nnz": composer.matrix.nnz()}
+    composite, width = LinearMap.identity(SpaceSpec(N, 0).fock_dim), 0
+    for kind, *positions in chain(opening, chain.from_iterable(repeat(link, links)), closing):
+        build, gained = BLOCKS[kind]
+        composite = build(SpaceSpec(N, width), *positions) @ composite
+        width += gained
+    passed = composite == LinearMap.identity(composite.domain_dim).scale(RootTwoNumber(N))
+    ce = None if passed else {"got_nnz": composite.nnz()}
     return VerificationReport("circuit_scaling", params, passed, ce)
 
 

@@ -1,14 +1,17 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from spinbrauer.cli import CliConfig, load_config, run_command
-from spinbrauer.verify import CHECKS
+from spinbrauer.cli import CliConfig, _build_parser, load_config, run_command
+from spinbrauer.linalg import _MR_BOUND
+from spinbrauer.verify import CHECKS, _CIRCUITS, _EQUIVARIANT_FAMILIES
 
 
 def run(argv):
@@ -147,6 +150,24 @@ def test_classify_rejects_a_characteristic_no_field_has(char, capsys):
     assert capsys.readouterr().err == f"char={char} is neither 0 nor a prime\n"
 
 
+def test_classify_accepts_a_twenty_digit_prime():
+    code, out = run(["classify", "--n", "1", "--char", "10000000000000000051"])
+    assert code == 0
+    assert json.loads(out)["indices"] == [{"m": 0, "partition": []},
+                                          {"m": 1, "partition": [1]}]
+
+
+@pytest.mark.parametrize("char, message", [
+    ((10**9 + 7) * (10**9 + 9), "is neither 0 nor a prime"),
+    # The least strong pseudoprime to the Miller-Rabin bases: composite,
+    # and where the primality test stops being exact.
+    (_MR_BOUND, "is too large"),
+])
+def test_classify_refuses_a_large_composite(char, message, capsys):
+    assert run(["classify", "--n", "1", "--char", str(char)]) == (2, "")
+    assert capsys.readouterr().err.startswith(f"char={char} {message}")
+
+
 @pytest.mark.parametrize("char, partitions", [
     (0, [[], [1], [2], [1, 1], [3], [2, 1], [1, 1, 1]]),
     (2, [[], [1], [2], [3], [2, 1]]),
@@ -173,6 +194,18 @@ def test_diagram_file_with_non_integers_is_named(argv, fixtures_dir, tmp_path, c
     assert run([*good, str(bad)]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith(f"{bad}: malformed diagram JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arcs, through", [
+    ([[1, 2, 3]], [[3, 3]]), ([[1, 2]], [[3, 3, 3]]),
+], ids=["arc", "through"])
+def test_diagram_file_with_a_three_entry_pair_is_refused(arcs, through, tmp_path, capsys):
+    bad = tmp_path / "triple.json"
+    bad.write_text(json.dumps({"n": 3, "top": {"isolated": [], "arcs": arcs},
+                               "bottom": {"isolated": [1, 2], "arcs": []},
+                               "through": through}))
+    assert run(["involute", str(bad)]) == (2, "")
+    assert capsys.readouterr().err.startswith(f"{bad}: ")
 
 
 def test_verify_exit_codes():
@@ -273,9 +306,31 @@ def test_verify_cli_matches_direct_call(name):
     assert out == json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def test_verify_map_kinds_are_the_equivariance_families(capsys):
-    from spinbrauer.verify import _EQUIVARIANT_FAMILIES
+def _readme_checks_paragraph():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(r"Available checks: (.*?)\.\n", text, re.DOTALL).group(1)
 
+
+def test_readme_names_every_check():
+    names = re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", _readme_checks_paragraph(),
+                                            flags=re.DOTALL))
+    assert names == list(CHECKS)
+
+
+def test_readme_names_every_map_kind():
+    kinds = re.search(r"`--map-kind ([^`]+)`", _readme_checks_paragraph()).group(1)
+    assert [k.strip() for k in kinds.split("|")] == list(_EQUIVARIANT_FAMILIES)
+
+
+def test_circuit_type_choices_are_the_circuit_table():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    (choices,) = [a.choices for a in sub.choices["verify"]._actions
+                  if a.dest == "circuit_type"]
+    assert list(choices) == list(_CIRCUITS)
+
+
+def test_verify_map_kinds_are_the_equivariance_families(capsys):
     for kind in _EQUIVARIANT_FAMILIES:
         assert run(["verify", "equivariance", "--N", "2", "--map-kind", kind])[0] == 0
     for kind in ("bogus", "", "gamma"):

@@ -28,7 +28,6 @@ from spinbrauer.realization import (
     swap_map,
 )
 from spinbrauer.scalars import RootTwoNumber
-from spinbrauer.verify import _SlotComposer
 
 ONE = RootTwoNumber(1)
 SQRT2 = RootTwoNumber(0, 1)
@@ -292,13 +291,33 @@ def test_realize_matches_composite_on_product():
         assert lhs == rhs
 
 
-class _DiagramComposer(_SlotComposer):
-    """The slot composer started on n named slots instead of none."""
+class _SlotComposer:
+    """Builds a composite of equivariant blocks over named slots.
+
+    Slots are identified by integer names whose sorted order is the final
+    left-to-right layout; positions are recomputed at every step, so a
+    composite reads like the diagram picture regardless of arity changes.
+    """
 
     def __init__(self, N, names):
-        super().__init__(N)
+        self.N = N
         self.slots = list(names)
         self.matrix = LinearMap.identity(SpaceSpec(N, len(self.slots)).total_dim)
+
+    def step(self, kind, names):
+        """Apply a block of BLOCKS (not the swap) to the named slots.
+
+        A block that adds slots finds their positions in the new sorted
+        layout; one that removes slots finds them in the old layout.
+        """
+        build, gained = BLOCKS[kind]
+        if gained > 0:
+            new = layout = sorted(self.slots + list(names))
+        else:
+            layout, new = self.slots, [s for s in self.slots if s not in names]
+        positions = sorted(layout.index(s) + 1 for s in names)
+        self.matrix = build(SpaceSpec(self.N, len(self.slots)), *positions) @ self.matrix
+        self.slots = new
 
     def rename(self, new_names):
         """Route each slot to its new name through one swap_map."""
@@ -310,7 +329,7 @@ class _DiagramComposer(_SlotComposer):
 
 def block_composite(d, N):
     """The product of the block maps a diagram stands for, in the documented order."""
-    comp = _DiagramComposer(N, range(1, d.n + 1))
+    comp = _SlotComposer(N, range(1, d.n + 1))
     for a, b in d.top_arcs:
         comp.step("contraction", (a, b))
     for v in d.top_isolated:

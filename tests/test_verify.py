@@ -171,13 +171,44 @@ def test_circuit_plan_is_bounded_before_it_is_built():
 
 
 def test_bad_circuit_plan_fails_before_any_map(monkeypatch):
-    def no_composer(N):
+    def no_map(*args):
         raise AssertionError("a map was built")
 
-    monkeypatch.setattr(verify, "_SlotComposer", no_composer)
-    for circuit_type, arcs in (("I", 0), ("VI", 1), ("IV", -1)):
-        with pytest.raises(ValueError):
+    blocks = {kind: (no_map, gained) for kind, (_, gained) in verify.BLOCKS.items()}
+    monkeypatch.setattr(verify, "BLOCKS", blocks)
+    monkeypatch.setattr(verify.LinearMap, "identity", no_map)
+    for circuit_type, arcs, message in (("I", 0, "type I needs at least one arc"),
+                                        ("VI", 1, "unknown circuit type 'VI'"),
+                                        ("IV", -1, "arcs must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
             verify_circuit_scaling(3, circuit_type, arcs)
+    with pytest.raises(AssertionError, match="a map was built"):
+        verify_circuit_scaling(3, "IV", 0)
+
+
+# The open slots at the widest step of each plan: the opening and closing
+# alone for no links, and one link (two slots opened above the one or two
+# the opening leaves) otherwise.
+@pytest.mark.parametrize("circuit_type, arcs, peak", [
+    ("I", 1, 2), ("I", 2, 4), ("I", 4, 4),
+    ("II", 0, 2), ("II", 1, 3), ("II", 4, 3),
+    ("III", 0, 2), ("III", 1, 3), ("III", 4, 3),
+    ("IV", 0, 1), ("IV", 1, 3), ("IV", 4, 3),
+    ("V", 0, 1), ("V", 1, 3), ("V", 4, 3),
+])
+def test_circuit_peak_width_meets_the_bound(circuit_type, arcs, peak):
+    dim = SpaceSpec(3, peak).total_dim
+    with pytest.raises(ResourceBoundError, match=f"total dimension {dim} exceeds bound"):
+        verify_circuit_scaling(3, circuit_type, arcs, bound=dim - 1)
+    assert verify_circuit_scaling(3, circuit_type, arcs, bound=dim).passed
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_circuit_scaling_at_three_and_four_arcs(N):
+    bound = SpaceSpec(N, 4).total_dim  # type I's peak, the widest
+    for circuit_type in verify._CIRCUITS:
+        for arcs in (3, 4):
+            assert verify_circuit_scaling(N, circuit_type, arcs, bound).passed
 
 
 def test_clifford_relation():
