@@ -169,6 +169,17 @@ def diagram_key(d: SpinDiagram) -> str:
     return json.dumps(emit_diagram(d), sort_keys=True, separators=(",", ":"))
 
 
+def _json_array(value: object, name: str, pairs: bool = False) -> None:
+    """Refuse value, the field name of a diagram's JSON, unless it is an
+    array (of two-entry arrays when pairs)."""
+    if not isinstance(value, (list, tuple)):
+        raise DiagramError(f"{name} is not an array")
+    if pairs:
+        for k, item in enumerate(value):
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
+                raise DiagramError(f"{name}[{k}] is not a pair")
+
+
 def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
     """Parse and validate the JSON form of a diagram.
 
@@ -180,6 +191,12 @@ def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
     obj = json.loads(source) if isinstance(source, str) else source
     try:
         n, top, bottom, through = obj["n"], obj["top"], obj["bottom"], obj["through"]
+        for name, row in (("top", top), ("bottom", bottom)):
+            if not isinstance(row, Mapping):
+                raise DiagramError(f"{name} is not an object")
+            _json_array(row["isolated"], f"{name}.isolated")
+            _json_array(row["arcs"], f"{name}.arcs", pairs=True)
+        _json_array(through, "through", pairs=True)
         d = SpinDiagram(n, top["isolated"], bottom["isolated"],
                         top["arcs"], bottom["arcs"], through)
     except (LookupError, TypeError, ValueError) as exc:

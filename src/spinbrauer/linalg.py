@@ -9,6 +9,15 @@ have equal storage. RootTwoNumber values appear only at the boundary: the
 public constructor, column, apply, entries and to_json. flatten hands the
 stored pairs on as one vector, the only form that elimination sees.
 
+Columns are checked (indices in range, zeros and empty columns dropped) where
+they may break the form: in the public constructor, identity and zero, and
+the block builder realization._slotwise, whose rules can sum to zero. The
+builders whose columns are canonical as built skip the check and only reduce
+den: realize_diagram (products of nonzero factors, one per row), scale (a
+nonzero multiple), and compose and combination, which inherit their index
+range from the operands and drop zeros only in the columns where a sum was
+formed, since a product of nonzero entries is nonzero.
+
 Rank is exact over Q(sqrt2) but computed by elimination over F_p for primes
 p = 7 mod 8, where 2 has a square root; a Hadamard bound on the integer
 vectors, or a known ceiling on the rank, says when enough primes have been
@@ -59,34 +68,47 @@ class LinearMap:
         out._adopt(domain_dim, codomain_dim, cols, den)
         return out
 
+    @classmethod
+    def _canonical(cls, domain_dim: int, codomain_dim: int,
+                   cols: dict[int, PairColumn], den: int = 1) -> LinearMap:
+        """Adopt pair columns that are canonical but for den, unchecked.
+
+        The caller vouches that no entry is zero, no column is empty and
+        every index is in range; only den is reduced.
+        """
+        out = cls.__new__(cls)
+        out._own(domain_dim, codomain_dim, cols, den)
+        return out
+
     def _adopt(self, domain_dim: int, codomain_dim: int,
                cols: dict[int, PairColumn], den: int) -> None:
-        """Check indices, drop zero entries and empty columns, reduce den."""
+        """Check indices, drop zero entries and empty columns, then _own."""
         if domain_dim < 0 or codomain_dim < 0:
             raise ValueError("dimensions must be nonnegative")
-        clean: dict[int, PairColumn] = {}
-        for j, col in cols.items():
-            if _ZERO in col.values():
-                col = {r: v for r, v in col.items() if v != _ZERO}
-            if col:
-                clean[j] = col
         if cols:
             for j in (min(cols), max(cols)):
                 if not 0 <= j < domain_dim:
                     raise ValueError(f"column index {j} out of range")
-        if clean:
-            for r in (min(map(min, clean.values())), max(map(max, clean.values()))):
+        _drop_zeros(cols, list(cols))
+        if cols:
+            for r in (min(map(min, cols.values())), max(map(max, cols.values()))):
                 if not 0 <= r < codomain_dim:
                     raise ValueError(f"row index {r} out of range")
+        self._own(domain_dim, codomain_dim, cols, den)
+
+    def _own(self, domain_dim: int, codomain_dim: int,
+             cols: dict[int, PairColumn], den: int) -> None:
+        """Set the fields from canonical columns, dividing den and every
+        entry by their common gcd."""
         if den != 1:
-            g = gcd(den, *(x for col in clean.values() for v in col.values() for x in v))
+            g = gcd(den, *(x for col in cols.values() for v in col.values() for x in v))
             if g != 1:
                 den //= g
-                clean = {j: {r: (a // g, b // g) for r, (a, b) in col.items()}
-                         for j, col in clean.items()}
+                cols = {j: {r: (a // g, b // g) for r, (a, b) in col.items()}
+                        for j, col in cols.items()}
         object.__setattr__(self, "domain_dim", domain_dim)
         object.__setattr__(self, "codomain_dim", codomain_dim)
-        object.__setattr__(self, "_cols", clean)
+        object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -103,13 +125,20 @@ class LinearMap:
     @classmethod
     def combination(cls, domain_dim: int, codomain_dim: int,
                     terms: Iterable[tuple[int, LinearMap]]) -> LinearMap:
-        """The sum of c * m over integer coefficients c, in one pass."""
+        """The sum of c * m over integer coefficients c, in one pass.
+
+        Only a column that two terms share can cancel, so zeros are sought
+        there alone. Maps are immutable: a lone term 1 * m is m itself.
+        """
         terms = [(c, m) for c, m in terms if c]
         for _, m in terms:
             if (m.domain_dim, m.codomain_dim) != (domain_dim, codomain_dim):
                 raise ValueError("dimension mismatch in sum")
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
         den = lcm(*(m._den for _, m in terms))
         cols: dict[int, PairColumn] = {}
+        summed: set[int] = set()
         for c, m in terms:
             f = c * (den // m._den)
             for j, col in m._cols.items():
@@ -118,13 +147,15 @@ class LinearMap:
                     cols[j] = (dict(col) if f == 1 else
                                {r: (a * f, b * f) for r, (a, b) in col.items()})
                     continue
+                summed.add(j)
                 for r, (a, b) in col.items():
                     cur = tgt.get(r)
                     if cur is None:
                         tgt[r] = (a * f, b * f)
                     else:
                         tgt[r] = (cur[0] + a * f, cur[1] + b * f)
-        return cls._from_pairs(domain_dim, codomain_dim, cols, den)
+        _drop_zeros(cols, summed)
+        return cls._canonical(domain_dim, codomain_dim, cols, den)
 
     def _box(self, pair: Pair) -> RootTwoNumber:
         a, b = pair
@@ -192,21 +223,29 @@ class LinearMap:
             )
         left = self._cols
         cols: dict[int, PairColumn] = {}
+        summed: list[int] = []
         for j, rcol in other._cols.items():
             acc: PairColumn = {}
+            terms = 0
             for k, (c, d) in rcol.items():
                 lcol = left.get(k)
                 if lcol is None:
                     continue
+                terms += len(lcol)
                 for r, (a, b) in lcol.items():
                     cur = acc.get(r)
                     if cur is None:
                         acc[r] = (a * c + 2 * b * d, a * d + b * c)
                     else:
                         acc[r] = (cur[0] + a * c + 2 * b * d, cur[1] + a * d + b * c)
-            cols[j] = acc
-        return LinearMap._from_pairs(other.domain_dim, self.codomain_dim, cols,
-                                     self._den * other._den)
+            # A product of nonzero entries is nonzero; only sums can cancel.
+            if len(acc) < terms:
+                summed.append(j)
+            if acc:
+                cols[j] = acc
+        _drop_zeros(cols, summed)
+        return LinearMap._canonical(other.domain_dim, self.codomain_dim, cols,
+                                    self._den * other._den)
 
     def __matmul__(self, other: LinearMap) -> LinearMap:
         return self.compose(other)
@@ -228,8 +267,8 @@ class LinearMap:
             j: {r: (a * p + 2 * b * q, a * q + b * p) for r, (a, b) in col.items()}
             for j, col in self._cols.items()
         }
-        return LinearMap._from_pairs(self.domain_dim, self.codomain_dim, cols,
-                                     self._den * cden)
+        return LinearMap._canonical(self.domain_dim, self.codomain_dim, cols,
+                                    self._den * cden)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearMap):
@@ -263,6 +302,16 @@ class LinearMap:
         return (
             f"LinearMap({self.domain_dim}->{self.codomain_dim}, nnz={self.nnz()})"
         )
+
+
+def _drop_zeros(cols: dict[int, PairColumn], indices: Iterable[int]) -> None:
+    """Drop the zero entries of the columns at indices, then those empty."""
+    for j in indices:
+        col = cols[j]
+        if _ZERO in col.values():
+            col = cols[j] = {r: v for r, v in col.items() if v != _ZERO}
+        if not col:
+            del cols[j]
 
 
 def _flat(m: LinearMap) -> PairColumn:

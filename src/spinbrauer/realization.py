@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .diagrams import DiagramError, SpinDiagram
@@ -53,12 +54,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Shape of the carrier space: N = dim V, n tensor factors of V."""
+    """Shape of the carrier space: N = dim V, n tensor factors of V.
+
+    An instance also carries its Clifford tables, gamma and emits, built
+    on first use and shared by every map built on it.
+    """
 
     N: int
     n: int = 0
 
     def __post_init__(self):
+        for name, value in (("N", self.N), ("n", self.n)):
+            if type(value) is not int:
+                raise TypeError(f"{name} = {value!r} is not an integer")
         if self.N < 2:
             raise ValueError("N must be at least 2")
         if self.n < 0:
@@ -79,6 +87,17 @@ class SpaceSpec:
     @property
     def total_dim(self) -> int:
         return self.N**self.n * self.fock_dim
+
+    @cached_property
+    def gamma(self) -> list[list[Optional[tuple[int, int, int]]]]:
+        """gamma[c][mask]: the Clifford action _absorb of content c on mask."""
+        return [[_absorb(c, mask, self) for mask in range(self.fock_dim)]
+                for c in range(self.N)]
+
+    @cached_property
+    def emits(self) -> list[list[tuple[int, int, int, int]]]:
+        """emits[mask]: the terms _emit emits from mask."""
+        return [_emit(mask, self) for mask in range(self.fock_dim)]
 
     def with_n(self, n: int) -> SpaceSpec:
         return SpaceSpec(self.N, n)
@@ -190,8 +209,10 @@ def projection_map(space: SpaceSpec, i: int) -> LinearMap:
     if not 1 <= i <= space.n:
         raise ValueError(f"projection slot {i} outside 1..{space.n}")
 
+    gamma = space.gamma
+
     def rule(slots, mask):
-        res = _absorb(slots[i - 1], mask, space)
+        res = gamma[slots[i - 1]][mask]
         if res is not None:
             a, b, mk = res
             yield slots[: i - 1] + slots[i:], mk, a, b
@@ -202,7 +223,7 @@ def injection_map(space: SpaceSpec, j: int) -> LinearMap:
     """Create a new slot at position j of the codomain from the spin factor."""
     if not 1 <= j <= space.n + 1:
         raise ValueError(f"injection slot {j} outside 1..{space.n + 1}")
-    emits = [_emit(mask, space) for mask in range(space.fock_dim)]
+    emits = space.emits
 
     def rule(slots, mask):
         return [(slots[: j - 1] + (c,) + slots[j - 1:], mk, a, b)
@@ -294,10 +315,11 @@ def _spin_action(pair: tuple[int, int], mask: int,
     Returns the terms as (a, b, new mask) for the coefficient (a + b sqrt2)/2.
     """
     u, v = pair
+    gamma = space.gamma
     out: dict[int, tuple[int, int]] = {}
     for x, y, s in ((u, v, 1), (v, u, -1)):
-        first = _absorb(y, mask, space)
-        second = first and _absorb(x, first[2], space)
+        first = gamma[y][mask]
+        second = first and gamma[x][first[2]]
         if second:
             a, b = _times(first[0], first[1], second[0], second[1])
             pa, pb = out.get(second[2], (0, 0))
@@ -333,11 +355,11 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
     projection and injection maps, and it is frozen here and asserted by the
     equivariance tests.
     """
-    m = space.m
+    m, gamma = space.m, space.gamma
     spin = []  # per mask: (b, new mask) for the entry (0, b) over 2
     for mask in range(space.fock_dim):
         for c, s in ((0, 1), (m, -1)):  # exactly one of the two survives
-            res = _absorb(c, mask, space)
+            res = gamma[c][mask]
             if res is not None:
                 spin.append((s * res[1], res[2]))
     sign = (-1) ** space.n
@@ -383,7 +405,7 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
         starts = (0,)
     place = [N ** (space.n - 1 - p) * fock for p in range(space.n)]
     pairs = _invariant_pairs(space)
-    emits = [_emit(mask, space) for mask in range(fock)]
+    gamma, emits = space.gamma, space.emits
 
     def bottom(mask: int) -> list[tuple[int, int, int]]:
         """The bottom terms from one mask, as (row offset, a, b)."""
@@ -411,7 +433,7 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
         absorbed = []
         for co, ca, cb, mask in top:
             for c in allowed[v - 1]:
-                res = _absorb(c, mask, space)
+                res = gamma[c][mask]
                 if res is not None:
                     a, b, mk = res
                     absorbed.append((co + c * place[v - 1], *_times(ca, cb, a, b), mk))
@@ -424,7 +446,10 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
         for ac in arc_cols:
             for tc, tr in through:
                 cols[ac + co + tc] = {tr + ro: v for ro, v in out}
-    return LinearMap._from_pairs(dim, dim, cols)
+    # Each entry is a product of nonzero factors, each row gets one term and
+    # the indices come from contents < N and masks < fock: the columns are
+    # canonical as built.
+    return LinearMap._canonical(dim, dim, cols)
 
 
 # --- the dimension of the commutant -------------------------------------------

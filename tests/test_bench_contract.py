@@ -80,3 +80,28 @@ def test_traced_rank_block_and_exact_paths(monkeypatch):
     assert eliminated["linalg.flatten.calls"] == 76
     assert eliminated["linalg.rank.calls"] == 1
     assert eliminated["linalg.rank_pivots"] == 20
+
+
+def test_traced_homomorphism_work(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("layers", "tracer"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import layers
+    import tracer as tracing
+
+    t = tracing.Tracer()
+    layers.instrument(t)
+    try:
+        report = t.round_of(lambda: verify.verify_homomorphism(3, 5, "random", 2, 0))()
+    finally:
+        t.uninstall()
+    assert report.passed
+    counts = t.round_counts[0]
+    # The realizations, composites and comparisons of two pairs, through the
+    # names the tracer wraps; pinned so that a change under src/ that alters
+    # the work fails here and not only in the benchmark.
+    assert counts["realization.realize.calls"] == 6
+    assert counts["realization.realized_nnz"] == 4200
+    assert counts["linalg.compose.calls"] == 2
+    assert counts["linalg.compose_madds"] == 1800
+    assert counts["linalg.equal.calls"] == 2

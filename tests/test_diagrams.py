@@ -103,6 +103,24 @@ def test_parse_rejects_non_integer_vertices(row, field, value):
         parse_diagram(obj)
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("top", "arcs"), 5, "top.arcs"),
+    (("top", "arcs"), [[1]], "top.arcs[0]"),
+    (("through",), [[1]], "through[0]"),
+    (("top", "isolated"), 7, "top.isolated"),
+], ids=["arcs-int", "arc-one-entry", "through-one-entry", "isolated-int"])
+def test_parse_names_the_field_of_a_wrongly_shaped_value(path, value, field):
+    obj = json.loads(json.dumps(_ONE_STRAND))
+    *parents, key = path
+    target = obj
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    with pytest.raises(DiagramError) as err:
+        parse_diagram(obj)
+    assert str(err.value).startswith(f"malformed diagram JSON: {field} is not ")
+
+
 @pytest.mark.parametrize("fields", [
     (2, (), (), ((1.9, 2),), ((1, 2),), ()),
     (2, (), (), ((1, 2),), ((1, 2),), (("1", 1.2),)),

@@ -13,6 +13,7 @@ from spinbrauer.realization import (
     BLOCKS,
     SpaceSpec,
     _absorb,
+    _emit,
     _times,
     _v_action,
     act_gamma,
@@ -446,3 +447,54 @@ def test_commutant_dimension_of_the_spin_factor_alone():
 def test_commutant_dimension_takes_a_validated_space(N, n):
     with pytest.raises(ValueError):
         commutant_dimension(SpaceSpec(N, n))
+
+
+@pytest.mark.parametrize("N, n, field", [(5, 1.0, "n"), (5.0, 1, "N"), (True, 1, "N"),
+                                         (5, "1", "n")])
+def test_space_refuses_a_size_that_is_not_an_integer(N, n, field):
+    with pytest.raises(TypeError, match=f"^{field} = .* is not an integer"):
+        SpaceSpec(N, n)
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_space_tables_are_the_clifford_action(N):
+    space = SpaceSpec(N, 1)
+    masks = range(space.fock_dim)
+    assert space.gamma == [[_absorb(c, mask, space) for mask in masks] for c in range(N)]
+    assert space.emits == [_emit(mask, space) for mask in masks]
+    # Built once per space, and not shared with an equal space made apart.
+    assert space.gamma is space.gamma and space.emits is space.emits
+    assert SpaceSpec(N, 1).gamma is not space.gamma
+
+
+def _checked(m: LinearMap) -> LinearMap:
+    """m adopted again, from copies of its columns, through the checked path."""
+    cols = {j: dict(col) for j, col in m._cols.items()}
+    return LinearMap._from_pairs(m.domain_dim, m.codomain_dim, cols, m._den)
+
+
+@pytest.mark.parametrize("N", range(2, 6))
+def test_maps_built_unchecked_are_canonical(N):
+    """The builders that skip the check hand over canonical columns: no
+    stored zero, no empty column, indices in range and den reduced."""
+    half = RootTwoNumber(Fraction(1, 2), 1)
+    for n in range(3):
+        space = SpaceSpec(N, n)
+        maps = []
+        for d in enumerate_basis(n):
+            maps += [realize_diagram(d, space),
+                     realize_diagram(d, space, contents=[range(N)] * n)]
+        # act_so brings den 2, so that composites and multiples reduce den.
+        maps += [act_so(pair, space) for pair in so_basis(space)[:3]]
+        built = []
+        for a, b in zip(maps, maps[1:] + maps[:1]):
+            built += [a @ b, b @ a @ a, a.scale(half), a.scale(RootTwoNumber(2)),
+                      LinearMap.combination(a.domain_dim, a.codomain_dim,
+                                            [(2, a), (-3, b), (1, a @ b)])]
+            cancelled = LinearMap.combination(a.domain_dim, a.codomain_dim,
+                                              [(1, a), (-1, a)])
+            assert cancelled == LinearMap.zero(a.domain_dim, a.codomain_dim)
+            built.append(cancelled)
+            assert LinearMap.combination(a.domain_dim, a.codomain_dim, [(1, a)]) is a
+        for m in maps + built:
+            assert m == _checked(m)
