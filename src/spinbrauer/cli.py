@@ -11,7 +11,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -39,8 +39,6 @@ from .verify import (
 
 __all__ = ["CliConfig", "load_config", "main", "run_command"]
 
-_CONFIG_KEYS = {"max_n", "max_total_dimension", "output", "seed", "fixtures_dir"}
-
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -58,7 +56,11 @@ class CliConfig:
 
 
 def load_config(path: str) -> CliConfig:
-    """Parse a key = value config file; unknown keys are rejected."""
+    """Parse a key = value config file; unknown keys are rejected.
+
+    The keys are CliConfig's fields, each read as the type of its default.
+    """
+    kinds = {f.name: type(f.default) for f in fields(CliConfig)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -67,12 +69,9 @@ def load_config(path: str) -> CliConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_KEYS:
+        if key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in ("max_n", "max_total_dimension", "seed"):
-            values[key] = int(val)
-        else:
-            values[key] = val.strip("\"'")
+        values[key] = int(val) if kinds[key] is int else val.strip("\"'")
     return CliConfig(**values)
 
 
@@ -222,7 +221,8 @@ def run_command(argv: Sequence[str], stream=None) -> int:
 
     try:
         if args.command == "enumerate":
-            basis = enumerate_basis(args.n, bound=config.max_n)
+            _check_n(args.n, config)
+            basis = enumerate_basis(args.n)
             if args.count_only:
                 _emit({"n": args.n, "count": len(basis)}, stream)
             elif config.output == "pretty":

@@ -40,10 +40,7 @@ __all__ = [
     "cell_encode",
     "cell_decode",
     "pretty",
-    "DEFAULT_ENUMERATION_BOUND",
 ]
-
-DEFAULT_ENUMERATION_BOUND = 5
 
 # The largest n whose partitions into blocks of size 1 or 2 are listed
 # (140,152 of them at n = 12).
@@ -169,8 +166,19 @@ def diagram_key(d: SpinDiagram) -> str:
     return json.dumps(emit_diagram(d), sort_keys=True, separators=(",", ":"))
 
 
+def _json_fields(obj: object, name: str, keys: Sequence[str]) -> list:
+    """The values of keys in obj, the JSON object at field name ("" for the
+    whole document); refused unless it is an object holding every key."""
+    if not isinstance(obj, Mapping):
+        raise DiagramError(f"{name or 'the document'} is not an object")
+    for key in keys:
+        if key not in obj:
+            raise DiagramError(f"{name}.{key} is missing" if name else f"{key} is missing")
+    return [obj[key] for key in keys]
+
+
 def _json_array(value: object, name: str, pairs: bool = False) -> None:
-    """Refuse value, the field name of a diagram's JSON, unless it is an
+    """Refuse value, the field name of a JSON document, unless it is an
     array (of two-entry arrays when pairs)."""
     if not isinstance(value, (list, tuple)):
         raise DiagramError(f"{name} is not an array")
@@ -190,12 +198,11 @@ def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
     """
     obj = json.loads(source) if isinstance(source, str) else source
     try:
-        n, top, bottom, through = obj["n"], obj["top"], obj["bottom"], obj["through"]
+        n, top, bottom, through = _json_fields(obj, "", ("n", "top", "bottom", "through"))
         for name, row in (("top", top), ("bottom", bottom)):
-            if not isinstance(row, Mapping):
-                raise DiagramError(f"{name} is not an object")
-            _json_array(row["isolated"], f"{name}.isolated")
-            _json_array(row["arcs"], f"{name}.arcs", pairs=True)
+            isolated, arcs = _json_fields(row, name, ("isolated", "arcs"))
+            _json_array(isolated, f"{name}.isolated")
+            _json_array(arcs, f"{name}.arcs", pairs=True)
         _json_array(through, "through", pairs=True)
         d = SpinDiagram(n, top["isolated"], bottom["isolated"],
                         top["arcs"], bottom["arcs"], through)
@@ -411,10 +418,14 @@ class AlgebraElement:
     @classmethod
     def from_json(cls, obj: Union[str, Mapping], n: Union[int, None] = None) -> AlgebraElement:
         data = json.loads(obj) if isinstance(obj, str) else obj
-        terms = []
-        for t in data["terms"]:
-            d = parse_diagram(t["diagram"])
-            terms.append((d, DeltaPolynomial.from_pairs(t["coeff"])))
+        try:
+            (items,) = _json_fields(data, "", ("terms",))
+            _json_array(items, "terms")
+            fields = [_json_fields(t, f"terms[{k}]", ("diagram", "coeff"))
+                      for k, t in enumerate(items)]
+        except DiagramError as exc:
+            raise DiagramError(f"malformed element JSON: {exc}") from None
+        terms = [(parse_diagram(d), DeltaPolynomial.from_pairs(c)) for d, c in fields]
         if n is None:
             if not terms:
                 raise DiagramError("cannot infer n of an empty element")
@@ -558,16 +569,15 @@ def enumerate_S(n: int, ell: int) -> list[tuple[Partition, tuple[Block, ...]]]:
     return out
 
 
-def enumerate_basis(n: int, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[SpinDiagram]:
+def enumerate_basis(n: int) -> list[SpinDiagram]:
     """Every diagram on n+n vertices exactly once, in a deterministic order.
 
     Order: through count descending, then lexicographically by the cell
-    encoding (x, S, y, T, sigma).
+    encoding (x, S, y, T, sigma). Only the row partitions bound n (at 12);
+    the basis holds 140,152 diagrams at n = 6, so callers bound n.
     """
     if n < 0:
         raise DiagramError("n must be nonnegative")
-    if n > bound:
-        raise DiagramError(f"n={n} exceeds enumeration bound {bound}")
     out: list[SpinDiagram] = []
     trusted = SpinDiagram._trusted
     for ell in range(n, -1, -1):

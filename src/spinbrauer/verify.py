@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .cellular import modmult_check, phi_ell
 from .diagrams import (
     AlgebraElement,
+    CellTriple,
     SpinDiagram,
     cell_encode,
     emit_diagram,
@@ -86,6 +87,20 @@ class VerificationReport:
         return out
 
 
+def _verdict(name: str, params: dict, failures: Iterable[dict],
+             info: Optional[dict] = None) -> VerificationReport:
+    """The one place a check's report is made: it passes exactly when there
+    is no failure. failures is read only as far as its first witness, so a
+    sweep that yields them lazily stops at the first."""
+    witness = next(iter(failures), None)
+    return VerificationReport(name, params, witness is None, witness, info or {})
+
+
+def _pair(top: SpinDiagram, bottom: SpinDiagram) -> dict:
+    """The witness of a failing product: its two factors."""
+    return {"top": emit_diagram(top), "bottom": emit_diagram(bottom)}
+
+
 class ResourceBoundError(RuntimeError):
     """Requested parameters exceed the configured dimension bound."""
 
@@ -145,19 +160,14 @@ def verify_homomorphism(
         raise ValueError(f"unknown mode {mode!r}")
     realize = _Realizer(space)
     params = {"n": n, "N": N, "mode": mode, "pairs": len(pairs), "seed": seed}
-    for top, bottom in pairs:
-        product = multiply_diagrams(top, bottom).evaluate_at(N)
-        lhs = realize.element(product, N)
-        rhs = realize(bottom) @ realize(top)
-        if lhs != rhs:
-            return VerificationReport(
-                "homomorphism",
-                params,
-                False,
-                {"top": emit_diagram(top), "bottom": emit_diagram(bottom),
-                 "entry": _first_entry(lhs, rhs)},
-            )
-    return VerificationReport("homomorphism", params, True)
+
+    def failures():
+        for top, bottom in pairs:
+            lhs = realize.element(multiply_diagrams(top, bottom), N)
+            rhs = realize(bottom) @ realize(top)
+            if lhs != rhs:
+                yield {**_pair(top, bottom), "entry": _first_entry(lhs, rhs)}
+    return _verdict("homomorphism", params, failures())
 
 
 # Each block's domain sizes n and the positions its builder takes there. The
@@ -199,18 +209,16 @@ def verify_equivariance(N: int, map_kind: str,
             actions[pair, space] = act_gamma(space) if pair is None else act_so(pair, space)
         return actions[pair, space]
 
-    for dom, cod, pos in family:
-        fmap = build(dom, *pos)
-        for pair in (*so_basis(dom), None):
-            lhs = fmap @ action(pair, dom)
-            rhs = action(pair, cod) @ fmap
-            if lhs != rhs:
-                return VerificationReport(
-                    "equivariance", params, False,
-                    {"symbol": "gamma" if pair is None else repr(pair), "n": dom.n,
-                     "positions": repr(pos), "entry": _first_entry(lhs, rhs)},
-                )
-    return VerificationReport("equivariance", params, True)
+    def failures():
+        for dom, cod, pos in family:
+            fmap = build(dom, *pos)
+            for pair in (*so_basis(dom), None):
+                lhs = fmap @ action(pair, dom)
+                rhs = action(pair, cod) @ fmap
+                if lhs != rhs:
+                    yield {"symbol": "gamma" if pair is None else repr(pair), "n": dom.n,
+                           "positions": repr(pos), "entry": _first_entry(lhs, rhs)}
+    return _verdict("equivariance", params, failures())
 
 
 # Each circuit type's plan as (arcs the opening spends, opening, link,
@@ -259,9 +267,9 @@ def verify_circuit_scaling(N: int, circuit_type: str, arcs: int,
         build, gained = BLOCKS[kind]
         composite = build(SpaceSpec(N, width), *positions) @ composite
         width += gained
-    passed = composite == LinearMap.identity(composite.domain_dim).scale(RootTwoNumber(N))
-    ce = None if passed else {"got_nnz": composite.nnz()}
-    return VerificationReport("circuit_scaling", params, passed, ce)
+    expected = LinearMap.identity(composite.domain_dim).scale(RootTwoNumber(N))
+    return _verdict("circuit_scaling", params,
+                    [{"got_nnz": composite.nnz()}] if composite != expected else [])
 
 
 def verify_clifford_relation(N: int,
@@ -286,11 +294,7 @@ def verify_clifford_relation(N: int,
     ]
     fails = [pair for pair, canonical, swapped, joined in swaps
              if swapped != joined.scale(RootTwoNumber(2)) - canonical]
-    passed = not fails
-    return VerificationReport(
-        "clifford_relation", params, passed,
-        None if passed else {"failing_swaps": fails},
-    )
+    return _verdict("clifford_relation", params, [{"failing_swaps": fails}] if fails else [])
 
 
 def _block_contents(arcs: tuple, space: SpaceSpec) -> list[tuple[int, ...]]:
@@ -366,13 +370,11 @@ def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> Verific
     _check_bound(space, bound)
     basis = enumerate_basis(n)
     rank = _realized_rank(basis, space)
-    info = {"basis_size": len(basis), "rank": rank, "asserted": N >= 2 * n}
-    if N >= 2 * n:
-        passed = rank == len(basis)
-    else:
-        passed = True
-    ce = None if passed else {"rank": rank, "basis_size": len(basis)}
-    return VerificationReport("rank", {"n": n, "N": N}, passed, ce, info)
+    asserted = N >= 2 * n
+    info = {"basis_size": len(basis), "rank": rank, "asserted": asserted}
+    deficient = asserted and rank != len(basis)
+    return _verdict("rank", {"n": n, "N": N},
+                    [{"rank": rank, "basis_size": len(basis)}] if deficient else [], info)
 
 
 def verify_surjectivity(n: int, N: int,
@@ -389,9 +391,8 @@ def verify_surjectivity(n: int, N: int,
     dim = commutant_dimension(space)
     rank = _realized_rank(basis, space)
     info = {"basis_size": len(basis), "commutant_dim": dim, "rank": rank}
-    passed = rank == dim and (N < 2 * n or dim == len(basis))
-    return VerificationReport("surjectivity", {"n": n, "N": N}, passed,
-                              None if passed else dict(info), info)
+    onto = rank == dim and (N < 2 * n or dim == len(basis))
+    return _verdict("surjectivity", {"n": n, "N": N}, [] if onto else [dict(info)], info)
 
 
 # --- independent classical Brauer oracle -------------------------------------
@@ -484,20 +485,16 @@ def verify_brauer_consistency(n: int) -> VerificationReport:
     """Products of isolated-free diagrams match the classical path-tracing product."""
     basis = [d for d in enumerate_basis(n) if not d.top_isolated and not d.bottom_isolated]
     params = {"n": n, "diagrams": len(basis)}
-    for d1 in basis:
-        for d2 in basis:
-            loops, matching = brauer_multiply(
-                brauer_from_spin(d1), brauer_from_spin(d2), n
-            )
-            expected = AlgebraElement.from_diagram(
-                brauer_to_spin(n, matching), DeltaPolynomial.delta(loops)
-            )
-            if multiply_diagrams(d1, d2) != expected:
-                return VerificationReport(
-                    "brauer_consistency", params, False,
-                    {"top": emit_diagram(d1), "bottom": emit_diagram(d2)},
-                )
-    return VerificationReport("brauer_consistency", params, True)
+
+    def failures():
+        for d1 in basis:
+            for d2 in basis:
+                loops, matching = brauer_multiply(brauer_from_spin(d1), brauer_from_spin(d2), n)
+                expected = AlgebraElement.from_diagram(brauer_to_spin(n, matching),
+                                                       DeltaPolynomial.delta(loops))
+                if multiply_diagrams(d1, d2) != expected:
+                    yield _pair(d1, d2)
+    return _verdict("brauer_consistency", params, failures())
 
 
 def verify_associativity(n: int, samples: int = 100, seed: int = 0) -> VerificationReport:
@@ -507,32 +504,24 @@ def verify_associativity(n: int, samples: int = 100, seed: int = 0) -> Verificat
     basis = enumerate_basis(n)
     rng = random.Random(seed)
     params = {"n": n, "samples": samples, "seed": seed}
-    for _ in range(samples):
-        a, b, c = (AlgebraElement.from_diagram(rng.choice(basis)) for _ in range(3))
-        left = multiply_elements(multiply_elements(a, b), c)
-        right = multiply_elements(a, multiply_elements(b, c))
-        if left != right:
-            return VerificationReport(
-                "associativity", params, False,
-                {"triple": [e.to_json() for e in (a, b, c)]},
-            )
-    return VerificationReport("associativity", params, True)
+
+    def failures():
+        for _ in range(samples):
+            a, b, c = (AlgebraElement.from_diagram(rng.choice(basis)) for _ in range(3))
+            left = multiply_elements(multiply_elements(a, b), c)
+            right = multiply_elements(a, multiply_elements(b, c))
+            if left != right:
+                yield {"triple": [e.to_json() for e in (a, b, c)]}
+    return _verdict("associativity", params, failures())
 
 
 def verify_filtration(n: int) -> VerificationReport:
     """Through-string count never exceeds either factor's count."""
     basis = enumerate_basis(n)
     params = {"n": n, "pairs": len(basis) ** 2}
-    for d1 in basis:
-        for d2 in basis:
-            cap = min(d1.through_count, d2.through_count)
-            product = multiply_diagrams(d1, d2)
-            if product.max_through() > cap:
-                return VerificationReport(
-                    "filtration", params, False,
-                    {"top": emit_diagram(d1), "bottom": emit_diagram(d2)},
-                )
-    return VerificationReport("filtration", params, True)
+    return _verdict("filtration", params, (
+        _pair(d1, d2) for d1 in basis for d2 in basis
+        if multiply_diagrams(d1, d2).max_through() > min(d1.through_count, d2.through_count)))
 
 
 def verify_modmult(n: int) -> VerificationReport:
@@ -540,53 +529,33 @@ def verify_modmult(n: int) -> VerificationReport:
     basis = enumerate_basis(n)
     params = {"n": n, "pairs": len(basis) ** 2}
     references: dict = {}  # one reference product per pair of middle rows
-    for d1 in basis:
-        for d2 in basis:
-            if not modmult_check(d1, d2, references):
-                return VerificationReport(
-                    "modmult", params, False,
-                    {"top": emit_diagram(d1), "bottom": emit_diagram(d2)},
-                )
-    return VerificationReport("modmult", params, True)
+    return _verdict("modmult", params, (
+        _pair(d1, d2) for d1 in basis for d2 in basis
+        if not modmult_check(d1, d2, references)))
 
 
 def verify_cell_symmetry(n: int) -> VerificationReport:
     """Swapping the pairing's arguments inverts the permutation, scalars fixed."""
-    params = {"n": n}
-    for ell in range(n + 1):
-        vecs = enumerate_S(n, ell)
-        for v1 in vecs:
-            for v2 in vecs:
-                a = phi_ell(ell, v1, v2)
-                b = phi_ell(ell, v2, v1)
-                if (a is None) != (b is None) or (a is not None and a.inverted() != b):
-                    return VerificationReport(
-                        "cell_symmetry", params, False,
-                        {"ell": ell, "v1": repr(v1), "v2": repr(v2)},
-                    )
-    return VerificationReport("cell_symmetry", params, True)
+    def failures():
+        for ell in range(n + 1):
+            vecs = enumerate_S(n, ell)
+            for v1 in vecs:
+                for v2 in vecs:
+                    a = phi_ell(ell, v1, v2)  # None is the zero value
+                    if (a and a.inverted()) != phi_ell(ell, v2, v1):
+                        yield {"ell": ell, "v1": repr(v1), "v2": repr(v2)}
+    return _verdict("cell_symmetry", {"n": n}, failures())
 
 
 def verify_involution_compatibility(n: int) -> VerificationReport:
     """Row swap exchanges the two cell factors and inverts the permutation."""
-    params = {"n": n}
-    for d in enumerate_basis(n):
-        ell, t = cell_encode(d)
-        ell2, ti = cell_encode(involution(d))
-        inv = [0] * ell
-        for i, j in enumerate(t.sigma):
-            inv[j] = i
-        ok = (
-            ell == ell2
-            and ti.x == t.y and ti.S == t.T
-            and ti.y == t.x and ti.T == t.S
-            and ti.sigma == tuple(inv)
-        )
-        if not ok:
-            return VerificationReport(
-                "involution_compatibility", params, False, {"diagram": emit_diagram(d)}
-            )
-    return VerificationReport("involution_compatibility", params, True)
+    def failures():
+        for d in enumerate_basis(n):
+            ell, t = cell_encode(d)
+            inverse = tuple(sorted(range(ell), key=t.sigma.__getitem__))
+            if cell_encode(involution(d)) != (ell, CellTriple(t.y, t.T, t.x, t.S, inverse)):
+                yield {"diagram": emit_diagram(d)}
+    return _verdict("involution_compatibility", {"n": n}, failures())
 
 
 CHECKS: dict[str, Callable[..., VerificationReport]] = {

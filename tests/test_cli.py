@@ -403,6 +403,25 @@ def test_enumerate_over_bound_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_max_n_is_the_one_row_limit(tmp_path, capsys):
+    # Above the default max_n the basis is listed once the config allows it.
+    cfg = tmp_path / "spinbrauer.toml"
+    cfg.write_text("max_n = 6\n")
+    code, out = run(["--config", str(cfg), "verify", "associativity",
+                     "--n", "6", "--samples", "1"])
+    assert code == 0 and json.loads(out)["passed"]
+    code, out = run(["enumerate", "--n", "6"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "n=6 exceeds max_n 5\n"
+
+
+def test_config_reads_every_field(tmp_path):
+    cfg = tmp_path / "spinbrauer.toml"
+    cfg.write_text("max_n = 3\nmax_total_dimension = 7\noutput = 'pretty'\n"
+                   "seed = 4\nfixtures_dir = \"elsewhere\"\n")
+    assert load_config(str(cfg)) == CliConfig(3, 7, "pretty", 4, "elsewhere")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "associativity", "--n", "4", "--samples", "2"],
     ["verify", "surjectivity", "--n", "4", "--N", "2"],

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FIVE_VERTEX, assert_validated
 from spinbrauer.diagrams import (
+    AlgebraElement,
     CellTriple,
     DiagramError,
     SpinDiagram,
@@ -121,6 +122,27 @@ def test_parse_names_the_field_of_a_wrongly_shaped_value(path, value, field):
     assert str(err.value).startswith(f"malformed diagram JSON: {field} is not ")
 
 
+@pytest.mark.parametrize("parse, document, message", [
+    (parse_diagram, {k: v for k, v in _ONE_STRAND.items() if k != "through"},
+     "malformed diagram JSON: through is missing"),
+    (parse_diagram, {**_ONE_STRAND, "top": {"arcs": []}},
+     "malformed diagram JSON: top.isolated is missing"),
+    (parse_diagram, {**_ONE_STRAND, "bottom": {"isolated": []}},
+     "malformed diagram JSON: bottom.arcs is missing"),
+    (parse_diagram, "[1, 2]", "malformed diagram JSON: the document is not an object"),
+    (parse_diagram, "null", "malformed diagram JSON: the document is not an object"),
+    (AlgebraElement.from_json, {}, "malformed element JSON: terms is missing"),
+    (AlgebraElement.from_json, {"terms": [{"coeff": [[0, 1]]}]},
+     "malformed element JSON: terms[0].diagram is missing"),
+    (AlgebraElement.from_json, "[]", "malformed element JSON: the document is not an object"),
+], ids=["no-through", "no-top-isolated", "no-bottom-arcs", "array", "null",
+        "no-terms", "term-without-diagram", "element-array"])
+def test_parse_names_a_missing_field_or_a_non_object(parse, document, message):
+    with pytest.raises(DiagramError) as err:
+        parse(document)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("fields", [
     (2, (), (), ((1.9, 2),), ((1, 2),), ()),
     (2, (), (), ((1, 2),), ((1, 2),), (("1", 1.2),)),
@@ -182,9 +204,10 @@ def test_basis_ordered_by_descending_through_count():
     assert counts == sorted(counts, reverse=True)
 
 
-def test_enumeration_bound():
-    with pytest.raises(DiagramError, match="bound"):
-        enumerate_basis(6)
+def test_enumeration_stops_at_the_partition_bound():
+    # The row partitions are listed up to n = 12; callers bound n below that.
+    with pytest.raises(ValueError, match="n=13 exceeds bound 12"):
+        enumerate_basis(13)
 
 
 def test_enumeration_rejects_negative_n():
