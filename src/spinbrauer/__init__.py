@@ -14,7 +14,6 @@ from .diagrams import (
     AlgebraElement,
     CellTriple,
     DiagramError,
-    LabeledDiagram,
     SpinDiagram,
     cell_decode,
     cell_encode,

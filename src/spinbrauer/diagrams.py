@@ -25,7 +25,6 @@ from .scalars import DeltaPolynomial
 __all__ = [
     "DiagramError",
     "SpinDiagram",
-    "LabeledDiagram",
     "AlgebraElement",
     "CellTriple",
     "identity_diagram",
@@ -80,9 +79,9 @@ def _check_row(n: int, isolated: Sequence[int], arcs: Sequence[Arc],
 
 
 def _normalize_rows(d) -> None:
-    """Put the rows of d (a SpinDiagram or LabeledDiagram under
-    construction) in canonical form and check them. n and every vertex must
-    be an int: a float, a bool or a numeric string is refused, not coerced."""
+    """Put the rows of d, a SpinDiagram under construction, in canonical
+    form and check them. n and every vertex must be an int: a float, a bool
+    or a numeric string is refused, not coerced."""
     for v in itertools.chain((d.n,), d.top_isolated, d.bottom_isolated,
                              *d.top_arcs, *d.bottom_arcs, *d.through):
         if type(v) is not int:
@@ -220,88 +219,6 @@ def parse_diagram(source: Union[str, Mapping]) -> SpinDiagram:
     if [tuple(pair) for pair in through] != list(d.through):
         raise DiagramError("through pairs not sorted by first coordinate")
     return d
-
-
-@dataclass(frozen=True)
-class LabeledDiagram:
-    """Stitch/normal-form boundary type: isolated vertices carry explicit labels.
-
-    stitch_and_resolve returns one, and clifford_normalize takes one; the
-    normal form itself works on plain int tuples (see multiply).
-
-    Labels form {1..t} in an arbitrary order across the two rows plus any
-    circuit pairs. A circuit pair is the remnant of a closed component of a
-    stacked product whose two labeled ends were not adjacent in the total
-    order; it carries no vertices of its own and disappears (with a scalar
-    delta) once transpositions have made its labels adjacent. A diagram is
-    canonical exactly when it has no circuit pairs and reading the labels top
-    row left-to-right then bottom row left-to-right yields 1, 2, ..., t.
-    """
-
-    n: int
-    top_isolated: tuple[int, ...]
-    bottom_isolated: tuple[int, ...]
-    top_arcs: tuple[Arc, ...]
-    bottom_arcs: tuple[Arc, ...]
-    through: tuple[tuple[int, int], ...]
-    top_labels: tuple[int, ...]
-    bottom_labels: tuple[int, ...]
-    circuit_pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        for row in ("top", "bottom"):
-            isolated = getattr(self, f"{row}_isolated")
-            labels = getattr(self, f"{row}_labels")
-            if len(labels) != len(isolated):
-                raise DiagramError(f"{row} label list length mismatch")
-            # A row reads left to right; each label keeps its vertex.
-            pairs = sorted(zip(isolated, labels))
-            object.__setattr__(self, f"{row}_isolated", tuple(v for v, _ in pairs))
-            object.__setattr__(self, f"{row}_labels", tuple(l for _, l in pairs))
-        object.__setattr__(self, "circuit_pairs", tuple(map(tuple, self.circuit_pairs)))
-        _normalize_rows(self)
-        labels = sorted(
-            self.top_labels
-            + self.bottom_labels
-            + tuple(l for pair in self.circuit_pairs for l in pair)
-        )
-        if labels != list(range(1, len(labels) + 1)):
-            raise DiagramError("labels are not exactly 1..t")
-
-    # Adopt the fields, in order, unchecked: the canonical rows of a
-    # SpinDiagram plus labels that are exactly 1..t. Only the stitch's
-    # boundary conversion builds them this way.
-    _trusted = classmethod(_adopt)
-
-    def is_canonical(self) -> bool:
-        seq = self.top_labels + self.bottom_labels
-        return not self.circuit_pairs and seq == tuple(range(1, len(seq) + 1))
-
-    @classmethod
-    def from_spin(cls, d: SpinDiagram) -> LabeledDiagram:
-        k = len(d.top_isolated)
-        return cls(
-            d.n,
-            d.top_isolated,
-            d.bottom_isolated,
-            d.top_arcs,
-            d.bottom_arcs,
-            d.through,
-            tuple(range(1, k + 1)),
-            tuple(range(k + 1, k + 1 + len(d.bottom_isolated))),
-        )
-
-    def to_spin(self) -> SpinDiagram:
-        if not self.is_canonical():
-            raise DiagramError("labeled diagram is not in canonical order")
-        return SpinDiagram(
-            self.n,
-            self.top_isolated,
-            self.bottom_isolated,
-            self.top_arcs,
-            self.bottom_arcs,
-            self.through,
-        )
 
 
 class AlgebraElement:

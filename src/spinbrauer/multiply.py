@@ -50,9 +50,10 @@ Inside the normal form an intermediate is a plain tuple
 vertex v is stored as v, a bottom-row vertex v as n + v, and both ends of
 circuit pair j as -j, the pairs numbered -1, -2, ... by the position of their
 first end. Labels are positions, so deleting an entry renumbers the rest, and
-equal intermediates are equal tuples. LabeledDiagram is only the boundary
-form: stitch_and_resolve returns one and clifford_normalize takes one, while
-their state-level cores _stitch and _normal_form pass states.
+equal intermediates are equal tuples. This is the one form of the stitched
+intermediate: stitch_and_resolve hands it on as a Stitched (n and the
+state), whose labels are read off the word only when asked for, and
+clifford_normalize passes that state straight to _normal_form.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .diagrams import AlgebraElement, DiagramError, LabeledDiagram, SpinDiagram
+from .diagrams import AlgebraElement, DiagramError, SpinDiagram
 from .scalars import DeltaPolynomial
 
 __all__ = [
@@ -75,17 +76,46 @@ __all__ = [
     "descending_strategy",
 ]
 
-@dataclass(frozen=True)
-class StitchResolution:
-    """Outcome of stacking: resolved circuit count and the labeled intermediate."""
-
-    circuits_closed: int
-    resolved: LabeledDiagram
-
-
 # A normal-form state: (top_arcs, bottom_arcs, through, word); see above.
 Arc = tuple[int, int]
 State = tuple[tuple[Arc, ...], tuple[Arc, ...], tuple[Arc, ...], tuple[int, ...]]
+
+
+def _labels(word: tuple[int, ...], codes: range) -> tuple[int, ...]:
+    """The labels (word positions from 1) of the entries in codes, ordered
+    by |entry| and then position: a row's labels in vertex order, or the two
+    ends of pair -1, then of pair -2, ..."""
+    return tuple(k for _, k in sorted((abs(v), k) for k, v in enumerate(word, 1) if v in codes))
+
+
+@dataclass(frozen=True)
+class Stitched:
+    """A settled stitched intermediate on n + n vertices (see above); its
+    labels are computed from the word when read."""
+
+    n: int
+    state: State
+
+    @property
+    def top_labels(self) -> tuple[int, ...]:
+        return _labels(self.state[3], range(1, self.n + 1))
+
+    @property
+    def bottom_labels(self) -> tuple[int, ...]:
+        return _labels(self.state[3], range(self.n + 1, 2 * self.n + 1))
+
+    @property
+    def circuit_pairs(self) -> tuple[tuple[int, int], ...]:
+        ends = _labels(self.state[3], range(-len(self.state[3]), 0))
+        return tuple(zip(ends[::2], ends[1::2]))
+
+
+@dataclass(frozen=True)
+class StitchResolution:
+    """Outcome of stacking: resolved circuit count and the settled intermediate."""
+
+    circuits_closed: int
+    resolved: Stitched
 
 
 def _settle(word: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -105,44 +135,6 @@ def _settle(word: list[int]) -> tuple[int, tuple[int, ...]]:
         if x < 0 and x not in names:
             names[x] = -1 - len(names)
     return (len(word) - len(kept)) // 2, tuple(names.get(x, x) for x in kept)
-
-
-def _labeled(n: int, state: State) -> LabeledDiagram:
-    """The boundary form of a settled state; its labels are the word
-    positions 1..t by construction, so it is built unchecked."""
-    top_arcs, bottom_arcs, through, word = state
-    # label[v]: the label of vertex code v, 0 if v is not isolated; ends[j]:
-    # the labels of pair -1 - j, numbered by their first end as settled.
-    label = [0] * (2 * n + 1)
-    ends: list[list[int]] = []
-    for k, v in enumerate(word, 1):
-        if v > 0:
-            label[v] = k
-        elif -v > len(ends):
-            ends.append([k])
-        else:
-            ends[-1 - v].append(k)
-    top = [v for v in range(1, n + 1) if label[v]]
-    bottom = [v for v in range(n + 1, 2 * n + 1) if label[v]]
-    return LabeledDiagram._trusted(
-        n, tuple(top), tuple(v - n for v in bottom),
-        top_arcs, bottom_arcs, through,
-        tuple(label[v] for v in top), tuple(label[v] for v in bottom),
-        tuple(map(tuple, ends)),
-    )
-
-
-def _word_of(d: LabeledDiagram) -> list[int]:
-    """The word of a boundary diagram, its pairs not yet settled."""
-    word = [0] * (len(d.top_labels) + len(d.bottom_labels) + 2 * len(d.circuit_pairs))
-    for v, label in zip(d.top_isolated, d.top_labels):
-        word[label - 1] = v
-    for v, label in zip(d.bottom_isolated, d.bottom_labels):
-        word[label - 1] = d.n + v
-    for j, pair in enumerate(d.circuit_pairs, 1):
-        for label in pair:
-            word[label - 1] = -j
-    return word
 
 
 def _joined(x: int, y: int, n: int) -> tuple[int, Arc]:
@@ -237,9 +229,9 @@ def _stitch(top: SpinDiagram, bottom: SpinDiagram) -> tuple[int, State]:
 
 def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolution:
     """Stack `top` over `bottom` and resolve every middle-row component
-    (see _stitch); the intermediate comes in its boundary form."""
+    (see _stitch)."""
     closed, state = _stitch(top, bottom)
-    return StitchResolution(closed, _labeled(top.n, state))
+    return StitchResolution(closed, Stitched(top.n, state))
 
 
 # --- normal ordering --------------------------------------------------------
@@ -432,7 +424,7 @@ def _normal_form(
 
 
 def clifford_normalize(
-    d: LabeledDiagram,
+    d: Stitched,
     coeff: Union[DeltaPolynomial, int],
     strategy: Strategy = default_strategy,
 ) -> AlgebraElement:
@@ -444,10 +436,8 @@ def clifford_normalize(
     """
     if isinstance(coeff, int):
         coeff = DeltaPolynomial.constant(coeff)
-    dropped, word = _settle(_word_of(d))
-    root = (d.top_arcs, d.bottom_arcs, d.through, word)
-    c = {e + dropped: v for e, v in coeff.items()}
-    return AlgebraElement._wrap(d.n, _normal_form(d.n, root, c, strategy, 0))
+    c = dict(coeff.items())
+    return AlgebraElement._wrap(d.n, _normal_form(d.n, d.state, c, strategy, 0))
 
 
 def multiply_diagrams(

@@ -16,6 +16,7 @@ from .cellular import modmult_check, phi_ell
 from .diagrams import (
     AlgebraElement,
     CellTriple,
+    DiagramError,
     SpinDiagram,
     cell_encode,
     emit_diagram,
@@ -536,6 +537,9 @@ def verify_modmult(n: int) -> VerificationReport:
 
 def verify_cell_symmetry(n: int) -> VerificationReport:
     """Swapping the pairing's arguments inverts the permutation, scalars fixed."""
+    if n < 0:
+        raise DiagramError("n must be nonnegative")
+
     def failures():
         for ell in range(n + 1):
             vecs = enumerate_S(n, ell)

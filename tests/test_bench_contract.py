@@ -5,6 +5,7 @@ results; a change under src/ that drops one should fail here, not only when
 the benchmark runs.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -105,3 +106,17 @@ def test_traced_homomorphism_work(monkeypatch):
     assert counts["linalg.compose.calls"] == 2
     assert counts["linalg.compose_madds"] == 1800
     assert counts["linalg.equal.calls"] == 2
+
+
+def test_normal_form_potentials_at_three(monkeypatch):
+    # products and isolated choose their inputs by this potential, read from
+    # the stitched labels; a wrong label would change their seed-0 inputs.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "gen", raising=False)
+    import gen
+
+    basis = enumerate_basis(3)
+    potentials = [gen.normal_form_potential(a, b) for a in basis for b in basis]
+    assert len(potentials) == 5776
+    assert hashlib.sha256(repr(potentials).encode()).hexdigest() == (
+        "5c991fd80b4ad78c38acc4b6a51f4155ec2e69c5cbf90dd16cac8a2cfb3dfd27")

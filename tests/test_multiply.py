@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -9,7 +8,6 @@ from conftest import DEMO_A, DEMO_B, DEMO_BOTTOM, DEMO_TOP, assert_validated
 from spinbrauer.diagrams import (
     AlgebraElement,
     DiagramError,
-    LabeledDiagram,
     SpinDiagram,
     emit_diagram,
     enumerate_basis,
@@ -32,6 +30,20 @@ from spinbrauer.scalars import DeltaPolynomial
 D = DeltaPolynomial.delta
 BOTH_ISOLATED = SpinDiagram(1, (1,), (1,), (), (), ())
 STRATEGIES = (default_strategy, ascending_strategy, descending_strategy)
+
+
+def state_of(d):
+    """The settled state of a basis diagram: its isolated vertices in label
+    order, top row first."""
+    return (d.top_arcs, d.bottom_arcs, d.through,
+            d.top_isolated + tuple(d.n + v for v in d.bottom_isolated))
+
+
+def normalized(n, top_arcs, bottom_arcs, through, word, strategy=default_strategy):
+    """The normal form of an unsettled word with coefficient 1, as a table."""
+    dropped, settled = multiply._settle(list(word))
+    root = (top_arcs, bottom_arcs, through, settled)
+    return multiply._normal_form(n, root, {dropped: 1}, strategy, 0)
 
 
 def all_isolated(n):
@@ -68,25 +80,24 @@ def test_stitch_both_isolated_closes_one_circuit():
     assert res.resolved.top_labels == (1,)
     assert res.resolved.bottom_labels == (2,)
     assert res.resolved.circuit_pairs == ()
-    assert res.resolved.to_spin() == BOTH_ISOLATED
+    assert res.resolved == multiply.Stitched(1, state_of(BOTH_ISOLATED))
 
 
 def test_stitch_identity_is_trivial():
     res = stitch_and_resolve(identity_diagram(2), identity_diagram(2))
     assert res.circuits_closed == 0
-    assert res.resolved.to_spin() == identity_diagram(2)
+    assert res.resolved == multiply.Stitched(2, state_of(identity_diagram(2)))
 
 
 def test_stitch_demo_first_stage():
     res = stitch_and_resolve(DEMO_TOP, DEMO_BOTTOM)
     assert res.circuits_closed == 1
     r = res.resolved
-    assert r.top_isolated == (4, 5) and r.top_labels == (1, 3)
-    assert r.bottom_isolated == (2, 5) and r.bottom_labels == (2, 4)
-    assert r.top_arcs == ((2, 3), (6, 7))
-    assert r.bottom_arcs == ((3, 4), (6, 7))
-    assert r.through == ((1, 1),)
-    assert not r.is_canonical()
+    # Top vertices 4, 5 hold labels 1, 3; bottom vertices 2, 5 labels 2, 4:
+    # the word is out of canonical order.
+    assert r.state == (((2, 3), (6, 7)), ((3, 4), (6, 7)), ((1, 1),), (4, 9, 5, 12))
+    assert r.top_labels == (1, 3) and r.bottom_labels == (2, 4)
+    assert r.circuit_pairs == ()
 
 
 def test_stitch_dimension_mismatch():
@@ -95,8 +106,7 @@ def test_stitch_dimension_mismatch():
 
 
 def test_normalize_canonical_input_passes_through():
-    labeled = LabeledDiagram.from_spin(DEMO_A)
-    out = clifford_normalize(labeled, D(1))
+    out = clifford_normalize(multiply.Stitched(DEMO_A.n, state_of(DEMO_A)), D(1))
     assert out.terms == {DEMO_A: D(1)}
 
 
@@ -112,50 +122,17 @@ def test_settle_leaves_a_pair_free_word_alone():
 @pytest.mark.parametrize("n", range(4))
 def test_normalize_returns_a_basis_diagram_unchanged(n):
     for d in enumerate_basis(n):
-        labeled = LabeledDiagram.from_spin(d)
+        stitched = multiply.Stitched(n, state_of(d))
         for c in (DeltaPolynomial.one(), 3 * D(2) - 1, -2):
-            assert clifford_normalize(labeled, c) == AlgebraElement.from_diagram(d, c)
-        assert clifford_normalize(labeled, 0) == AlgebraElement.zero(n)
-        assert not clifford_normalize(labeled, DeltaPolynomial.zero())
+            assert clifford_normalize(stitched, c) == AlgebraElement.from_diagram(d, c)
+        assert clifford_normalize(stitched, 0) == AlgebraElement.zero(n)
+        assert not clifford_normalize(stitched, DeltaPolynomial.zero())
 
 
 def test_normalize_within_row_positional_order_is_canonical():
-    labeled = LabeledDiagram(2, (1, 2), (), (), ((1, 2),), (), (1, 2), ())
-    out = clifford_normalize(labeled, DeltaPolynomial.one())
-    assert out.terms == {SpinDiagram(2, (1, 2), (), (), ((1, 2),), ()): DeltaPolynomial.one()}
-
-
-@pytest.mark.parametrize("fields, canonical", [
-    # Reversed arcs, unsorted through pairs, isolated vertices listed right
-    # to left (each label stays with its vertex).
-    ((2, (), (), ((2, 1),), ((1, 2),), (), (), ()),
-     (2, (), (), ((1, 2),), ((1, 2),), (), (), ())),
-    ((2, (), (), (), (), ((2, 1), (1, 2)), (), ()),
-     (2, (), (), (), (), ((1, 2), (2, 1)), (), ())),
-    ((3, (2, 1), (), (), ((2, 3),), ((3, 1),), (2, 1), ()),
-     (3, (1, 2), (), (), ((2, 3),), ((3, 1),), (1, 2), ())),
-])
-def test_labeled_diagram_normalizes_its_rows(fields, canonical):
-    d = LabeledDiagram(*fields)
-    assert d == LabeledDiagram(*canonical)
-    assert repr(d) == repr(LabeledDiagram(*canonical))
-    assert d == dataclasses.replace(LabeledDiagram._trusted(*canonical, ()))
-    # The output the normal form gave before it built its terms unchecked.
-    assert clifford_normalize(d, D(1)).terms == {SpinDiagram(*canonical[:6]): D(1)}
-
-
-@pytest.mark.parametrize("fields", [
-    (2, (1,), (), (), (), (), (1,), ()),                # top vertex 2 uncovered
-    (2, (1,), (1, 2), (), (), ((2, 2),), (1,), (2, 3)),  # bottom 2 used twice
-    (2, (), (), (), (), ((1, 1), (2, 1)), (), ()),      # through not a bijection
-    (1, (), (), ((1, 1),), ((1, 1),), (), (), ()),      # arc on one vertex
-    (1, (2,), (1,), (), (), (), (1,), (2,)),            # vertex outside 1..n
-    (-1, (), (), (), (), (), (), ()),
-    (1, (1,), (1,), (), (), (), (1,), (3,)),            # labels not 1..t
-])
-def test_labeled_diagram_rejects_broken_rows(fields):
-    with pytest.raises(DiagramError):
-        LabeledDiagram(*fields)
+    # Top vertices 1, 2 holding labels 1, 2 under a bottom arc.
+    out = normalized(2, (), ((1, 2),), (), [1, 2])
+    assert out == {SpinDiagram(2, (1, 2), (), (), ((1, 2),), ()): DeltaPolynomial.one()}
 
 
 def test_normalize_takes_an_int_coefficient():
@@ -257,6 +234,19 @@ def assert_validated_terms(element):
         assert c and all(v for _, v in c.items())
 
 
+def assert_labels_name_the_word(stitched):
+    """The labels are exactly 1..t and each reads its own word entry: a
+    row's in vertex order, the two ends of pair -1, then of pair -2, ..."""
+    n, word, pairs = stitched.n, stitched.state[3], stitched.circuit_pairs
+    ends = [k for pair in pairs for k in pair]
+    labels = stitched.top_labels + stitched.bottom_labels + tuple(ends)
+    assert sorted(labels) == list(range(1, len(word) + 1))
+    assert [word[k - 1] for k in stitched.top_labels] == sorted(v for v in word if 0 < v <= n)
+    assert [word[k - 1] for k in stitched.bottom_labels] == sorted(v for v in word if v > n)
+    assert [word[k - 1] for k in ends] == [-j for j in range(1, len(pairs) + 1) for _ in range(2)]
+    assert all(first < second for first, second in pairs)
+
+
 def test_normal_form_builds_the_validated_diagrams():
     b3 = enumerate_basis(3)
     pairs = [(a, b) for a in b3 for b in b3]
@@ -268,11 +258,7 @@ def test_normal_form_builds_the_validated_diagrams():
     for a, b in pairs:
         assert_validated_terms(multiply_diagrams(a, b))
         resolved = stitch_and_resolve(a, b).resolved
-        # replace() rebuilds through the checking constructor, which puts
-        # the rows, arcs and through pairs in canonical form and checks them
-        # and the labels.
-        rebuilt = dataclasses.replace(resolved)
-        assert rebuilt == resolved and repr(rebuilt) == repr(resolved)
+        assert_labels_name_the_word(resolved)
         assert clifford_normalize(resolved, zero) == AlgebraElement.zero(a.n)
 
 
@@ -436,52 +422,74 @@ def test_golden_product_digests():
         "631c80f9e59c332039e331f76a4ee5028c56ecd2649c7facdb515936e0c258ac")
 
 
-def _stitch_digest(pairs):
-    h = hashlib.sha256()
+def _stitch_digests(pairs):
+    """Digests of the stitched states and of their labels."""
+    states, labels = hashlib.sha256(), hashlib.sha256()
     for a, b in pairs:
         r = stitch_and_resolve(a, b)
-        h.update((repr((r.circuits_closed, r.resolved)) + "\n").encode())
-    return h.hexdigest()
+        s = r.resolved
+        states.update((repr((r.circuits_closed, s.n, s.state)) + "\n").encode())
+        labels.update((repr((s.top_labels, s.bottom_labels, s.circuit_pairs)) + "\n").encode())
+    return states.hexdigest(), labels.hexdigest()
 
 
 def test_golden_stitch_digests():
     b3 = enumerate_basis(3)
-    assert _stitch_digest((a, b) for a in b3 for b in b3) == (
-        "f1a584428949d4c8636668c939f034eee12340e90a58a371f295de504ef775fc")
+    assert _stitch_digests((a, b) for a in b3 for b in b3) == (
+        "3876d278512122337fe7b5eb0521d25e96401dba8fd9d8049e0b79da8004dbd8",
+        "d9e3e71e03f04229b7f208e1086c4b4e53931903b9c396fbf493d8ca22ea25e8")
     rng = random.Random("stitch/5")
     b5 = enumerate_basis(5)
     pairs = [(rng.choice(b5), rng.choice(b5)) for _ in range(500)]
-    assert _stitch_digest(pairs) == (
-        "a8c12e3c02784dbb4100c445c4df1041d6a2939fee49bb8f38f8e9c9e2ace986")
+    assert _stitch_digests(pairs) == (
+        "70f53181da1e98a1da78233018de4e9ab89a7ff33906595f4ef7d1e212e5fda8",
+        "52ee0c9e18ae6e4476e2f0f8bcfbcbbff401f54c2edab33c96843676c5df0356")
+
+
+def test_products_read_no_label(monkeypatch):
+    # A product hands the stitched state straight to the normal form; the
+    # labels exist only for callers that read them.
+    def refuse(*args):
+        raise AssertionError("a product computed labels")
+
+    monkeypatch.setattr(multiply, "_labels", refuse)
+    with pytest.raises(AssertionError, match="computed labels"):
+        stitch_and_resolve(DEMO_TOP, DEMO_BOTTOM).resolved.top_labels
+    b3 = enumerate_basis(3)
+    rng = random.Random("labels/5")
+    b5 = enumerate_basis(5)
+    pairs = [(a, b) for a in b3 for b in b3]
+    pairs += [(rng.choice(b5), rng.choice(b5)) for _ in range(100)]
+    for a, b in pairs:
+        multiply_diagrams(a, b)
 
 
 def test_stitch_closes_a_pure_cycle():
     cup_cap = SpinDiagram(2, (), (), ((1, 2),), ((1, 2),), ())
     r = stitch_and_resolve(cup_cap, cup_cap)
     assert r.circuits_closed == 1
-    assert r.resolved == LabeledDiagram.from_spin(cup_cap)
+    assert r.resolved == multiply.Stitched(2, state_of(cup_cap))
 
 
 EMPTY = SpinDiagram(0, (), (), (), (), ())
 
 
+# Each labeled intermediate is (n, top_arcs, bottom_arcs, through, word), its
+# word not yet settled.
 @pytest.mark.parametrize("labeled, expected", [
     # Nested pairs: the inner one drops, then the outer one.
-    (LabeledDiagram(0, (), (), (), (), (), (), (), ((1, 4), (2, 3))),
-     {EMPTY: D(2)}),
-    (LabeledDiagram(0, (), (), (), (), (), (), (), ((1, 3), (2, 4))),
-     {EMPTY: 2 * D(1) - D(2)}),
-    (LabeledDiagram(0, (), (), (), (), (), (), (), ((1, 4), (2, 5), (3, 6))),
-     {EMPTY: -D(3) + 6 * D(2) - 4 * D(1)}),
+    ((0, (), (), (), [-1, -2, -2, -1]), {EMPTY: D(2)}),
+    ((0, (), (), (), [-1, -2, -1, -2]), {EMPTY: 2 * D(1) - D(2)}),
+    ((0, (), (), (), [-1, -2, -3, -1, -2, -3]), {EMPTY: -D(3) + 6 * D(2) - 4 * D(1)}),
     # A row end joins a pair end: the vertex takes over the partner's label.
-    (LabeledDiagram(1, (1,), (1,), (), (), (), (2,), (4,), ((1, 3),)),
-     {BOTH_ISOLATED: 2 - D(1)}),
-    (LabeledDiagram(2, (1, 2), (), (), ((1, 2),), (), (2, 3), (), ((1, 4),)),
+    ((1, (), (), (), [-1, 1, -1, 2]), {BOTH_ISOLATED: 2 - D(1)}),
+    ((2, (), ((1, 2),), (), [-1, 1, 2, -1]),
      {SpinDiagram(2, (), (), ((1, 2),), ((1, 2),), ()): 4 * D(0),
       SpinDiagram(2, (1, 2), (), (), ((1, 2),), ()): D(1) - 4}),
 ])
 def test_normalize_circuit_pairs(labeled, expected):
-    assert clifford_normalize(labeled, DeltaPolynomial.one()).terms == expected
+    for strategy in STRATEGIES:
+        assert normalized(*labeled, strategy) == expected
 
 
 def test_nonadjacent_circuit_collects_correction():

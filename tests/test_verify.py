@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 from collections import Counter
@@ -413,6 +414,23 @@ def test_modmult_and_cell_checks():
     assert verify_modmult(2).passed
     assert verify_cell_symmetry(2).passed
     assert verify_involution_compatibility(2).passed
+
+
+ROW_CHECKS = [name for name, check in verify.CHECKS.items()
+              if "n" in inspect.signature(check).parameters]
+
+
+def test_row_checks_are_the_nine_that_take_n():
+    assert len(ROW_CHECKS) == 9 and "cell-symmetry" in ROW_CHECKS
+
+
+@pytest.mark.parametrize("name", ROW_CHECKS)
+def test_every_check_refuses_a_negative_n(name):
+    # A check with no rows to sweep must not pass vacuously.
+    check = verify.CHECKS[name]
+    args = {"n": -1, "N": 4} if "N" in inspect.signature(check).parameters else {"n": -1}
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        check(**args)
 
 
 def test_reports_are_deterministic():
