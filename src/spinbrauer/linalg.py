@@ -333,6 +333,7 @@ def _flat(m: LinearMap) -> PairColumn:
 # of the k + 1 largest column weights. Once the primes tried multiply to more
 # than the smaller product, the rank is k.
 
+_M61 = (1 << 61) - 1  # the first prime tried, 7 mod 8
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The least strong pseudoprime to every base in _MR_BASES.
 _MR_BOUND = 318_665_857_834_031_151_167_461
@@ -363,8 +364,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """Primes p = 7 mod 8 (so 2 is a square mod p), down from 2^61 - 1."""
-    return filter(_is_prime, count((1 << 61) - 1, -8))
+    """Primes p = 7 mod 8 (so 2 is a square mod p), down from 2^61 - 1.
+
+    The Mersenne number M61 = 2^61 - 1 is a known prime (Pervushin, 1883),
+    so it is yielded without a test; _is_prime searches only below it.
+    """
+    yield _M61
+    yield from filter(_is_prime, count(_M61 - 8, -8))
 
 
 def _rank_mod(vectors: list[PairColumn], p: int) -> int:
@@ -394,7 +400,8 @@ def _rank_mod(vectors: list[PairColumn], p: int) -> int:
 
 
 def independent_mod_p(maps: Sequence[LinearMap]) -> bool:
-    """Whether the maps, read as vectors, are independent modulo 2^61 - 1.
+    """Whether the maps, read as vectors, are independent modulo 2^61 - 1,
+    the first prime of _primes.
 
     Reduction modulo a prime only lowers the rank, so True proves the maps
     linearly independent over Q(sqrt2); False proves nothing. A zero map
@@ -402,7 +409,7 @@ def independent_mod_p(maps: Sequence[LinearMap]) -> bool:
     """
     if not all(m._cols for m in maps):
         return False
-    return _rank_mod([_flat(m) for m in maps], next(_primes())) == len(maps)
+    return _rank_mod([_flat(m) for m in maps], _M61) == len(maps)
 
 
 def _weights(vectors: list[PairColumn]) -> tuple[list[int], list[int]]:

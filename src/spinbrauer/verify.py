@@ -298,26 +298,27 @@ def verify_clifford_relation(N: int,
     return _verdict("clifford_relation", params, [{"failing_swaps": fails}] if fails else [])
 
 
-def _block_contents(arcs: tuple, space: SpaceSpec) -> list[tuple[int, ...]]:
-    """The slot contents of a top-arc set, at Fock mask 0: arc k carries w_k
-    at its left end and w_k* at its right, and every other vertex w_j or w_j*
-    on a mode j of its own."""
+def _row_contents(arcs: tuple, isolated: tuple, space: SpaceSpec) -> list[tuple[int]]:
+    """The one Fock-mask-0 column of a top row (A, I), as one content per
+    slot: arc k of A carries w_k at its left end and w_k* at its right, a
+    vertex of I carries w_j, and every other vertex, a through string's top
+    end, carries w_j*, each j a mode of its own."""
     m, contents = space.m, [()] * space.n
     for k, (a, b) in enumerate(arcs):
         contents[a - 1], contents[b - 1] = (k,), (m + k,)
     free = sorted(set(range(1, space.n + 1)).difference(*arcs))
     for j, v in enumerate(free, len(arcs)):
-        contents[v - 1] = (j, m + j)
+        contents[v - 1] = (j,) if v in isolated else (m + j,)
     return contents
 
 
 def _blocks_certify(basis: list[SpinDiagram], space: SpaceSpec) -> bool:
-    """Whether each top-arc group is independent modulo a prime on its contents."""
+    """Whether each top-row group is independent modulo a prime on its column."""
     groups: dict[tuple, list[SpinDiagram]] = {}
     for d in basis:
-        groups.setdefault(d.top_arcs, []).append(d)
-    for arcs, group in groups.items():
-        contents = _block_contents(arcs, space)
+        groups.setdefault((d.top_arcs, d.top_isolated), []).append(d)
+    for (arcs, isolated), group in groups.items():
+        contents = _row_contents(arcs, isolated, space)
         if not independent_mod_p([realize_diagram(d, space, contents) for d in group]):
             return False
     return True
@@ -326,14 +327,32 @@ def _blocks_certify(basis: list[SpinDiagram], space: SpaceSpec) -> bool:
 def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
     """Rank over Q(sqrt2) of the realized basis, exact.
 
-    For N >= 2n, full rank is first certified block by block: the basis is
-    grouped by top-arc set A, and each group is realized on A's columns only,
-    those its slot contents select (see _block_contents). These give every
-    vertex outside A's arcs a mode of its own, so they need n <= N // 2
-    modes. A top arc pairs the contents at its ends, so a diagram is zero on
-    A's columns unless its top arcs lie inside A. In a dependency, an
-    inclusion-minimal A among its diagrams' top-arc sets therefore leaves
-    A's group dependent on A's columns. Restricting to columns and reducing
+    For N >= 2n, full rank is first certified group by group: the basis is
+    grouped by top row (A, I), its top arcs A and top isolated vertices I,
+    and each group is realized on its row's one column (see _row_contents).
+    Arc k of A holds w_k and w_k* on mode k, and each of the n - 2|A| other
+    vertices a mode of its own, so the row needs n - |A| modes of the
+    m = N // 2 there are. The rows without arcs need n, hence N >= 2n.
+
+    Order top rows by (A', I') <= (A, I) iff A' is a subset of A and I' a
+    subset of I u ends(A - A'). This is a partial order: reflexive,
+    antisymmetric (A' = A leaves ends(A - A') empty, so I' = I) and
+    transitive (ends(A - A') u ends(A' - A'') = ends(A - A'')). So it has no
+    cycle, and every finite set of top rows has a <=-minimal element.
+
+    A diagram with top row (A', I') is zero on (A, I)'s column unless
+    (A', I') <= (A, I). A top arc contracts its ends by omega, and among the
+    column's contents only w_k and w_k* pair, so each arc of A' is one of
+    A. A top isolated vertex absorbs its content into the vacuum, in label
+    order: a through end's w_j* meets a mode that nothing fills, and the
+    right end w_k* of an arc of A - A' needs its left end absorbed first,
+    so I' lies in I u ends(A - A'). A group's own diagrams are nonzero on
+    their column: their arcs pair w_k with w_k*, and their isolated vertices
+    wedge distinct modes into the vacuum.
+
+    In a dependency, a <=-minimal top row (A, I) of its support therefore
+    leaves (A, I)'s group dependent on (A, I)'s column: every other diagram
+    of the support vanishes there. Restricting to a column and reducing
     modulo a prime cannot raise a rank, so every group independent modulo
     one prime proves full rank exactly, with nothing flattened.
 

@@ -212,7 +212,7 @@ def test_verify_exit_codes():
     code, out = run(["verify", "circuit", "--N", "3", "--type", "IV", "--arcs", "0"])
     assert code == 0
     assert json.loads(out)["passed"] is True
-    # Every rank case is certified by the top-arc blocks; their stdout is
+    # Every rank case is certified by the top-row groups; their stdout is
     # pinned byte for byte.
     for argv, stdout in [
         (["--n", "1", "--N", "3"],

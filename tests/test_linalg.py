@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -280,11 +280,19 @@ P0 = (1 << 61) - 1  # the first prime tried
 SQRT2_MOD_P0 = pow(2, (P0 + 1) // 4, P0)
 
 
-def test_primes_are_7_mod_8_downward_from_2_61_minus_1():
+def test_primes_are_7_mod_8_downward_from_2_61_minus_1(monkeypatch):
     primes = list(islice(linalg._primes(), 10))
     assert primes[0] == P0 and primes == sorted(primes, reverse=True)
     for p in primes:
         assert p % 8 == 7 and pow(pow(2, (p + 1) // 4, p), 2, p) == 2
+    # The same sequence as a search that tests 2^61 - 1 too.
+    assert primes == list(islice(filter(linalg._is_prime, count(P0, -8)), 10))
+
+    def untested(n):
+        raise AssertionError(f"{n} was tested")
+    # 2^61 - 1 is a known prime: it is yielded without a test.
+    monkeypatch.setattr(linalg, "_is_prime", untested)
+    assert next(linalg._primes()) == P0
 
 
 def test_miller_rabin_against_trial_division():

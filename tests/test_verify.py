@@ -246,21 +246,46 @@ def test_full_rank_at_n3(N):
     }
 
 
-@pytest.mark.parametrize("n, N", [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)])
-def test_block_columns_see_only_top_arcs_inside_their_set(n, N):
-    # The property the block certificate rests on: on the columns that the
-    # slot contents of a top-arc set A select, a diagram vanishes unless its
-    # top arcs lie inside A, and A's own group does not vanish.
+@pytest.mark.parametrize("N", [8, 9])
+def test_full_rank_at_n4(N):
+    report = verify_rank(4, N, bound=SpaceSpec(N, 4).total_dim)
+    assert report.passed and report.info == {
+        "basis_size": 764, "rank": 764, "asserted": True,
+    }
+
+
+def test_isomorphism_at_n4():
+    report = verify_surjectivity(4, 8, bound=SpaceSpec(8, 4).total_dim)
+    assert report.passed and report.info == {
+        "basis_size": 764, "commutant_dim": 764, "rank": 764,
+    }
+
+
+def _top_row_below(lower: tuple, upper: tuple) -> bool:
+    """(A', I') <= (A, I): A' inside A, I' inside I and the ends of A - A'."""
+    (arcs, isolated), (up_arcs, up_isolated) = lower, upper
+    dropped = set(up_arcs) - set(arcs)
+    return set(arcs) <= set(up_arcs) and set(isolated) <= set(up_isolated).union(*dropped)
+
+
+@pytest.mark.parametrize("n, N", [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8)])
+def test_row_columns_see_only_top_rows_below_their_own(n, N):
+    # The property the certificate rests on: on the one column of a top row
+    # (A, I), a diagram vanishes unless its top row is <= (A, I), and the
+    # group of (A, I) itself does not vanish.
     space = SpaceSpec(N, n)
     basis = enumerate_basis(n)
-    for arcs in {d.top_arcs for d in basis}:
-        contents = verify._block_contents(arcs, space)
+    rows = {(d.top_arcs, d.top_isolated) for d in basis}
+    for row in rows:
+        contents = verify._row_contents(*row, space)
+        assert all(len(slot) == 1 for slot in contents)
         for d in basis:
+            own = (d.top_arcs, d.top_isolated)
             nnz = realize_diagram(d, space, contents).nnz()
-            if not set(d.top_arcs) <= set(arcs):
-                assert nnz == 0, (d, arcs)
-            elif d.top_arcs == arcs:
-                assert nnz > 0, (d, arcs)
+            if not _top_row_below(own, row):
+                assert nnz == 0, (d, row)
+            elif own == row:
+                assert nnz > 0, (d, row)
 
 
 def test_blocks_certify_independent_realizations():
