@@ -21,16 +21,21 @@ as  -(D with the labels swapped) + 2 (D with the two ends joined),
 mirroring the anticommutation of the underlying fermionic operators. Joining
 two row vertices draws an arc or through string; joining a row vertex to a
 circuit-pair end hands the partner end's label to that vertex; joining ends
-of two different circuit pairs fuses them into one. Distinct rewrite paths
-meet at common intermediates, so each distinct intermediate is expanded only
-once, carrying the sum of the coefficients of all paths into it.
+of two different circuit pairs fuses them into one. The normal form applies
+the rule a whole move at a time, each move a sum over single-rewrite chains:
+* closing pair -1 walks its second end down past the k entries between its
+  ends: sum_{j=1..k} 2(-1)^(j-1) J_j + (-1)^k delta S, where J_j joins the
+  end with the j-th entry below it and S deletes both ends;
+* inserting a row label walks the holder of label i + 1, for a descent
+  (i, i + 1), past the m larger labels right before it:
+  sum_{j=1..m} 2(-1)^(j-1) (join with the j-th) + (-1)^m (moved word).
 
 A caller that needs only the terms with at least some number of through
 strings (the floor) can leave out every state that cannot reach it. The
 bound _reach(state) is len(through) + min(#top labels, #bottom labels)
 while circuit pairs remain, and len(through) + the bracket matching of
 bottom labels (opening) against later top labels (closing) once none do. It
-never increases along a rewrite:
+never increases along a single rewrite, so neither along a move:
 * a swap keeps the label counts and, with no pairs left, either keeps the
   row pattern or turns a (bottom, top) descent into (top, bottom), which
   cannot add a matched pair;
@@ -236,8 +241,8 @@ def stitch_and_resolve(top: SpinDiagram, bottom: SpinDiagram) -> StitchResolutio
 
 # --- normal ordering --------------------------------------------------------
 
-# A strategy picks which inverted adjacent-label pair (i, i+1) of row
-# vertices to transpose next, given the list of such pairs annotated with
+# A strategy picks at which inverted adjacent-label pair (i, i+1) of row
+# vertices to insert a label next, given the list of such pairs annotated with
 # cross-row-ness. It is consulted only once no circuit pairs remain.
 Strategy = Callable[[list[tuple[int, bool]]], int]
 
@@ -258,39 +263,55 @@ def descending_strategy(pairs: list[tuple[int, bool]]) -> int:
     return max(i for i, _ in pairs)
 
 
-def _partner(word: list[int], k: int) -> int:
-    """Position of the other end of the circuit pair with an end at k."""
-    first = word.index(word[k])
-    return first if first != k else word.index(word[k], k + 1)
-
-
-def _swap_labels(state: State, i: int) -> tuple[int, State]:
-    """Exchange the holders of labels i and i + 1; returns (dropped, state)."""
-    top_arcs, bottom_arcs, through, word = state
-    w = list(word)
-    w[i - 1], w[i] = w[i], w[i - 1]
-    dropped, settled = _settle(w)
-    return dropped, (top_arcs, bottom_arcs, through, settled)
-
-
-def _join_labels(state: State, i: int, n: int) -> tuple[int, State]:
-    """Join the ends labeled i and i + 1 and delete both labels; returns
-    (dropped, state)."""
+def _close_pair(state: State, known: dict[State, int]) -> list[tuple[int, State, int]]:
+    """The (dropped, state, factor) successors of walking the second end of
+    pair -1 down past the k entries between its ends: 2(-1)**(j - 1) times
+    it joined with the j-th entry below, j = 1..k, and (-1)**k delta times
+    the state without the pair. If k > 2 and a first step past another
+    pair's end reaches a known state, -1 times it stands for the rest."""
     *parts, word = state
-    w = list(word)
-    x, y = w[i - 1], w[i]
-    if x > 0 and y > 0:
-        part, arc = _joined(x, y, n)
-        parts[part] = tuple(sorted(parts[part] + (arc,)))
-    elif x < 0:
-        # The far end of x's pair now meets y: a row vertex takes over the
-        # partner's label, another pair's end fuses the two pairs.
-        w[_partner(w, i - 1)] = y
-    else:
-        w[_partner(w, i)] = x
-    del w[i - 1:i + 1]
-    dropped, settled = _settle(w)
-    return dropped, (*parts, settled)
+    first = word.index(-1)
+    second = word.index(-1, first + 1)
+    moves = []
+    factor = 2
+    for p in range(second - 1, first, -1):
+        x = word[p]
+        w = list(word)
+        w[p] = 0  # so that w.index(x) finds the other end of a pair
+        if x > 0:
+            w[first] = x
+        else:
+            w[w.index(x)] = -1
+        del w[second], w[p]
+        dropped, settled = _settle(w)
+        moves.append((dropped, (*parts, settled), factor))
+        factor = -factor
+        if p == second - 1 and x < 0 and p > first + 2:
+            dropped, settled = _settle([*word[:p], -1, x, *word[second + 1:]])
+            if (*parts, settled) in known:
+                return moves + [(dropped, (*parts, settled), -1)]
+    dropped, settled = _settle([v for v in word if v != -1])
+    return moves + [(dropped + 1, (*parts, settled), factor // 2)]
+
+
+def _insert_label(state: State, i: int, n: int) -> list[tuple[int, State, int]]:
+    """The (0, state, factor) successors of walking the holder y of label
+    i + 1 down past the m larger entries right before it: for j = 1..m,
+    2(-1)**(j - 1) times y joined with the j-th entry below it, then
+    (-1)**m times the word with y moved."""
+    *parts, word = state
+    y = word[i]
+    moves = []
+    factor = 2
+    p = i - 1
+    while p >= 0 and word[p] > y:
+        part, arc = _joined(word[p], y, n)
+        joined = list(parts)
+        joined[part] = tuple(sorted(parts[part] + (arc,)))
+        moves.append((0, (*joined, word[:p] + word[p + 1:i] + word[i + 1:]), factor))
+        factor = -factor
+        p -= 1
+    return moves + [(0, (*parts, word[:p + 1] + (y,) + word[p + 1:i] + word[i + 1:]), factor // 2)]
 
 
 def _canonical(n: int, state: State) -> SpinDiagram:
@@ -331,28 +352,28 @@ def _normal_form(
 ) -> dict[SpinDiagram, DeltaPolynomial]:
     """The terms of coeff * root with at least floor through strings, each
     with its exact coefficient; root is settled and coeff an
-    {exponent: int} table without zeros.
+    {exponent: int} table without zeros, an empty one giving {} at once.
 
-    Circuit pairs are resolved first (the pair with the smallest first label,
-    walking its second end down); row labels are then sorted by the given
-    strategy. The result is independent of these choices.
+    Circuit pairs are closed first (_close_pair); row labels are then
+    inserted at the descents the given strategy picks (_insert_label). The
+    result is independent of these choices.
 
-    Different rewrite paths reach the same intermediate again and again, so
-    the rewrites form a DAG over the settled states. Each distinct state is
-    expanded exactly once: a depth-first pass records every state's two
-    successors, then the coefficients flow through the states in topological
-    order, summed over all paths into a state before they move on. A state
-    whose _reach is below floor leads only to lower terms, so a positive
-    floor leaves it out of the DAG; floor 0 never computes _reach.
+    Different moves reach the same intermediate again and again, so they
+    form a DAG over the settled states. Each distinct state is expanded
+    exactly once: a depth-first pass records the successors of every
+    state's move, then the coefficients flow through the states in
+    topological order, summed over all paths into a state before they move
+    on. A state whose _reach is below floor leads only to lower terms, so a
+    positive floor leaves it out of the DAG; floor 0 never computes _reach.
     """
-    if floor and _reach(n, root) < floor:
+    if not coeff or floor and _reach(n, root) < floor:
         return {}
     if root[3] == tuple(sorted(root[3])):
         # Canonical already: a settled word holds no two equal entries in a
         # row, so an ascending one holds no circuit pair either.
-        return {_canonical(n, root): DeltaPolynomial._wrap(coeff)} if coeff else {}
+        return {_canonical(n, root): DeltaPolynomial._wrap(coeff)}
     # States are numbered as they are first reached (ids, states), so that a
-    # state is hashed only when a rewrite reaches it; a state left out for
+    # state is hashed only when a move reaches it; a state left out for
     # the floor is numbered -1. succ[k]: the (successor, shift, factor)
     # edges of state k, or None for a canonical state; an edge multiplies
     # by factor * delta**shift.
@@ -371,8 +392,7 @@ def _normal_form(
         cur = states[k]
         word = cur[3]
         if -1 in word:
-            # Move the second end of pair -1 one label down.
-            i = word.index(-1, word.index(-1) + 1)
+            moves = _close_pair(cur, ids)
         else:
             # Adjacent descents: row labels (i, i + 1) out of canonical order.
             pairs = [(p, (a <= n) != (b <= n))
@@ -381,10 +401,10 @@ def _normal_form(
                 succ[k] = None
                 post_order.append(k)
                 continue
-            i = strategy(pairs)
+            moves = _insert_label(cur, strategy(pairs), n)
         edges = []
         stack.append((k, True))
-        for (shift, nxt), factor in ((_swap_labels(cur, i), -1), (_join_labels(cur, i, n), 2)):
+        for shift, nxt, factor in moves:
             j = ids.setdefault(nxt, len(states))
             if j == len(states):
                 if floor and _reach(n, nxt) < floor:
@@ -430,9 +450,8 @@ def clifford_normalize(
 ) -> AlgebraElement:
     """Expand coeff * d as a Z[delta]-combination of canonical diagrams.
 
-    Circuit pairs are resolved first, then row labels are sorted by the
-    given strategy (see _normal_form); the resulting element is independent
-    of these choices.
+    The strategy picks the descents at which row labels are inserted (see
+    _normal_form); the resulting element does not depend on it.
     """
     if isinstance(coeff, int):
         coeff = DeltaPolynomial.constant(coeff)

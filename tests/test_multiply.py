@@ -46,6 +46,72 @@ def normalized(n, top_arcs, bottom_arcs, through, word, strategy=default_strateg
     return multiply._normal_form(n, root, {dropped: 1}, strategy, 0)
 
 
+def _partner(word, k):
+    """Position of the other end of the circuit pair with an end at k."""
+    first = word.index(word[k])
+    return first if first != k else word.index(word[k], k + 1)
+
+
+def _swap_labels(state, i):
+    """One single rewrite: exchange the holders of labels i and i + 1;
+    returns (dropped, state)."""
+    top_arcs, bottom_arcs, through, word = state
+    w = list(word)
+    w[i - 1], w[i] = w[i], w[i - 1]
+    dropped, settled = multiply._settle(w)
+    return dropped, (top_arcs, bottom_arcs, through, settled)
+
+
+def _join_labels(state, i, n):
+    """The other single rewrite: join the ends labeled i and i + 1 and
+    delete both labels; returns (dropped, state)."""
+    *parts, word = state
+    w = list(word)
+    x, y = w[i - 1], w[i]
+    if x > 0 and y > 0:
+        part, arc = multiply._joined(x, y, n)
+        parts[part] = tuple(sorted(parts[part] + (arc,)))
+    elif x < 0:
+        # The far end of x's pair now meets y: a row vertex takes over the
+        # partner's label, another pair's end fuses the two pairs.
+        w[_partner(w, i - 1)] = y
+    else:
+        w[_partner(w, i)] = x
+    del w[i - 1:i + 1]
+    dropped, settled = multiply._settle(w)
+    return dropped, (*parts, settled)
+
+
+def single_step_terms(n, state, memo):
+    """The oracle normal form: -(swapped) + 2 (joined) at one adjacent pair
+    of labels at a time (pair -1's second end with the entry below it, else
+    the first descent), memoized on the state in memo. Returns
+    {diagram: {exponent: int}}, each diagram built by the checking
+    constructor."""
+    if state in memo:
+        return memo[state]
+    top_arcs, bottom_arcs, through, word = state
+    descents = [i for i, (a, b) in enumerate(zip(word, word[1:]), 1) if a > b]
+    if -1 in word:
+        i = word.index(-1, word.index(-1) + 1)
+    elif descents:
+        i = descents[0]
+    else:
+        d = SpinDiagram(n, tuple(v for v in word if v <= n), tuple(v - n for v in word if v > n),
+                        top_arcs, bottom_arcs, through)
+        memo[state] = {d: {0: 1}}
+        return memo[state]
+    out = {}
+    for (shift, nxt), factor in ((_swap_labels(state, i), -1), (_join_labels(state, i, n), 2)):
+        for d, c in single_step_terms(n, nxt, memo).items():
+            acc = out.setdefault(d, {})
+            for e, v in c.items():
+                acc[e + shift] = acc.get(e + shift, 0) + factor * v
+    out = {d: {e: v for e, v in c.items() if v} for d, c in out.items()}
+    memo[state] = {d: c for d, c in out.items() if c}
+    return memo[state]
+
+
 def all_isolated(n):
     row = tuple(range(1, n + 1))
     return SpinDiagram(n, row, row, (), (), ())
@@ -323,22 +389,29 @@ def test_all_isolated_square_at_n8():
 
 
 def test_normal_form_expands_each_state_once(monkeypatch):
-    # A tree expansion of the n = 8 square makes 67,759 swaps; the distinct
-    # states number fewer than a hundred.
-    calls = {"swap": 0, "join": 0}
+    # A tree expansion of the n = 8 square makes 67,759 single swaps; the
+    # distinct states, each expanded by one move, number fewer than a
+    # hundred. A walk that reaches a known state after one step stops
+    # there, so the square's moves keep few successors.
+    calls = {"_close_pair": 0, "_insert_label": 0}
+    successors = []
 
-    def counted(name, fn):
+    def counted(name):
+        fn = getattr(multiply, name)
+
         def wrapper(*args):
             calls[name] += 1
-            return fn(*args)
+            moves = fn(*args)
+            successors.append(len(moves))
+            return moves
         return wrapper
 
-    monkeypatch.setattr(multiply, "_swap_labels", counted("swap", multiply._swap_labels))
-    monkeypatch.setattr(multiply, "_join_labels", counted("join", multiply._join_labels))
+    for name in calls:
+        monkeypatch.setattr(multiply, name, counted(name))
     d = all_isolated(8)
     multiply_diagrams(d, d)
-    assert 0 < calls["swap"] < 100
-    assert 0 < calls["join"] < 100
+    assert 0 < calls["_close_pair"] + calls["_insert_label"] < 100
+    assert sum(successors) < 150
 
 
 def _rewrite_edges(n, root):
@@ -353,12 +426,34 @@ def _rewrite_edges(n, root):
         else:
             labels = [i for i, (a, b) in enumerate(zip(word, word[1:]), 1) if a > b]
         for i in labels:
-            for _, nxt in (multiply._swap_labels(state, i), multiply._join_labels(state, i, n)):
+            for _, nxt in (_swap_labels(state, i), _join_labels(state, i, n)):
                 edges.append((state, nxt))
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
     return edges, seen
+
+
+def _move_edges(n, root):
+    """Every edge (state, successor) of the two moves below root: the whole
+    walk of each pair closure, and each row-label insertion under every
+    choice of descent. A closure that stops after one step takes one oracle
+    edge of each kind, which _rewrite_edges covers."""
+    seen, stack, edges = {root}, [root], []
+    while stack:
+        state = stack.pop()
+        word = state[3]
+        if -1 in word:
+            moves = multiply._close_pair(state, {})
+        else:
+            descents = [i for i, (a, b) in enumerate(zip(word, word[1:]), 1) if a > b]
+            moves = [m for i in descents for m in multiply._insert_label(state, i, n)]
+        for _, nxt, _ in moves:
+            edges.append((state, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return edges
 
 
 def _stitched_roots():
@@ -391,6 +486,54 @@ def test_reach_bounds_every_rewrite():
                 assert reach(n, state) == len(state[2])
                 canonical += 1
     assert edges > 20_000 and canonical > 5_000
+
+
+def test_reach_bounds_every_move():
+    # The same bound over the composite edges of the normal form itself.
+    reach = multiply._reach
+    edges = 0
+    for n, root in _stitched_roots():
+        below = _move_edges(n, root)
+        for state, nxt in below:
+            assert reach(n, nxt) <= reach(n, state), (state, nxt)
+        edges += len(below)
+    assert edges > 10_000
+
+
+def _oracle_roots():
+    """(n, root) of _stitched_roots and of the all-isolated squares at
+    n = 3..8."""
+    yield from _stitched_roots()
+    for n in range(3, 9):
+        yield n, multiply._stitch(all_isolated(n), all_isolated(n))[1]
+
+
+def test_normal_form_matches_the_single_step_oracle():
+    memos = {}
+    roots = 0
+    for n, root in _oracle_roots():
+        expected = single_step_terms(n, root, memos.setdefault(n, {}))
+        for floor in range(n + 1):
+            terms = multiply._normal_form(n, root, {0: 1}, default_strategy, floor)
+            assert {d: dict(c.items()) for d, c in terms.items()} == {
+                d: c for d, c in expected.items() if d.through_count >= floor}, (root, floor)
+        roots += 1
+    assert roots > 5_000
+
+
+def test_empty_coefficient_builds_no_move(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a move was made")
+
+    monkeypatch.setattr(multiply, "_close_pair", refuse)
+    monkeypatch.setattr(multiply, "_insert_label", refuse)
+    for a, b in ((all_isolated(4), all_isolated(4)), (DEMO_TOP, DEMO_BOTTOM)):
+        resolved = stitch_and_resolve(a, b).resolved
+        assert clifford_normalize(resolved, 0) == AlgebraElement.zero(a.n)
+        assert clifford_normalize(resolved, DeltaPolynomial.zero()).terms == {}
+        assert multiply._normal_form(a.n, resolved.state, {}, default_strategy, 0) == {}
+    with pytest.raises(AssertionError, match="a move was made"):
+        clifford_normalize(stitch_and_resolve(DEMO_TOP, DEMO_BOTTOM).resolved, 1)
 
 
 def test_reach_counts_bottom_labels_before_top_labels():
