@@ -45,7 +45,6 @@ from .realization import (
 from .cellular import (
     CellFormError,
     PhiValue,
-    beta,
     irreducible_indices,
     join_partitions,
     modmult_check,

@@ -2,8 +2,9 @@
 
 A diagram with ell through strings is encoded by (row partition, through
 origins) data on each row plus a permutation; multiplication modulo diagrams
-with fewer through strings is governed by the pairing form phi_ell. On small
-rows its value is delta^(closed components of the join) * 2^(cross-row label
+with fewer through strings is governed by the pairing form phi_ell, read off
+the maximal-through part of one reference product. On small rows its value
+is delta^(closed components of the join) * 2^(cross-row label
 transpositions) times one permutation; closed circuits with interleaved
 labels correct the delta power (see PhiValue.circuit_factor), and from four
 vertices per row on the value can stop being a single permutation multiple
@@ -21,19 +22,15 @@ from .diagrams import (
     SpinDiagram,
     _row_of,
     cell_encode,
-    singletons,
 )
 from .linalg import _MR_BOUND, _is_prime
 from .multiply import _normal_form, _stitch, default_strategy, multiply_diagrams
 from .scalars import DeltaPolynomial
 
 __all__ = [
-    "m1",
     "join_partitions",
-    "beta",
     "PhiValue",
     "CellFormError",
-    "literal_pairing_rules",
     "phi_ell",
     "modmult_check",
     "predicted_leading_term",
@@ -41,11 +38,6 @@ __all__ = [
     "is_regular",
     "irreducible_indices",
 ]
-
-
-def m1(p: Partition) -> int:
-    """Number of size-1 blocks."""
-    return len(singletons(p))
 
 
 def join_partitions(x: Partition, y: Partition) -> tuple[Block, ...]:
@@ -73,55 +65,6 @@ def join_partitions(x: Partition, y: Partition) -> tuple[Block, ...]:
     for v in parent:
         groups.setdefault(find(v), []).append(v)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-
-
-# --- the swap-count statistic ------------------------------------------------
-
-
-def _beta_pairs(sides: Sequence[str]) -> tuple[list[tuple[int, int]], bool]:
-    """Cancel adjacent (T, S) side pairs in a gap-free word.
-
-    sides[p] is "S", "T" or "-" (an index belonging to neither set; such
-    entries persist and block adjacency). Returns (removed pairs as 0-based
-    positions (s_pos, t_pos), reached_sorted_order).
-    """
-    alive = list(range(len(sides)))
-    pairs: list[tuple[int, int]] = []
-    while True:
-        live_sides = [sides[p] for p in alive]
-        s_positions = [k for k, s in enumerate(live_sides) if s == "S"]
-        t_positions = [k for k, s in enumerate(live_sides) if s == "T"]
-        if not s_positions or not t_positions or max(s_positions) < min(t_positions):
-            return pairs, True
-        hit = None
-        for k in range(len(alive) - 1):
-            if live_sides[k] == "T" and live_sides[k + 1] == "S":
-                hit = k
-                break
-        if hit is None:
-            return pairs, False
-        pairs.append((alive[hit + 1], alive[hit]))
-        del alive[hit + 1]
-        del alive[hit]
-
-
-def beta(gamma_s: Sequence[int], gamma_t: Sequence[int],
-         length: Optional[int] = None) -> Optional[int]:
-    """Minimal count of inductively removed adjacent (i+1, i) index pairs.
-
-    gamma_s and gamma_t are disjoint 1-based index sets into a common
-    sequence of the given length (default: the largest index). Indices
-    belonging to neither set keep their place during reindexing; if the
-    removal process cannot reach a state where every gamma_s index precedes
-    every gamma_t index, the statistic is undefined and None is returned.
-    """
-    ss, tt = set(gamma_s), set(gamma_t)
-    if ss & tt:
-        raise ValueError("index sets must be disjoint")
-    top = max([0, *ss, *tt]) if length is None else length
-    sides = ["S" if i in ss else "T" if i in tt else "-" for i in range(1, top + 1)]
-    pairs, ok = _beta_pairs(sides)
-    return len(pairs) if ok else None
 
 
 # --- the bilinear form --------------------------------------------------------
@@ -156,72 +99,6 @@ class PhiValue:
         for i, j in enumerate(self.perm):
             inv[j] = i
         return PhiValue(self.circuit_factor, self.two_power, tuple(inv))
-
-
-def literal_pairing_rules(
-    ell: int,
-    xS: tuple[Partition, Sequence[Block]],
-    yT: tuple[Partition, Sequence[Block]],
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Literal zero test and permutation assembly; None when the form vanishes.
-
-    Returns (|Gamma_S|, sigma). Zero cases, checked in order: (1) two
-    S-origins or two T-origins share a join component; (2) unequal
-    leftover-singleton sets attached to S and T; (3) crossings plus attached
-    singletons fail to account for every through string; (4) the attached
-    singletons cannot be fully cancelled across rows.
-    """
-    x, S = xS
-    y, T = yT
-    if len(S) != ell or len(T) != ell:
-        raise ValueError(f"S and T must have size ell={ell}")
-    join = join_partitions(x, y)
-    comp_of: dict[int, int] = {}
-    for ci, block in enumerate(join):
-        for v in block:
-            comp_of[v] = ci
-
-    s_comps = [comp_of[b[0]] for b in S]
-    t_comps = [comp_of[b[0]] for b in T]
-    if len(set(s_comps)) != ell or len(set(t_comps)) != ell:  # condition (1)
-        return None
-
-    gammas = [("x", b[0]) for b in singletons(x) if b not in set(S)]
-    gammas += [("y", b[0]) for b in singletons(y) if b not in set(T)]
-    s_comp_set, t_comp_set = set(s_comps), set(t_comps)
-    gamma_comps = [comp_of[v] for _, v in gammas]
-    gamma_S = [k for k, c in enumerate(gamma_comps) if c in s_comp_set]
-    gamma_T = [k for k, c in enumerate(gamma_comps) if c in t_comp_set]
-    if len(gamma_S) != len(gamma_T):  # condition (2)
-        return None
-
-    crossings = [
-        (i, j) for i in range(ell) for j in range(ell) if s_comps[i] == t_comps[j]
-    ]
-    if len(crossings) + len(gamma_S) != ell:  # condition (3)
-        return None
-
-    # Indices consumed by closed circuits vanish from the order before any
-    # transposition happens, so the cancellation runs on the surviving
-    # gamma indices only.
-    union = sorted(gamma_S + gamma_T)
-    in_s = set(gamma_S)
-    sides = ["S" if k in in_s else "T" for k in union]
-    pairs, ok = _beta_pairs(sides)
-    if not ok or len(pairs) != len(gamma_S):  # condition (4)
-        return None
-
-    comp_to_s = {c: i for i, c in enumerate(s_comps)}
-    comp_to_t = {c: j for j, c in enumerate(t_comps)}
-    perm = dict(crossings)
-    for s_pos, t_pos in pairs:
-        i = comp_to_s[gamma_comps[union[s_pos]]]
-        if i in perm:
-            raise RuntimeError(f"S-origin {i} assigned twice")
-        perm[i] = comp_to_t[gamma_comps[union[t_pos]]]
-    if sorted(perm) != list(range(ell)) or sorted(perm.values()) != list(range(ell)):
-        raise RuntimeError(f"assembled {perm} is not a permutation of {ell} strings")
-    return len(gamma_S), tuple(perm[i] for i in range(ell))
 
 
 def _reference_fields(upper: tuple, lower: tuple) -> tuple[tuple, tuple]:
@@ -272,11 +149,9 @@ def phi_ell(
 
     The value is read off the maximal-through part of a reference product
     with identity outer rows, so it is exactly the element governing
-    multiplication modulo lower filtration layers. The literal component
-    rules (literal_pairing_rules) agree with it whenever no closed
-    circuit survives with interleaved labels; the circuit factor equals
-    delta^(number of circuits) in that regime and acquires anticommutator
-    corrections otherwise.
+    multiplication modulo lower filtration layers. The circuit factor equals
+    delta^(number of circuits) while no closed circuit survives with
+    interleaved labels, and acquires anticommutator corrections otherwise.
     """
     x, S = xS
     y, T = yT

@@ -104,7 +104,7 @@ def _normalize_rows(d) -> None:
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
-def _adopt(cls, *values):
+def _unchecked_instance(cls, *values):
     """An instance of the frozen dataclass cls holding values in field
     order, made without normalization or checks."""
     names = _FIELD_NAMES.get(cls)
@@ -134,7 +134,7 @@ class SpinDiagram:
     # pairs, and rows that cover 1..n. Only the normal form and
     # enumerate_basis build diagrams this way; every other diagram is
     # validated.
-    _trusted = classmethod(_adopt)
+    _trusted = classmethod(_unchecked_instance)
 
     @property
     def through_count(self) -> int:
@@ -272,9 +272,6 @@ class AlgebraElement:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[SpinDiagram, DeltaPolynomial]]:
-        return iter(sorted(self._terms.items(), key=lambda t: diagram_key(t[0])))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -305,11 +302,6 @@ class AlgebraElement:
         if isinstance(c, int):
             c = DeltaPolynomial.constant(c)
         return AlgebraElement(self.n, {d: p * c for d, p in self._terms.items()})
-
-    def __mul__(self, other: AlgebraElement) -> AlgebraElement:
-        from .multiply import multiply_elements
-
-        return multiply_elements(self, other)
 
     def evaluate_at(self, N: int) -> AlgebraElement:
         """Substitute delta := N in every coefficient; drops vanished terms."""
@@ -399,7 +391,7 @@ class CellTriple:
 
     # Adopt the fields, in order, unchecked. Only cell_encode builds triples
     # this way, from a validated diagram.
-    _trusted = classmethod(_adopt)
+    _trusted = classmethod(_unchecked_instance)
 
 
 def _row_partition(n: int, isolated: Sequence[int], arcs: Sequence[Arc],

@@ -6,17 +6,18 @@ diagram realizations lie in Z[sqrt2], so den is 1 there; the so(N) action
 and the odd reflection bring den = 2. The form is canonical (no stored zero,
 gcd(den, every a, every b) = 1, den = 1 for the zero map), so equal maps
 have equal storage. RootTwoNumber values appear only at the boundary: the
-public constructor, column, apply, entries and to_json. flatten hands the
-stored pairs on as one vector, the only form that elimination sees.
+public constructor, column, entries and to_json. flatten hands the stored
+pairs on as one vector, the only form that elimination sees.
 
-Columns are checked (indices in range, zeros and empty columns dropped) where
-they may break the form: in the public constructor, identity and zero, and
-the block builder realization._slotwise, whose rules can sum to zero. The
-builders whose columns are canonical as built skip the check and only reduce
-den: realize_diagram (products of nonzero factors, one per row), scale (a
-nonzero multiple), and compose and combination, which inherit their index
-range from the operands and drop zeros only in the columns where a sum was
-formed, since a product of nonzero entries is nonzero.
+Columns are checked (indices in range, zeros and empty columns dropped) only
+in the public constructor, which takes them from outside. Every other
+builder hands canonical columns to _canonical, which only reduces den:
+identity and zero; realize_diagram (products of nonzero factors, one per
+row); the block builder realization._slotwise, which drops the sums of its
+rules that reach zero; scale (a nonzero multiple); and compose and
+combination, which inherit their index range from the operands and drop
+zeros only in the columns where a sum was formed, since a product of
+nonzero entries is nonzero.
 
 Rank is exact over Q(sqrt2) but computed by elimination over F_p for primes
 p = 7 mod 8, where 2 has a square root; a Hadamard bound on the integer
@@ -50,23 +51,28 @@ class LinearMap:
         self,
         domain_dim: int,
         codomain_dim: int,
-        columns: Mapping[int, Mapping[int, RootTwoNumber]] = (),
+        columns: Mapping[int, Mapping[int, RootTwoNumber]] = {},
     ):
-        items = list(columns.items() if isinstance(columns, Mapping) else columns)
-        den = lcm(*(x.denominator for _, col in items for v in col.values() for x in (v.a, v.b)))
-        pairs = {j: {r: (v.a.numerator * (den // v.a.denominator),
+        """Adopt columns {col: {row: entry}}: indices are checked, zero
+        entries and empty columns dropped."""
+        if columns:
+            for j in (min(columns), max(columns)):
+                if not 0 <= j < domain_dim:
+                    raise ValueError(f"column index {j} out of range")
+        den = lcm(*(x.denominator for col in columns.values() for v in col.values()
+                    for x in (v.a, v.b)))
+        cols: dict[int, PairColumn] = {}
+        for j, col in columns.items():
+            pairs = {r: (v.a.numerator * (den // v.a.denominator),
                          v.b.numerator * (den // v.b.denominator))
                      for r, v in col.items() if v}
-                 for j, col in items}
-        self._adopt(domain_dim, codomain_dim, pairs, den)
-
-    @classmethod
-    def _from_pairs(cls, domain_dim: int, codomain_dim: int,
-                    cols: dict[int, PairColumn], den: int = 1) -> LinearMap:
-        """Adopt pair columns over den (> 0); the dicts become the map's own."""
-        out = cls.__new__(cls)
-        out._adopt(domain_dim, codomain_dim, cols, den)
-        return out
+            if pairs:
+                cols[j] = pairs
+        if cols:
+            for r in (min(map(min, cols.values())), max(map(max, cols.values()))):
+                if not 0 <= r < codomain_dim:
+                    raise ValueError(f"row index {r} out of range")
+        self._own(domain_dim, codomain_dim, cols, den)
 
     @classmethod
     def _canonical(cls, domain_dim: int, codomain_dim: int,
@@ -80,26 +86,12 @@ class LinearMap:
         out._own(domain_dim, codomain_dim, cols, den)
         return out
 
-    def _adopt(self, domain_dim: int, codomain_dim: int,
-               cols: dict[int, PairColumn], den: int) -> None:
-        """Check indices, drop zero entries and empty columns, then _own."""
-        if domain_dim < 0 or codomain_dim < 0:
-            raise ValueError("dimensions must be nonnegative")
-        if cols:
-            for j in (min(cols), max(cols)):
-                if not 0 <= j < domain_dim:
-                    raise ValueError(f"column index {j} out of range")
-        _drop_zeros(cols, list(cols))
-        if cols:
-            for r in (min(map(min, cols.values())), max(map(max, cols.values()))):
-                if not 0 <= r < codomain_dim:
-                    raise ValueError(f"row index {r} out of range")
-        self._own(domain_dim, codomain_dim, cols, den)
-
     def _own(self, domain_dim: int, codomain_dim: int,
              cols: dict[int, PairColumn], den: int) -> None:
         """Set the fields from canonical columns, dividing den and every
-        entry by their common gcd."""
+        entry by their common gcd; every map is made here."""
+        if domain_dim < 0 or codomain_dim < 0:
+            raise ValueError("dimensions must be nonnegative")
         if den != 1:
             g = gcd(den, *(x for col in cols.values() for v in col.values() for x in v))
             if g != 1:
@@ -116,11 +108,11 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n: int) -> LinearMap:
-        return cls._from_pairs(n, n, {j: {j: (1, 0)} for j in range(n)})
+        return cls._canonical(n, n, {j: {j: (1, 0)} for j in range(n)})
 
     @classmethod
     def zero(cls, domain_dim: int, codomain_dim: int) -> LinearMap:
-        return cls._from_pairs(domain_dim, codomain_dim, {})
+        return cls._canonical(domain_dim, codomain_dim, {})
 
     @classmethod
     def combination(cls, domain_dim: int, codomain_dim: int,
@@ -201,20 +193,6 @@ class LinearMap:
                     return r, j, self._box((a, b)), other._box((c, d))
         return None
 
-    def apply(self, vec: Mapping[int, RootTwoNumber]) -> Column:
-        out: Column = {}
-        for j, c in vec.items():
-            if not c:
-                continue
-            for r, v in self.column(j).items():
-                s = out.get(r)
-                s = v * c if s is None else s + v * c
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
-
     def compose(self, other: LinearMap) -> LinearMap:
         """self o other (apply `other` first)."""
         if other.codomain_dim != self.domain_dim:
@@ -279,9 +257,6 @@ class LinearMap:
             and self._den == other._den
             and self._cols == other._cols
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - maps rarely used as keys
-        return hash((self.domain_dim, self.codomain_dim, self.nnz()))
 
     def flatten(self) -> PairColumn:
         """The map times den as one sparse vector of integer pairs (a, b),

@@ -199,9 +199,10 @@ def _slotwise(space: SpaceSpec, cod: SpaceSpec, rule: Callable[..., Iterable[tup
             row = cod.encode(out, mk)
             ca, cb = col.get(row, (0, 0))
             col[row] = (ca + a, cb + b)
+        col = {r: v for r, v in col.items() if v != (0, 0)}
         if col:
             cols[j] = col
-    return LinearMap._from_pairs(space.total_dim, cod.total_dim, cols, den)
+    return LinearMap._canonical(space.total_dim, cod.total_dim, cols, den)
 
 
 def projection_map(space: SpaceSpec, i: int) -> LinearMap:

@@ -145,14 +145,6 @@ class DeltaPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> DeltaPolynomial:
-        if k < 0:
-            raise ValueError("negative power")
-        out = DeltaPolynomial.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def eval_at(self, k: int) -> int:
         """Substitute delta := k; exact integer result."""
         return sum(c * k**e for e, c in self._coeffs.items())
@@ -276,11 +268,6 @@ class RootTwoNumber:
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
         return RootTwoNumber(self.a / n, -self.b / n)
-
-    def __truediv__(self, other: Union[RootTwoNumber, int]) -> RootTwoNumber:
-        if isinstance(other, int):
-            other = RootTwoNumber(other)
-        return self * other.inverse()
 
     def to_json(self) -> dict[str, str]:
         return {"a": str(self.a), "b": str(self.b)}

@@ -6,6 +6,7 @@ the benchmark runs.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -120,3 +121,21 @@ def test_normal_form_potentials_at_three(monkeypatch):
     assert len(potentials) == 5776
     assert hashlib.sha256(repr(potentials).encode()).hexdigest() == (
         "5c991fd80b4ad78c38acc4b6a51f4155ec2e69c5cbf90dd16cac8a2cfb3dfd27")
+
+
+def test_seed_zero_answers_match_the_stored_digests(monkeypatch):
+    # One round of each workload, solved and checked the way run.py does it:
+    # a name the benchmark reads that goes missing shows here as a failed
+    # item or a changed digest.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("gen", "layers", "tracer", "workloads", "run"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import run
+    import workloads
+
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+    for name, workload in workloads.WORKLOADS.items():
+        runner = run.Runner(workload(run.DEFAULT_SEED))
+        runner.rounds(deadline=0.0)  # a single round
+        assert (name, runner.count, runner.failed) == (name, 1, 0)
+        assert runner.digest() == expected["digests"][name], name

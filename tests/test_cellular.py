@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 from collections import Counter
+from typing import Optional, Sequence
 
 import pytest
 
@@ -9,20 +11,19 @@ from spinbrauer import cellular, multiply
 from spinbrauer.cellular import (
     CellFormError,
     PhiValue,
-    beta,
     irreducible_indices,
     is_regular,
     join_partitions,
-    literal_pairing_rules,
-    m1,
     modmult_check,
     partitions_of,
     phi_ell,
     predicted_leading_term,
 )
 from spinbrauer.diagrams import (
+    Block,
     CellTriple,
     DiagramError,
+    Partition,
     SpinDiagram,
     cell_decode,
     cell_encode,
@@ -68,7 +69,7 @@ def test_partitions_reject_n_above_the_bound():
 
 def test_singleton_counter():
     p = blocks((1, 2), (3,), (4,))
-    assert m1(p) == 2 and singletons(p) == ((3,), (4,))
+    assert len(singletons(p)) == 2 and singletons(p) == ((3,), (4,))
 
 
 def test_pair_subset_counts():
@@ -81,6 +82,126 @@ def test_join_merges_overlapping_blocks():
     mu = blocks((1, 3), (2,), (4, 5))
     nu = blocks((1, 2), (3,), (4,), (5,))
     assert join_partitions(mu, nu) == blocks((1, 2, 3), (4, 5))
+
+
+# --- the literal pairing rules -----------------------------------------------
+#
+# The zero pattern and the permutation of the pairing form, derived from the
+# partitions alone. phi_ell reads both off a reference product instead; these
+# rules are the reference it is compared against where no closed circuit
+# interleaves its labels.
+
+
+def _beta_pairs(sides: Sequence[str]) -> tuple[list[tuple[int, int]], bool]:
+    """Cancel adjacent (T, S) side pairs in a gap-free word.
+
+    sides[p] is "S", "T" or "-" (an index belonging to neither set; such
+    entries persist and block adjacency). Returns (removed pairs as 0-based
+    positions (s_pos, t_pos), reached_sorted_order).
+    """
+    alive = list(range(len(sides)))
+    pairs: list[tuple[int, int]] = []
+    while True:
+        live_sides = [sides[p] for p in alive]
+        s_positions = [k for k, s in enumerate(live_sides) if s == "S"]
+        t_positions = [k for k, s in enumerate(live_sides) if s == "T"]
+        if not s_positions or not t_positions or max(s_positions) < min(t_positions):
+            return pairs, True
+        hit = None
+        for k in range(len(alive) - 1):
+            if live_sides[k] == "T" and live_sides[k + 1] == "S":
+                hit = k
+                break
+        if hit is None:
+            return pairs, False
+        pairs.append((alive[hit + 1], alive[hit]))
+        del alive[hit + 1]
+        del alive[hit]
+
+
+def beta(gamma_s: Sequence[int], gamma_t: Sequence[int],
+         length: Optional[int] = None) -> Optional[int]:
+    """Minimal count of inductively removed adjacent (i+1, i) index pairs.
+
+    gamma_s and gamma_t are disjoint 1-based index sets into a common
+    sequence of the given length (default: the largest index). Indices
+    belonging to neither set keep their place during reindexing; if the
+    removal process cannot reach a state where every gamma_s index precedes
+    every gamma_t index, the statistic is undefined and None is returned.
+    """
+    ss, tt = set(gamma_s), set(gamma_t)
+    if ss & tt:
+        raise ValueError("index sets must be disjoint")
+    top = max([0, *ss, *tt]) if length is None else length
+    sides = ["S" if i in ss else "T" if i in tt else "-" for i in range(1, top + 1)]
+    pairs, ok = _beta_pairs(sides)
+    return len(pairs) if ok else None
+
+
+def literal_pairing_rules(
+    ell: int,
+    xS: tuple[Partition, Sequence[Block]],
+    yT: tuple[Partition, Sequence[Block]],
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Literal zero test and permutation assembly; None when the form vanishes.
+
+    Returns (|Gamma_S|, sigma). Zero cases, checked in order: (1) two
+    S-origins or two T-origins share a join component; (2) unequal
+    leftover-singleton sets attached to S and T; (3) crossings plus attached
+    singletons fail to account for every through string; (4) the attached
+    singletons cannot be fully cancelled across rows.
+    """
+    x, S = xS
+    y, T = yT
+    if len(S) != ell or len(T) != ell:
+        raise ValueError(f"S and T must have size ell={ell}")
+    join = join_partitions(x, y)
+    comp_of: dict[int, int] = {}
+    for ci, block in enumerate(join):
+        for v in block:
+            comp_of[v] = ci
+
+    s_comps = [comp_of[b[0]] for b in S]
+    t_comps = [comp_of[b[0]] for b in T]
+    if len(set(s_comps)) != ell or len(set(t_comps)) != ell:  # condition (1)
+        return None
+
+    gammas = [("x", b[0]) for b in singletons(x) if b not in set(S)]
+    gammas += [("y", b[0]) for b in singletons(y) if b not in set(T)]
+    s_comp_set, t_comp_set = set(s_comps), set(t_comps)
+    gamma_comps = [comp_of[v] for _, v in gammas]
+    gamma_S = [k for k, c in enumerate(gamma_comps) if c in s_comp_set]
+    gamma_T = [k for k, c in enumerate(gamma_comps) if c in t_comp_set]
+    if len(gamma_S) != len(gamma_T):  # condition (2)
+        return None
+
+    crossings = [
+        (i, j) for i in range(ell) for j in range(ell) if s_comps[i] == t_comps[j]
+    ]
+    if len(crossings) + len(gamma_S) != ell:  # condition (3)
+        return None
+
+    # Indices consumed by closed circuits vanish from the order before any
+    # transposition happens, so the cancellation runs on the surviving
+    # gamma indices only.
+    union = sorted(gamma_S + gamma_T)
+    in_s = set(gamma_S)
+    sides = ["S" if k in in_s else "T" for k in union]
+    pairs, ok = _beta_pairs(sides)
+    if not ok or len(pairs) != len(gamma_S):  # condition (4)
+        return None
+
+    comp_to_s = {c: i for i, c in enumerate(s_comps)}
+    comp_to_t = {c: j for j, c in enumerate(t_comps)}
+    perm = dict(crossings)
+    for s_pos, t_pos in pairs:
+        i = comp_to_s[gamma_comps[union[s_pos]]]
+        if i in perm:
+            raise RuntimeError(f"S-origin {i} assigned twice")
+        perm[i] = comp_to_t[gamma_comps[union[t_pos]]]
+    if sorted(perm) != list(range(ell)) or sorted(perm.values()) != list(range(ell)):
+        raise RuntimeError(f"assembled {perm} is not a permutation of {ell} strings")
+    return len(gamma_S), tuple(perm[i] for i in range(ell))
 
 
 def test_beta_worked_example():
@@ -146,12 +267,12 @@ def test_phi_self_pairing_structure():
                 assert value is not None
                 assert value.two_power == 0
                 assert value.perm == tuple(range(ell))
-                arcs = len(x) - m1(x)
-                if m1(x) == ell:
+                arcs = len(x) - len(singletons(x))
+                if len(singletons(x)) == ell:
                     assert value.circuit_factor == D(arcs)
                 else:
                     assert value.circuit_factor.eval_at(1) == 1
-                    assert value.circuit_factor.degree == arcs + (m1(x) - ell)
+                    assert value.circuit_factor.degree == arcs + (len(singletons(x)) - ell)
 
 
 def test_phi_interleaved_circuits_pick_up_corrections():
@@ -212,6 +333,34 @@ def test_tau_symmetry_small():
                     assert (a is None) == (b is None)
                     if a is not None:
                         assert a.inverted() == b
+
+
+# n -> (pairs, CellFormError outcomes, SHA-256 of the outcomes) of phi_ell
+# over enumerate_S(n, ell)^2, ell = 0..n.
+_PHI_DIGESTS = {
+    2: (9, 0, "9af765ff255399038370882da3fedac26825ff4274add8f7bc07f92aba9387a3"),
+    3: (62, 0, "91890e07d08db3775e71df89185c536626d4c7935f3ace6261fd79a3d01a44dc"),
+    4: (517, 6, "9a1ed375a6733d203f442bd6ce340d0b9bd60a68106c1faa931745f39ba7a119"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PHI_DIGESTS))
+def test_phi_values_are_pinned(n):
+    # Each value as (circuit factor, power of two, permutation), None, or
+    # "CellFormError"; the literal rules are compared at n <= 2 only.
+    outcomes = []
+    for ell in range(n + 1):
+        vectors = enumerate_S(n, ell)
+        for v1 in vectors:
+            for v2 in vectors:
+                value = _outcome(phi_ell, ell, v1, v2)
+                if value is CellFormError:
+                    outcomes.append("CellFormError")
+                else:
+                    outcomes.append(None if value is None else (
+                        value.circuit_factor.to_pairs(), value.two_power, value.perm))
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert (len(outcomes), outcomes.count("CellFormError"), digest) == _PHI_DIGESTS[n]
 
 
 def test_modmult_identity_pair():

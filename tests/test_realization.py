@@ -96,7 +96,7 @@ def test_mixed_symbol_action_on_v():
     # h applied to its dual partner returns the raising vector.
     space = SpaceSpec(5, 1)
     act = act_so((0, 2), space)  # w1 ^ w1*
-    out = act.apply(vec(space, (0,), 0))
+    out = act.column(space.encode((0,), 0))
     # slot part w1 -> w1 plus the spin part (-1/2 on the empty wedge).
     assert out[space.encode((0,), 0)] == RootTwoNumber(1) + RootTwoNumber(Fraction(-1, 2))
 
@@ -104,14 +104,14 @@ def test_mixed_symbol_action_on_v():
 def test_lowering_e_symbol_sends_e_to_dual():
     space = SpaceSpec(5, 1)
     act = act_so((4, 2), space)  # e ^ w1*
-    out = act.apply(vec(space, (4,), 0))  # e in the only slot
+    out = act.column(space.encode((4,), 0))  # e in the only slot
     assert out[space.encode((2,), 0)] == RootTwoNumber(-1)  # -w1*
 
 
 def test_lowering_pair_on_full_wedge():
     space = SpaceSpec(5, 0)
     act = act_so((2, 3), space)  # w1* ^ w2*
-    out = act.apply({0b11: ONE})
+    out = act.column(0b11)
     assert out == {0b00: RootTwoNumber(-1)}
 
 
@@ -166,14 +166,14 @@ def test_gamma_equivariance_witness():
 def test_projection_on_wedge_example():
     space = SpaceSpec(5, 1)  # m = 2
     pi = projection_map(space, 1)
-    out = pi.apply(vec(space, (0,), 0b10))  # w1 (x) wedge {2}
+    out = pi.column(space.encode((0,), 0b10))  # w1 (x) wedge {2}
     assert out == {0b11: SQRT2}
 
 
 def test_contraction_example():
     space = SpaceSpec(5, 2)
     kappa = contraction_map(space, 1, 2)
-    out = kappa.apply(vec(space, (0, 2), 0b01))  # w1 (x) w1* (x) {1}
+    out = kappa.column(space.encode((0, 2), 0b01))  # w1 (x) w1* (x) {1}
     assert out == {0b01: ONE}
 
 
@@ -217,7 +217,7 @@ def test_snake_identity():
 def test_swap_map_permutes_slots():
     space = SpaceSpec(3, 2)
     tau = swap_map(space, (2, 1))
-    out = tau.apply(vec(space, (0, 2), 0))
+    out = tau.column(space.encode((0, 2), 0))
     assert out == vec(space, (2, 0), 0)
 
 
@@ -468,9 +468,8 @@ def test_space_tables_are_the_clifford_action(N):
 
 
 def _checked(m: LinearMap) -> LinearMap:
-    """m adopted again, from copies of its columns, through the checked path."""
-    cols = {j: dict(col) for j, col in m._cols.items()}
-    return LinearMap._from_pairs(m.domain_dim, m.codomain_dim, cols, m._den)
+    """m adopted again, from its entries, through the checked public constructor."""
+    return LinearMap(m.domain_dim, m.codomain_dim, {j: m.column(j) for j in m._cols})
 
 
 @pytest.mark.parametrize("N", range(2, 6))

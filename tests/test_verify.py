@@ -462,3 +462,28 @@ def test_reports_are_deterministic():
     a = verify_homomorphism(2, 3, mode="random", samples=5, seed=11)
     b = verify_homomorphism(2, 3, mode="random", samples=5, seed=11)
     assert a.to_json() == b.to_json()
+
+
+# Every RootTwoNumber operation that computes a new number.
+_ROOT_TWO_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                        "__rmul__", "__neg__", "inverse", "conjugate", "norm")
+_MATRIX_CHECKS = [
+    (verify_homomorphism, (2, 3)), (verify_homomorphism, (2, 4)),
+    *((verify_equivariance, (3, kind)) for kind in verify._EQUIVARIANT_FAMILIES),
+    *((verify_circuit_scaling, (3, kind, 2)) for kind in verify._CIRCUITS),
+    (verify_clifford_relation, (3,)), (verify_clifford_relation, (4,)),
+    (verify_rank, (2, 3)), (verify_rank, (2, 4)), (verify_surjectivity, (2, 3)),
+]
+
+
+@pytest.mark.parametrize("check, args", _MATRIX_CHECKS,
+                         ids=[f"{c.__name__}{a}" for c, a in _MATRIX_CHECKS])
+def test_matrix_checks_compute_on_integer_pairs_only(monkeypatch, check, args):
+    # The matrices are built, combined, composed and compared as integer
+    # pairs; RootTwoNumber only carries values across the boundary.
+    def refuse(*_):
+        raise AssertionError("RootTwoNumber arithmetic in a matrix check")
+
+    for name in _ROOT_TWO_ARITHMETIC:
+        monkeypatch.setattr(RootTwoNumber, name, refuse)
+    assert check(*args).passed
