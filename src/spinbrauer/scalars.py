@@ -200,10 +200,6 @@ class RootTwoNumber:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RootTwoNumber is immutable")
 
-    @classmethod
-    def sqrt2(cls) -> RootTwoNumber:
-        return cls(0, 1)
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
@@ -254,20 +250,6 @@ class RootTwoNumber:
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> RootTwoNumber:
-        """Galois conjugate a - b*sqrt(2)."""
-        return RootTwoNumber(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - 2 b^2 (product with the conjugate)."""
-        return self.a * self.a - 2 * self.b * self.b
-
-    def inverse(self) -> RootTwoNumber:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return RootTwoNumber(self.a / n, -self.b / n)
 
     def to_json(self) -> dict[str, str]:
         return {"a": str(self.a), "b": str(self.b)}

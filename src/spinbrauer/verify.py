@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Optional
 
@@ -113,23 +114,11 @@ def _check_bound(space: SpaceSpec, bound: int) -> None:
         )
 
 
-class _Realizer:
-    """Caches diagram realizations for one space."""
-
-    def __init__(self, space: SpaceSpec):
-        self.space = space
-        self._cache: dict[SpinDiagram, LinearMap] = {}
-
-    def __call__(self, d: SpinDiagram) -> LinearMap:
-        got = self._cache.get(d)
-        if got is None:
-            got = self._cache[d] = realize_diagram(d, self.space)
-        return got
-
-    def element(self, a: AlgebraElement, N: int) -> LinearMap:
-        dim = self.space.total_dim
-        return LinearMap.combination(
-            dim, dim, ((c.eval_at(N), self(d)) for d, c in a.terms.items()))
+def _vacuum(space: SpaceSpec) -> list[range]:
+    """The contents that select the Fock-mask-0 columns, those of
+    V^(x)n (x) |0>: every content in every slot. A Pin(N)-equivariant map
+    that vanishes there is zero (see _realized_rank)."""
+    return [range(space.N)] * space.n
 
 
 def _first_entry(lhs: LinearMap, rhs: LinearMap) -> dict:
@@ -146,7 +135,14 @@ def verify_homomorphism(
     seed: int = 0,
     bound: int = DEFAULT_DIMENSION_BOUND,
 ) -> VerificationReport:
-    """multiply(top, bottom) realized at delta=N equals the matrix composite."""
+    """multiply(top, bottom) realized at delta=N equals the matrix composite.
+
+    Both sides are Pin(N)-equivariant, so they are compared on the vacuum
+    columns alone (see _vacuum): the product's terms and the top factor are
+    realized there, the bottom factor whole, since the top factor reaches
+    rows at every mask. A failure names the first entry, in column order,
+    where the two differ on those columns.
+    """
     space = SpaceSpec(N, n)
     _check_bound(space, bound)
     if samples < 0:
@@ -159,13 +155,17 @@ def verify_homomorphism(
         pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(samples)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    realize = _Realizer(space)
+    contents = _vacuum(space)
+    whole = cache(lambda d: realize_diagram(d, space))
+    vacuum = cache(lambda d: realize_diagram(d, space, contents))
+    dim = space.total_dim
     params = {"n": n, "N": N, "mode": mode, "pairs": len(pairs), "seed": seed}
 
     def failures():
         for top, bottom in pairs:
-            lhs = realize.element(multiply_diagrams(top, bottom), N)
-            rhs = realize(bottom) @ realize(top)
+            terms = multiply_diagrams(top, bottom).terms.items()
+            lhs = LinearMap.combination(dim, dim, ((c.eval_at(N), vacuum(d)) for d, c in terms))
+            rhs = whole(bottom) @ vacuum(top)
             if lhs != rhs:
                 yield {**_pair(top, bottom), "entry": _first_entry(lhs, rhs)}
     return _verdict("homomorphism", params, failures())
@@ -374,7 +374,7 @@ def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
     """
     if space.N >= 2 * space.n and _blocks_certify(basis, space):
         return len(basis)
-    vacuum = [range(space.N)] * space.n
+    vacuum = _vacuum(space)
     return rank_of_vectors([realize_diagram(d, space, vacuum).flatten() for d in basis],
                            ceiling=commutant_dimension(space))
 

@@ -19,6 +19,8 @@ from spinbrauer.scalars import RootTwoNumber
 _PLAIN = {
     "homomorphism --n 2 --N 3":
         (0, "f42960bd39b2c1189fd9d4ce70e3f74aee3c131637061ebd580f7cd9f865755c"),
+    "homomorphism --n 2 --N 6":
+        (0, "c9a2cd031c48d3f16bfecc3986d928d6bc643846b9e2292c27afa11e9d7ec7ea"),
     "homomorphism --n 3 --N 5 --mode random --samples 4 --seed 1":
         (0, "18cdcc64e0cac247403405f2a903988d58e5677eff9316b5ea3697178c7e5a9e"),
     "equivariance --N 3 --map-kind projection":
@@ -99,6 +101,10 @@ _FAULTS = {
 _FAULTED = {
     ("plus-top", "homomorphism --n 2 --N 3"):
         (1, "ca96fa3ba70858cc8f9fcd14f0f1828ad046b2e7fad93a2f0aabb083a55afcbf"),
+    ("plus-top", "homomorphism --n 2 --N 4"):
+        (1, "3b6d0977be1e48f61a2177644a3feae79e664430cf6d74d4b33c8067b4e9df1d"),
+    ("plus-top", "homomorphism --n 2 --N 6"):
+        (1, "05cfd92d28576de5da85fd9979f50c18963a3063a75fb0891e4b832a5464baad"),
     ("plus-top", "brauer --n 2"):
         (1, "afc92351b2bb33132d598073ff11ac4310224e8e2b6c81865678d81d96f19928"),
     ("plus-top", "filtration --n 2"):

@@ -5,6 +5,7 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, strategies as st
 
+from root_two import inverse
 from spinbrauer import linalg
 from spinbrauer.diagrams import enumerate_basis
 from spinbrauer.linalg import LinearMap, rank_of_vectors
@@ -231,7 +232,7 @@ def exact_rank(vectors):
             lead = min(v)
             piv = pivots.get(lead)
             if piv is None:
-                inv = v[lead].inverse()
+                inv = inverse(v[lead])
                 pivots[lead] = {i: c * inv for i, c in v.items()}
                 break
             factor = v[lead]

@@ -344,7 +344,7 @@ def block_composite(d, N):
     return comp.matrix
 
 
-@pytest.mark.parametrize("N,max_n", [(3, 3), (4, 2), (5, 2)])
+@pytest.mark.parametrize("N,max_n", [(3, 3), (4, 2), (5, 2), (6, 2)])
 def test_realize_equals_block_composite(N, max_n):
     for n in range(max_n + 1):
         space = SpaceSpec(N, n)

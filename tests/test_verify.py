@@ -6,7 +6,14 @@ from collections import Counter
 import pytest
 
 from spinbrauer import cellular, linalg, verify
-from spinbrauer.diagrams import AlgebraElement, SpinDiagram, enumerate_basis, parse_diagram
+from spinbrauer.diagrams import (
+    AlgebraElement,
+    SpinDiagram,
+    emit_diagram,
+    enumerate_basis,
+    parse_diagram,
+)
+from spinbrauer.linalg import LinearMap
 from spinbrauer.multiply import multiply_diagrams
 from spinbrauer.realization import SpaceSpec, commutant_dimension, realize_diagram
 from spinbrauer.scalars import DeltaPolynomial, RootTwoNumber
@@ -90,8 +97,10 @@ def test_homomorphism_failure_names_first_differing_entry(monkeypatch):
     ce = report.counterexample
     top, bottom = parse_diagram(ce["top"]), parse_diagram(ce["bottom"])
     space = SpaceSpec(N, n)
-    realize = verify._Realizer(space)
-    lhs = realize.element(wrong_product(top, bottom).evaluate_at(N), N)
+    dim = space.total_dim
+    lhs = LinearMap.combination(dim, dim, (
+        (c.eval_at(N), realize_diagram(d, space))
+        for d, c in wrong_product(top, bottom).terms.items()))
     rhs = realize_diagram(bottom, space) @ realize_diagram(top, space)
     entry = ce["entry"]
     row, col = entry["row"], entry["col"]
@@ -100,6 +109,57 @@ def test_homomorphism_failure_names_first_differing_entry(monkeypatch):
     assert left != right
     assert (left.to_json(), right.to_json()) == (entry["lhs"], entry["rhs"])
     assert json.loads(json.dumps(report.to_json())) == report.to_json()
+
+
+def _whole_failures(n, N):
+    """Each pair, in the check's order, whose whole maps differ, with the two
+    maps: the homomorphism check without the restriction to the vacuum
+    columns, as an oracle."""
+    space = SpaceSpec(N, n)
+    dim = space.total_dim
+    basis = enumerate_basis(n)
+    realized = {d: realize_diagram(d, space) for d in basis}
+    for top in basis:
+        for bottom in basis:
+            terms = verify.multiply_diagrams(top, bottom).terms.items()
+            lhs = LinearMap.combination(dim, dim, ((c.eval_at(N), realized[d]) for d, c in terms))
+            rhs = realized[bottom] @ realized[top]
+            if lhs != rhs:
+                yield top, bottom, lhs, rhs
+
+
+_PRODUCT_FAULTS = {
+    "none": multiply_diagrams,
+    "plus-top": lambda top, bottom: (
+        multiply_diagrams(top, bottom) + AlgebraElement.from_diagram(top)),
+    # Only the pairs whose top factor has a top arc fail. A top arc pairs a
+    # content with its dual, so such a factor vanishes on the vacuum column
+    # whose slots all hold content 0: the witness lies past that column.
+    "plus-top-if-arc": lambda top, bottom: (
+        multiply_diagrams(top, bottom) + AlgebraElement.from_diagram(top, len(top.top_arcs))),
+}
+
+
+@pytest.mark.parametrize("fault", _PRODUCT_FAULTS)
+@pytest.mark.parametrize("n,N", [(n, N) for n in range(3) for N in range(2, 7)])
+def test_homomorphism_on_the_vacuum_columns_matches_the_whole_maps(n, N, fault, monkeypatch):
+    monkeypatch.setattr(verify, "multiply_diagrams", _PRODUCT_FAULTS[fault])
+    report = verify_homomorphism(n, N)
+    first = next(_whole_failures(n, N), None)
+    assert report.passed == (first is None)
+    if first is None:
+        return
+    top, bottom, lhs, rhs = first
+    ce = report.counterexample
+    assert (ce["top"], ce["bottom"]) == (emit_diagram(top), emit_diagram(bottom))
+    # The witness is an entry of a vacuum column where the whole maps differ.
+    entry = ce["entry"]
+    row, col = entry["row"], entry["col"]
+    assert col % SpaceSpec(N, n).fock_dim == 0
+    left = lhs.column(col).get(row, RootTwoNumber(0))
+    right = rhs.column(col).get(row, RootTwoNumber(0))
+    assert left != right
+    assert (left.to_json(), right.to_json()) == (entry["lhs"], entry["rhs"])
 
 
 def test_equivariance_failure_names_first_differing_entry(monkeypatch):
@@ -466,7 +526,7 @@ def test_reports_are_deterministic():
 
 # Every RootTwoNumber operation that computes a new number.
 _ROOT_TWO_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                        "__rmul__", "__neg__", "inverse", "conjugate", "norm")
+                        "__rmul__", "__neg__")
 _MATRIX_CHECKS = [
     (verify_homomorphism, (2, 3)), (verify_homomorphism, (2, 4)),
     *((verify_equivariance, (3, kind)) for kind in verify._EQUIVARIANT_FAMILIES),
