@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -32,6 +33,7 @@ __all__ = [
     "emit_diagram",
     "diagram_key",
     "enumerate_basis",
+    "BasisView",
     "enumerate_size_le2_partitions",
     "singletons",
     "enumerate_S",
@@ -478,6 +480,16 @@ def enumerate_S(n: int, ell: int) -> list[tuple[Partition, tuple[Block, ...]]]:
     return out
 
 
+def _basis_rows(n: int) -> Iterator[tuple[int, list[tuple]]]:
+    """The basis order: ell descending, its sorted rows (x, S) decoded as by
+    cell_decode, then top row, bottom row, sigma in permutations order."""
+    if n < 0:
+        raise DiagramError("n must be nonnegative")
+    for ell in range(n, -1, -1):
+        yield ell, [(*_row_of(x, S), tuple(b[0] for b in S))
+                    for x, S in sorted(enumerate_S(n, ell))]
+
+
 def enumerate_basis(n: int) -> list[SpinDiagram]:
     """Every diagram on n+n vertices exactly once, in a deterministic order.
 
@@ -485,14 +497,9 @@ def enumerate_basis(n: int) -> list[SpinDiagram]:
     encoding (x, S, y, T, sigma). Only the row partitions bound n (at 12);
     the basis holds 140,152 diagrams at n = 6, so callers bound n.
     """
-    if n < 0:
-        raise DiagramError("n must be nonnegative")
     out: list[SpinDiagram] = []
     trusted = SpinDiagram._trusted
-    for ell in range(n, -1, -1):
-        # Each row decoded once per (x, S), as cell_decode would decode it.
-        rows = [(*_row_of(x, S), tuple(b[0] for b in S))
-                for x, S in sorted(enumerate_S(n, ell))]
+    for ell, rows in _basis_rows(n):
         sigmas = list(itertools.permutations(range(ell)))
         for top_iso, top_arcs, tops in rows:
             for bot_iso, bot_arcs, bots in rows:
@@ -500,6 +507,35 @@ def enumerate_basis(n: int) -> list[SpinDiagram]:
                     through = tuple(zip(tops, [bots[k] for k in sigma]))
                     out.append(trusted(n, top_iso, bot_iso, top_arcs, bot_arcs, through))
     return out
+
+
+class BasisView(Sequence):
+    """enumerate_basis(n) as a sequence that builds a diagram when indexed
+    (no negative index): random.choice draws the same, listing rows only."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._blocks = [(len(rows) ** 2 * math.factorial(ell), ell, rows)
+                        for ell, rows in _basis_rows(n)]
+
+    def __len__(self) -> int:
+        return sum(size for size, _, _ in self._blocks)
+
+    def __getitem__(self, i: int) -> SpinDiagram:
+        if not 0 <= i < len(self):
+            raise IndexError(f"basis index {i} outside 0..{len(self) - 1}")
+        for size, ell, rows in self._blocks:
+            if i < size:
+                break
+            i -= size
+        pair, k = divmod(i, math.factorial(ell))
+        (top_iso, top_arcs, tops), (bot_iso, bot_arcs, bots) = map(
+            rows.__getitem__, divmod(pair, len(rows)))
+        pool, through = list(range(ell)), []
+        for top, left in zip(tops, range(ell - 1, -1, -1)):  # the k-th sigma, lexicographic
+            q, k = divmod(k, math.factorial(left))
+            through.append((top, bots[pool.pop(q)]))
+        return SpinDiagram._trusted(self.n, top_iso, bot_iso, top_arcs, bot_arcs, tuple(through))
 
 
 # --- pretty printing --------------------------------------------------------

@@ -159,6 +159,9 @@ class LinearMap:
     def column(self, j: int) -> Column:
         return {r: self._box(v) for r, v in self._cols.get(j, {}).items()}
 
+    def rows(self) -> set[int]:  # those holding a nonzero entry
+        return set().union(*self._cols.values())
+
     def nnz(self) -> int:
         return sum(len(c) for c in self._cols.values())
 

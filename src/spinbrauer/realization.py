@@ -375,7 +375,8 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
 
 
 def realize_diagram(d: SpinDiagram, space: SpaceSpec,
-                    contents: Optional[Sequence[Iterable[int]]] = None) -> LinearMap:
+                    contents: Optional[Sequence[Iterable[int]]] = None,
+                    columns: Optional[Iterable[int]] = None) -> LinearMap:
     """The endomorphism of V^(x)n (x) Delta carried by a canonical diagram.
 
     The building blocks act in the order of the module docstring, sharing
@@ -390,21 +391,31 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
 
     Given contents, one collection of V-contents per slot, only the columns
     at Fock mask 0 whose slot p holds a content of contents[p] are built
-    (the others are zero; the shape stays total_dim x total_dim). Without
-    them the walk starts from every mask and every slot holds any content.
+    (the others are zero; the shape stays total_dim x total_dim). Given
+    columns instead, only those are built: their contents and masks prune
+    the walk, which drops the columns it reaches outside them. With
+    neither, the walk starts from every mask and every slot holds any content.
     """
     if d.n != space.n:
         raise DiagramError(f"diagram has n={d.n}, space has n={space.n}")
     N, fock, dim = space.N, space.fock_dim, space.total_dim
-    if contents is None:
-        allowed: list[Sequence[int]] = [range(N)] * space.n
-        starts: Iterable[int] = range(fock)
+    place = [N ** (space.n - 1 - p) * fock for p in range(space.n)]
+    if columns is not None:
+        if contents is not None:
+            raise ValueError("give contents or columns, not both")
+        columns = set(columns)
+        if columns and not 0 <= min(columns) <= max(columns) < dim:
+            raise ValueError(f"columns must lie in 0..{dim - 1}")
+        allowed: list[Sequence[int]] = [sorted({j // step % N for j in columns}) for step in place]
+        starts: Iterable[int] = sorted({j % fock for j in columns})
+    elif contents is None:
+        allowed = [range(N)] * space.n
+        starts = range(fock)
     else:
         allowed = [sorted(set(slot)) for slot in contents]
         if len(allowed) != space.n or not all(0 <= c < N for c in itertools.chain(*allowed)):
             raise ValueError(f"contents must be {space.n} sets of contents in 0..{N - 1}")
         starts = (0,)
-    place = [N ** (space.n - 1 - p) * fock for p in range(space.n)]
     pairs = _invariant_pairs(space)
     gamma, emits = space.gamma, space.emits
 
@@ -446,7 +457,8 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
         out = [(ro, _times(ca, cb, a, b)) for ro, a, b in table[mask]]
         for ac in arc_cols:
             for tc, tr in through:
-                cols[ac + co + tc] = {tr + ro: v for ro, v in out}
+                if columns is None or ac + co + tc in columns:
+                    cols[ac + co + tc] = {tr + ro: v for ro, v in out}
     # Each entry is a product of nonzero factors, each row gets one term and
     # the indices come from contents < N and masks < fock: the columns are
     # canonical as built.

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional
 from .cellular import modmult_check, phi_ell
 from .diagrams import (
     AlgebraElement,
+    BasisView,
     CellTriple,
     DiagramError,
     SpinDiagram,
@@ -139,33 +140,40 @@ def verify_homomorphism(
 
     Both sides are Pin(N)-equivariant, so they are compared on the vacuum
     columns alone (see _vacuum): the product's terms and the top factor are
-    realized there, the bottom factor whole, since the top factor reaches
-    rows at every mask. A failure names the first entry, in column order,
-    where the two differ on those columns.
+    realized there, and each bottom factor once, on the rows its top factors
+    reach: the only columns the composites read. Random mode draws from a
+    BasisView. A failure names the first entry, in column order, that differs.
     """
     space = SpaceSpec(N, n)
     _check_bound(space, bound)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    basis = enumerate_basis(n)
     if mode == "exhaustive":
+        basis = enumerate_basis(n)
         pairs = [(a, b) for a in basis for b in basis]
     elif mode == "random":
-        rng = random.Random(seed)
-        pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(samples)]
+        rng, view = random.Random(seed), BasisView(n)
+        pairs = [(rng.choice(view), rng.choice(view)) for _ in range(samples)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     contents = _vacuum(space)
-    whole = cache(lambda d: realize_diagram(d, space))
-    vacuum = cache(lambda d: realize_diagram(d, space, contents))
+    # A product term that is no top factor is realized when used, not kept.
+    tops = {d: realize_diagram(d, space, contents) for d in dict.fromkeys(t for t, _ in pairs)}
+    reached = {d: m.rows() for d, m in tops.items()}
+    reads: dict[SpinDiagram, set[int]] = {}
+    for top, bottom in pairs:
+        reads.setdefault(bottom, set()).update(reached[top])
+    below = cache(lambda d: realize_diagram(d, space, columns=reads[d]))
     dim = space.total_dim
     params = {"n": n, "N": N, "mode": mode, "pairs": len(pairs), "seed": seed}
 
     def failures():
         for top, bottom in pairs:
             terms = multiply_diagrams(top, bottom).terms.items()
-            lhs = LinearMap.combination(dim, dim, ((c.eval_at(N), vacuum(d)) for d, c in terms))
-            rhs = whole(bottom) @ vacuum(top)
+            lhs = LinearMap.combination(dim, dim, (
+                (c.eval_at(N), tops[d] if d in tops else realize_diagram(d, space, contents))
+                for d, c in terms))
+            rhs = below(bottom) @ tops[top]
             if lhs != rhs:
                 yield {**_pair(top, bottom), "entry": _first_entry(lhs, rhs)}
     return _verdict("homomorphism", params, failures())
@@ -521,7 +529,7 @@ def verify_associativity(n: int, samples: int = 100, seed: int = 0) -> Verificat
     """(a b) c = a (b c) symbolically on random basis triples."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    basis = enumerate_basis(n)
+    basis = BasisView(n)
     rng = random.Random(seed)
     params = {"n": n, "samples": samples, "seed": seed}
 

@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
 from conftest import FIVE_VERTEX, assert_validated
 from spinbrauer.diagrams import (
     AlgebraElement,
+    BasisView,
     CellTriple,
     DiagramError,
     SpinDiagram,
@@ -213,6 +215,30 @@ def test_enumeration_stops_at_the_partition_bound():
 def test_enumeration_rejects_negative_n():
     with pytest.raises(DiagramError, match="nonnegative"):
         enumerate_basis(-1)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_basis_view_equals_the_basis(n):
+    view, basis = BasisView(n), enumerate_basis(n)
+    assert len(view) == len(basis)
+    assert [view[i] for i in range(len(view))] == basis
+    for i in (-1, len(view), len(view) + 1, -len(view)):
+        with pytest.raises(IndexError):
+            view[i]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_choice_draws_the_same_diagrams_from_the_view(n):
+    # random.choice reads only len and one index, so seeded draws agree.
+    view, basis = BasisView(n), enumerate_basis(n)
+    for seed in (0, 1, 7, 2024):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [a.choice(view) for _ in range(50)] == [b.choice(basis) for _ in range(50)]
+
+
+def test_basis_view_rejects_negative_n():
+    with pytest.raises(DiagramError, match="nonnegative"):
+        BasisView(-1)
 
 
 @pytest.mark.parametrize("n,digest", [

@@ -383,6 +383,41 @@ def test_realize_on_columns_equals_the_restricted_realization(N, ns):
                 assert part == _restricted(full, columns(contents)), (d, contents)
 
 
+@pytest.mark.parametrize("N, ns", [(N, range(3)) for N in range(2, 9)] + [(5, [3]), (6, [3])],
+                         ids=[f"N{N}-n<=2" for N in range(2, 9)] + ["N5-n3", "N6-n3"])
+def test_realize_on_a_column_set_equals_the_whole_realization_there(N, ns):
+    # An explicit column set may hold any Fock mask; only its columns are
+    # built, each equal to the whole realization's.
+    rng = random.Random(N)
+    for n in ns:
+        space = SpaceSpec(N, n)
+        dim, fock = space.total_dim, space.fock_dim
+        for d in enumerate_basis(n):
+            full = realize_diagram(d, space)
+            assert realize_diagram(d, space, columns=range(dim)) == full
+            assert realize_diagram(d, space, columns=[]) == LinearMap.zero(dim, dim)
+            sets = [rng.sample(range(dim), rng.randint(1, min(dim, 24))) for _ in range(3)]
+            sets.append(range(fock - 1, dim, fock))  # the last mask only
+            sets.append(rng.sample(sorted(full.rows()), min(len(full.rows()), 24)))
+            assert any(j % fock for columns in sets for j in columns)
+            for columns in sets:
+                part = realize_diagram(d, space, columns=columns)
+                assert part == _restricted(full, columns), (d, columns)
+
+
+@pytest.mark.parametrize("columns", [[-1], [0, 64], [10**6], [3, 2, 64]])
+def test_realize_rejects_a_column_set_outside_the_space(columns):
+    d = enumerate_basis(2)[0]
+    with pytest.raises(ValueError, match=r"columns must lie in 0\.\.63"):
+        realize_diagram(d, SpaceSpec(4, 2), columns=columns)
+
+
+def test_realize_takes_contents_or_columns_not_both():
+    d = enumerate_basis(2)[0]
+    with pytest.raises(ValueError, match="not both"):
+        realize_diagram(d, SpaceSpec(4, 2), [(0,), (0,)], columns=[0])
+
+
 @pytest.mark.parametrize("contents", [
     [(0,), (-1,)], [(0,), (4,)], [(0,), (64,)], [(0,)], [(0,), (1,), (2,)],
 ], ids=["-1", "4", "64", "one-slot", "three-slots"])

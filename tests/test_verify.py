@@ -1,7 +1,7 @@
 import inspect
 import json
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -160,6 +160,25 @@ def test_homomorphism_on_the_vacuum_columns_matches_the_whole_maps(n, N, fault, 
     right = rhs.column(col).get(row, RootTwoNumber(0))
     assert left != right
     assert (left.to_json(), right.to_json()) == (entry["lhs"], entry["rhs"])
+
+
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+@pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
+def test_homomorphism_realizes_no_whole_matrix_and_no_column_twice(monkeypatch, n, N, mode):
+    realize = verify.realize_diagram
+    built = defaultdict(set)  # each bottom factor's columns realized so far
+
+    def spy(d, space, contents=None, columns=None):
+        assert contents is not None or columns is not None, f"{d} realized whole"
+        if columns is not None:
+            columns = set(columns)
+            assert not built[d] & columns, f"a column of {d} realized twice"
+            built[d] |= columns
+        return realize(d, space, contents, columns)
+
+    monkeypatch.setattr(verify, "realize_diagram", spy)
+    assert verify_homomorphism(n, N, mode, samples=30, seed=3).passed
+    assert built
 
 
 def test_equivariance_failure_names_first_differing_entry(monkeypatch):
