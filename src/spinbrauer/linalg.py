@@ -30,11 +30,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .scalars import RootTwoNumber
 
-__all__ = ["LinearMap", "independent_mod_p", "rank_of_vectors"]
+__all__ = ["LinearMap", "rank_of_vectors"]
 
 Column = dict[int, RootTwoNumber]
 Pair = tuple[int, int]
@@ -264,7 +264,8 @@ class LinearMap:
     def flatten(self) -> PairColumn:
         """The map times den as one sparse vector of integer pairs (a, b),
         entry a + b sqrt2, index = row * domain_dim + col."""
-        return _flat(self)
+        d = self.domain_dim
+        return {r * d + j: v for j, col in self._cols.items() for r, v in col.items()}
 
     def rank(self) -> int:
         return rank_of_vectors(self._cols.values())
@@ -290,13 +291,6 @@ def _drop_zeros(cols: dict[int, PairColumn], indices: Iterable[int]) -> None:
             col = cols[j] = {r: v for r, v in col.items() if v != _ZERO}
         if not col:
             del cols[j]
-
-
-def _flat(m: LinearMap) -> PairColumn:
-    """The body of m.flatten(), shared with independent_mod_p so that a
-    block certificate makes no flatten call (perfbench counts those)."""
-    d = m.domain_dim
-    return {r * d + j: v for j, col in m._cols.items() for r, v in col.items()}
 
 
 # --- exact rank by elimination modulo primes ---------------------------------
@@ -375,19 +369,6 @@ def _rank_mod(vectors: list[PairColumn], p: int) -> int:
                 else:
                     del v[i]  # f * x is nonzero mod p, so v held i
     return len(pivots)
-
-
-def independent_mod_p(maps: Sequence[LinearMap]) -> bool:
-    """Whether the maps, read as vectors, are independent modulo 2^61 - 1,
-    the first prime of _primes.
-
-    Reduction modulo a prime only lowers the rank, so True proves the maps
-    linearly independent over Q(sqrt2); False proves nothing. A zero map
-    answers False without any elimination.
-    """
-    if not all(m._cols for m in maps):
-        return False
-    return _rank_mod([_flat(m) for m in maps], _M61) == len(maps)
 
 
 def _weights(vectors: list[PairColumn]) -> tuple[list[int], list[int]]:

@@ -8,6 +8,7 @@ filtration, the Brauer subalgebra) run symbolically in Z[delta].
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, repeat
@@ -26,7 +27,7 @@ from .diagrams import (
     enumerate_basis,
     involution,
 )
-from .linalg import LinearMap, independent_mod_p, rank_of_vectors
+from .linalg import LinearMap, rank_of_vectors
 from .multiply import multiply_diagrams, multiply_elements
 from .realization import (
     BLOCKS,
@@ -320,14 +321,25 @@ def _row_contents(arcs: tuple, isolated: tuple, space: SpaceSpec) -> list[tuple[
     return contents
 
 
+def _each_owns_a_row(maps: list[LinearMap]) -> bool:
+    """Whether every map has a nonzero row that no other map touches. A
+    nonzero entry in each such row is a coordinate where only its own map
+    is nonzero: there the maps are diagonal with nonzero entries, so they
+    are independent, exactly. A zero map has no row and fails."""
+    supports = [m.rows() for m in maps]
+    counts = Counter(chain.from_iterable(supports))
+    return all(any(counts[r] == 1 for r in rows) for rows in supports)
+
+
 def _blocks_certify(basis: list[SpinDiagram], space: SpaceSpec) -> bool:
-    """Whether each top-row group is independent modulo a prime on its column."""
+    """Whether, in each top-row group realized on its column, every diagram
+    owns a row."""
     groups: dict[tuple, list[SpinDiagram]] = {}
     for d in basis:
         groups.setdefault((d.top_arcs, d.top_isolated), []).append(d)
     for (arcs, isolated), group in groups.items():
         contents = _row_contents(arcs, isolated, space)
-        if not independent_mod_p([realize_diagram(d, space, contents) for d in group]):
+        if not _each_owns_a_row([realize_diagram(d, space, contents) for d in group]):
             return False
     return True
 
@@ -360,15 +372,18 @@ def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
 
     In a dependency, a <=-minimal top row (A, I) of its support therefore
     leaves (A, I)'s group dependent on (A, I)'s column: every other diagram
-    of the support vanishes there. Restricting to a column and reducing
-    modulo a prime cannot raise a rank, so every group independent modulo
-    one prime proves full rank exactly, with nothing flattened.
+    of the support vanishes there. A group is independent on its column
+    when each of its diagrams has a row there that no other diagram of the
+    group touches: on those rows the group's matrix is diagonal with nonzero
+    entries (see _each_owns_a_row). So private rows in every group prove
+    full rank exactly over Q(sqrt2), with no prime and nothing eliminated.
 
-    When a group fails, and always for N < 2n, each diagram is realized on
-    the Fock-mask-0 columns only, those of V^(x)n (x) |0>, then flattened and
-    eliminated modulo primes (see linalg). Restricting to these columns keeps
-    the rank. Each realization is Pin(N)-equivariant, a composite of the
-    blocks that verify_equivariance checks, and g in Pin(N) maps
+    When a diagram owns no row in its group, and always for N < 2n, each
+    diagram is realized on the Fock-mask-0 columns only, those of
+    V^(x)n (x) |0>, then flattened and eliminated modulo primes (see
+    linalg). Restricting to these columns keeps the rank. Each realization
+    is Pin(N)-equivariant, a composite of the blocks that
+    verify_equivariance checks, and g in Pin(N) maps
     V^(x)n (x) |0> onto V^(x)n (x) g|0>. The vectors g|0> span Delta: so(N)
     carries the vacuum onto Delta_+ (all of Delta at odd N), and the odd
     reflection carries Delta_+ onto Delta_-. So an equivariant map, such as

@@ -321,20 +321,6 @@ def test_rank_when_the_first_prime_divides_a_minor():
     assert LinearMap(2, 2, dict(enumerate(rows))).rank() == 2
 
 
-def test_independent_mod_p_proves_independence_only(monkeypatch):
-    one = LinearMap.identity(2)
-    swap = LinearMap(2, 2, {0: {1: r2(1)}, 1: {0: r2(1)}})
-    half = one.scale(RootTwoNumber(Fraction(1, 2), Fraction(1, 3)))
-    assert linalg.independent_mod_p([half, swap])
-    assert not linalg.independent_mod_p([one, half, swap])
-    # Independent over Q(sqrt2) but not modulo the first prime: False proves nothing.
-    killed = LinearMap(1, 1, {0: {0: r2(SQRT2_MOD_P0, -1)}})
-    assert killed.rank() == 1 and not linalg.independent_mod_p([killed])
-    # A zero map answers without any elimination.
-    monkeypatch.setattr(linalg, "_rank_mod", None)
-    assert not linalg.independent_mod_p([one, LinearMap.zero(2, 2)])
-
-
 def test_deficient_rank_of_multiples():
     # Rank 1: the bound must stop the search, not a full rank.
     v = {0: r2(3, 1), 2: RootTwoNumber(Fraction(1, 2), Fraction(-1, 3))}

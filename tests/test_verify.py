@@ -347,7 +347,8 @@ def _top_row_below(lower: tuple, upper: tuple) -> bool:
     return set(arcs) <= set(up_arcs) and set(isolated) <= set(up_isolated).union(*dropped)
 
 
-@pytest.mark.parametrize("n, N", [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8)])
+@pytest.mark.parametrize("n, N", [(1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (3, 6), (3, 7),
+                                  (3, 8), (4, 8)])
 def test_row_columns_see_only_top_rows_below_their_own(n, N):
     # The property the certificate rests on: on the one column of a top row
     # (A, I), a diagram vanishes unless its top row is <= (A, I), and the
@@ -368,8 +369,38 @@ def test_row_columns_see_only_top_rows_below_their_own(n, N):
 
 
 def test_blocks_certify_independent_realizations():
-    for n, N in [(0, 2), (1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (3, 6), (3, 7)]:
+    for n, N in [(0, 2), (1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 6),
+                 (3, 7), (3, 8), (4, 8), (4, 9)]:
         assert verify._blocks_certify(enumerate_basis(n), SpaceSpec(N, n)), (n, N)
+
+
+def test_each_owns_a_row():
+    r2 = RootTwoNumber
+    one = LinearMap.identity(2)
+    swap = LinearMap(2, 2, {0: {1: r2(1)}, 1: {0: r2(1)}})
+    first = LinearMap(2, 3, {0: {0: r2(1), 2: r2(1, 1)}})
+    second = LinearMap(2, 3, {1: {1: r2(-2)}, 0: {2: r2(3)}})
+    # Rows 0 and 1 are private; row 2, which both touch, is not needed.
+    assert verify._each_owns_a_row([first, second])
+    assert verify._each_owns_a_row([first])
+    # A zero map has no row.
+    assert not verify._each_owns_a_row([first, LinearMap.zero(2, 3)])
+    # Equal supports, even of independent maps, leave no row private.
+    assert one.rows() == swap.rows() and not verify._each_owns_a_row([one, swap])
+    assert not verify._each_owns_a_row([first, first.scale(r2(0, 1))])
+
+
+@pytest.mark.parametrize("n, N", [(4, 8), (3, 7)])
+def test_full_rank_needs_no_prime(monkeypatch, n, N):
+    # Private rows certify full rank: no elimination, modulo any prime, runs.
+    def refused(*args, **kwargs):
+        raise AssertionError("eliminated on the full-rank path")
+
+    monkeypatch.setattr(linalg, "_rank_mod", refused)
+    monkeypatch.setattr(verify, "rank_of_vectors", refused)
+    size = len(enumerate_basis(n))
+    assert verify_rank(n, N, bound=SpaceSpec(N, n).total_dim).info["rank"] == size
+    assert verify_surjectivity(n, N, bound=SpaceSpec(N, n).total_dim).passed
 
 
 def test_rank_falls_back_to_elimination_when_a_block_fails(monkeypatch):
