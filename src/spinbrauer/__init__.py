@@ -46,7 +46,6 @@ from .cellular import (
     CellFormError,
     PhiValue,
     irreducible_indices,
-    join_partitions,
     modmult_check,
     phi_ell,
 )

@@ -1,14 +1,16 @@
-"""Cellular structure: partition joins, the pairing form, and irreducibles.
+"""Cellular structure: the pairing form and irreducibles.
 
 A diagram with ell through strings is encoded by (row partition, through
 origins) data on each row plus a permutation; multiplication modulo diagrams
 with fewer through strings is governed by the pairing form phi_ell, read off
 the maximal-through part of one reference product. On small rows its value
-is delta^(closed components of the join) * 2^(cross-row label
-transpositions) times one permutation; closed circuits with interleaved
-labels correct the delta power (see PhiValue.circuit_factor), and from four
-vertices per row on the value can stop being a single permutation multiple
-altogether (CellFormError).
+is delta^(closed middle components) * 2^(cross-row label transpositions)
+times one permutation. The power of two is read off the reference stitch:
+each through string it does not draw directly, from an S-origin to a
+T-origin along one middle component, comes from a transposition. Closed
+circuits with interleaved labels correct the delta power (see
+PhiValue.circuit_factor), and from four vertices per row on the value can
+stop being a single permutation multiple altogether (CellFormError).
 """
 
 from __future__ import annotations
@@ -16,19 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagrams import (
-    Block,
-    Partition,
-    SpinDiagram,
-    _row_of,
-    cell_encode,
-)
+from .diagrams import Block, Partition, SpinDiagram, _row_of, cell_encode
 from .linalg import _MR_BOUND, _is_prime
 from .multiply import _normal_form, _stitch, default_strategy, multiply_diagrams
 from .scalars import DeltaPolynomial
 
 __all__ = [
-    "join_partitions",
     "PhiValue",
     "CellFormError",
     "phi_ell",
@@ -38,33 +33,6 @@ __all__ = [
     "is_regular",
     "irreducible_indices",
 ]
-
-
-def join_partitions(x: Partition, y: Partition) -> tuple[Block, ...]:
-    """Finest common coarsening: merge all blocks sharing elements."""
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for part in (x, y):
-        for block in part:
-            for v in block:
-                parent.setdefault(v, v)
-            for v in block[1:]:
-                union(block[0], v)
-    groups: dict[int, list[int]] = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
 # --- the bilinear form --------------------------------------------------------
@@ -168,15 +136,10 @@ def phi_ell(
     ell2, t = cell_encode(d)
     if ell2 != ell:
         raise RuntimeError(f"maximal term has {ell2} through strings, not {ell}")
-    join = join_partitions(x, y)
-    comp_of: dict[int, int] = {}
-    for ci, block in enumerate(join):
-        for v in block:
-            comp_of[v] = ci
-    crossings = sum(
-        1 for b in S for b2 in T if comp_of[b[0]] == comp_of[b2[0]]
-    )
-    two_power = ell - crossings
+    # The stitch draws a through string for each middle component joining an
+    # S-origin to a T-origin; the term's other through strings come from
+    # cross-row label transpositions, a factor of 2 each.
+    two_power = ell - len(_stitch(top, bottom)[1][2])
     circuit_factor = _divide_by_power_of_two(coeff, two_power)
     return PhiValue(circuit_factor, two_power, t.sigma)
 

@@ -348,7 +348,12 @@ class AlgebraElement:
 
 
 def involution(d: SpinDiagram) -> SpinDiagram:
-    """The row-swapping anti-automorphism: exchange rows and invert the bijection."""
+    """The row swap: exchange rows and invert the bijection.
+
+    An involution of the basis that exchanges the two cell factors (what
+    `verify involution` checks). It is not an anti-automorphism of the
+    product; ROADMAP item 6 plans the operator-order anti-involution.
+    """
     return SpinDiagram(
         d.n,
         d.bottom_isolated,
@@ -396,7 +401,7 @@ class CellTriple:
     _trusted = classmethod(_unchecked_instance)
 
 
-def _row_partition(n: int, isolated: Sequence[int], arcs: Sequence[Arc],
+def _row_partition(isolated: Sequence[int], arcs: Sequence[Arc],
                    through_row: Sequence[int]) -> tuple[Partition, tuple[Block, ...]]:
     blocks = [(v,) for v in isolated] + [tuple(a) for a in arcs]
     origins = tuple((v,) for v in sorted(through_row))
@@ -408,8 +413,8 @@ def cell_encode(d: SpinDiagram) -> tuple[int, CellTriple]:
     """Encode a diagram as its through count and cell triple."""
     tops = [i for i, _ in d.through]
     bots = [j for _, j in d.through]
-    x, S = _row_partition(d.n, d.top_isolated, d.top_arcs, tops)
-    y, T = _row_partition(d.n, d.bottom_isolated, d.bottom_arcs, bots)
+    x, S = _row_partition(d.top_isolated, d.top_arcs, tops)
+    y, T = _row_partition(d.bottom_isolated, d.bottom_arcs, bots)
     fmap = d.through_map()
     t_index = {b[0]: i for i, b in enumerate(T)}
     sigma = tuple(t_index[fmap[b[0]]] for b in S)

@@ -212,12 +212,8 @@ def verify_equivariance(N: int, map_kind: str,
         _check_bound(cod, bound)
     # The family's spaces repeat, so each action is built once: the pair
     # None stands for the odd reflection.
-    actions: dict[tuple[Optional[tuple[int, int]], SpaceSpec], LinearMap] = {}
-
-    def action(pair: Optional[tuple[int, int]], space: SpaceSpec) -> LinearMap:
-        if (pair, space) not in actions:
-            actions[pair, space] = act_gamma(space) if pair is None else act_so(pair, space)
-        return actions[pair, space]
+    action = cache(lambda pair, space:
+                   act_gamma(space) if pair is None else act_so(pair, space))
 
     def failures():
         for dom, cod, pos in family:
@@ -440,88 +436,64 @@ def verify_surjectivity(n: int, N: int,
 
 # --- independent classical Brauer oracle -------------------------------------
 
-BrauerDiagram = frozenset  # of frozensets {("t", i) | ("b", i)}
+BrauerDiagram = dict  # each vertex ("t" | "b", v) -> the other end of its string
 
 
 def brauer_from_spin(d: SpinDiagram) -> BrauerDiagram:
     if d.top_isolated or d.bottom_isolated:
         raise ValueError("only isolated-free diagrams are classical")
-    edges = [frozenset((("t", a), ("t", b))) for a, b in d.top_arcs]
-    edges += [frozenset((("b", a), ("b", b))) for a, b in d.bottom_arcs]
-    edges += [frozenset((("t", i), ("b", j))) for i, j in d.through]
-    return frozenset(edges)
+    strings = [(("t", a), ("t", b)) for a, b in d.top_arcs]
+    strings += [(("b", a), ("b", b)) for a, b in d.bottom_arcs]
+    strings += [(("t", i), ("b", j)) for i, j in d.through]
+    return {u: w for s in strings for u, w in (s, s[::-1])}
 
 
-def brauer_to_spin(n: int, matching: BrauerDiagram) -> SpinDiagram:
-    top_arcs, bottom_arcs, through = [], [], []
-    for edge in matching:
-        (r1, v1), (r2, v2) = sorted(edge)
-        if r1 == r2 == "t":
-            top_arcs.append((v1, v2))
-        elif r1 == r2 == "b":
-            bottom_arcs.append((v1, v2))
-        else:
-            through.append((v2, v1))  # sorted puts ("b", j) before ("t", i)
-    return SpinDiagram(n, (), (), tuple(top_arcs), tuple(bottom_arcs), tuple(through))
+def brauer_to_spin(n: int, partner: BrauerDiagram) -> SpinDiagram:
+    arcs: dict[str, list] = {"t": [], "b": []}
+    through = []
+    for (r1, v1), (r2, v2) in partner.items():
+        if r1 != r2:
+            if r1 == "t":
+                through.append((v1, v2))
+        elif v1 < v2:
+            arcs[r1].append((v1, v2))
+    return SpinDiagram(n, (), (), tuple(arcs["t"]), tuple(arcs["b"]), tuple(through))
 
 
 def brauer_multiply(top: BrauerDiagram, bottom: BrauerDiagram,
                     n: int) -> tuple[int, BrauerDiagram]:
-    """Classical product by path tracing; returns (closed loops, matching).
+    """Classical product by path tracing; returns (closed loops, partner map).
 
-    Edges are consumed one by one, so parallel edges (a two-edge loop through
-    the middle row) are handled like any other cycle.
+    Each string of the product starts at an outer vertex, in the top row of
+    top or the bottom row of bottom, and is walked once: at every middle
+    vertex it switches to the other diagram's string there. The middle
+    vertices no string met lie on closed loops, each walked once to count it.
     """
-    edges: list[tuple[tuple, tuple]] = []
-    for edge in top:
-        (r1, v1), (r2, v2) = edge
-        a = ("T", v1) if r1 == "t" else ("M", v1)
-        b = ("T", v2) if r2 == "t" else ("M", v2)
-        edges.append((a, b))
-    for edge in bottom:
-        (r1, v1), (r2, v2) = edge
-        a = ("M", v1) if r1 == "t" else ("B", v1)
-        b = ("M", v2) if r2 == "t" else ("B", v2)
-        edges.append((a, b))
-    incident: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(edges):
-        incident.setdefault(a, []).append(idx)
-        incident.setdefault(b, []).append(idx)
-    used = [False] * len(edges)
+    factors = (top, bottom)
+    met = [False] * (n + 1)
 
-    out = []
-    done_ext: set[tuple] = set()
-    for start in sorted(incident):
-        if start[0] == "M" or start in done_ext:
-            continue
-        done_ext.add(start)
-        cur = start
-        while True:
-            eidx = next(i for i in incident[cur] if not used[i])
-            used[eidx] = True
-            a, b = edges[eidx]
-            cur = b if a == cur else a
-            if cur[0] != "M":
-                done_ext.add(cur)
-                break
-        out.append(frozenset((
-            ("t" if start[0] == "T" else "b", start[1]),
-            ("t" if cur[0] == "T" else "b", cur[1]),
-        )))
+    def walk(side: int, end: tuple) -> tuple:
+        """From the far end of a string of factors[side], switch diagrams at
+        each middle vertex (row "b" of top, "t" of bottom) until an outer
+        vertex, or a middle vertex already met, ends the walk."""
+        while end[0] == "bt"[side] and not met[end[1]]:
+            met[end[1]] = True
+            side ^= 1
+            end = factors[side]["bt"[side], end[1]]
+        return end
 
+    product: BrauerDiagram = {}
+    for side, row in ((0, "t"), (1, "b")):
+        for v in range(1, n + 1):
+            if (row, v) not in product:
+                end = walk(side, factors[side][row, v])
+                product[row, v], product[end] = end, (row, v)
     loops = 0
-    for idx in range(len(edges)):
-        if used[idx]:
-            continue
-        loops += 1
-        used[idx] = True
-        first, cur = edges[idx]
-        while cur != first:
-            eidx = next(i for i in incident[cur] if not used[i])
-            used[eidx] = True
-            a, b = edges[eidx]
-            cur = b if a == cur else a
-    return loops, frozenset(out)
+    for v in range(1, n + 1):
+        if not met[v]:
+            loops += 1
+            walk(0, ("b", v))  # as if top's string ended at v: round the loop
+    return loops, product
 
 
 def verify_brauer_consistency(n: int) -> VerificationReport:

@@ -13,7 +13,6 @@ from spinbrauer.cellular import (
     PhiValue,
     irreducible_indices,
     is_regular,
-    join_partitions,
     modmult_check,
     partitions_of,
     phi_ell,
@@ -78,18 +77,45 @@ def test_pair_subset_counts():
     assert len(enumerate_S(2, 0)) == 2
 
 
-def test_join_merges_overlapping_blocks():
-    mu = blocks((1, 3), (2,), (4, 5))
-    nu = blocks((1, 2), (3,), (4,), (5,))
-    assert join_partitions(mu, nu) == blocks((1, 2, 3), (4, 5))
-
-
 # --- the literal pairing rules -----------------------------------------------
 #
 # The zero pattern and the permutation of the pairing form, derived from the
 # partitions alone. phi_ell reads both off a reference product instead; these
 # rules are the reference it is compared against where no closed circuit
 # interleaves its labels.
+
+
+def join_partitions(x: Partition, y: Partition) -> tuple[Block, ...]:
+    """Finest common coarsening: merge all blocks sharing elements."""
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for part in (x, y):
+        for block in part:
+            for v in block:
+                parent.setdefault(v, v)
+            for v in block[1:]:
+                union(block[0], v)
+    groups: dict[int, list[int]] = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def test_join_merges_overlapping_blocks():
+    mu = blocks((1, 3), (2,), (4, 5))
+    nu = blocks((1, 2), (3,), (4,), (5,))
+    assert join_partitions(mu, nu) == blocks((1, 2, 3), (4, 5))
 
 
 def _beta_pairs(sides: Sequence[str]) -> tuple[list[tuple[int, int]], bool]:
@@ -138,6 +164,18 @@ def beta(gamma_s: Sequence[int], gamma_t: Sequence[int],
     return len(pairs) if ok else None
 
 
+def _component_of(x: Partition, y: Partition) -> dict[int, int]:
+    """Each vertex's component index in the join of x and y."""
+    return {v: ci for ci, block in enumerate(join_partitions(x, y)) for v in block}
+
+
+def literal_crossings(xS: tuple[Partition, Sequence[Block]],
+                      yT: tuple[Partition, Sequence[Block]]) -> int:
+    """The S- and T-origins that share a component of the join."""
+    comp_of = _component_of(xS[0], yT[0])
+    return sum(1 for b in xS[1] for b2 in yT[1] if comp_of[b[0]] == comp_of[b2[0]])
+
+
 def literal_pairing_rules(
     ell: int,
     xS: tuple[Partition, Sequence[Block]],
@@ -155,12 +193,7 @@ def literal_pairing_rules(
     y, T = yT
     if len(S) != ell or len(T) != ell:
         raise ValueError(f"S and T must have size ell={ell}")
-    join = join_partitions(x, y)
-    comp_of: dict[int, int] = {}
-    for ci, block in enumerate(join):
-        for v in block:
-            comp_of[v] = ci
-
+    comp_of = _component_of(x, y)
     s_comps = [comp_of[b[0]] for b in S]
     t_comps = [comp_of[b[0]] for b in T]
     if len(set(s_comps)) != ell or len(set(t_comps)) != ell:  # condition (1)
@@ -486,6 +519,36 @@ def test_floor_keeps_the_leading_part_at_seeded_middle_data_at_five():
         outcomes[got if got in (None, CellFormError) else "term"] += 1
     # Every outcome occurs, so the comparison covers each kind.
     assert min(outcomes.values()) > 0 and len(outcomes) == 3
+
+
+def _direct_through(ell, xS, yT):
+    """The through strings the reference stitch draws directly."""
+    _, state = multiply._stitch(*_reference_factors(ell, xS, yT))
+    return len(state[2])
+
+
+# n -> middle data (x, S), (y, T) with |S| = |T|, over every ell
+_MIDDLE_DATA = {0: 1, 1: 2, 2: 9, 3: 62, 4: 517}
+
+
+@pytest.mark.parametrize("n", sorted(_MIDDLE_DATA))
+def test_stitch_draws_one_through_string_per_crossing(n):
+    # phi_ell's power of two is ell minus the stitch's direct through
+    # strings; the literal count is that of crossings in the join.
+    data = [(ell, xS, yT) for ell in range(n + 1)
+            for xS in enumerate_S(n, ell) for yT in enumerate_S(n, ell)]
+    assert len(data) == _MIDDLE_DATA[n]
+    for ell, xS, yT in data:
+        assert _direct_through(ell, xS, yT) == literal_crossings(xS, yT), (xS, yT)
+
+
+def test_stitch_draws_one_through_string_per_crossing_at_seeded_five():
+    rng = random.Random("through/5")
+    rows = [enumerate_S(5, ell) for ell in range(6)]
+    for _ in range(2000):
+        ell = rng.randrange(6)
+        xS, yT = rng.choice(rows[ell]), rng.choice(rows[ell])
+        assert _direct_through(ell, xS, yT) == literal_crossings(xS, yT), (xS, yT)
 
 
 def test_prediction_refuses_diagrams_of_different_n():

@@ -63,6 +63,8 @@ _PLAIN = {
         (0, "376457f9e3db6a89bec9c5fd6761ffe263e04b876ab9e10d8b203720ea10f54f"),
     "brauer --n 3":
         (0, "53bc545d1b94453f1a1de1a59fa5adbb64e0af1d0c3ef80ff800fe2c819dc859"),
+    "brauer --n 4":
+        (0, "f48375bfe81c07a24c22942b300f26456c33a19595e1322893263e9ccb31e9c8"),
     "filtration --n 3":
         (0, "3847907690b13864cd64f8812e3dfb9da614d31489bedadd660ef0e54af4ef8d"),
     "modmult --n 3":

@@ -63,6 +63,25 @@ def test_brauer_single_loop():
     }
 
 
+def test_brauer_two_loops():
+    cups = SpinDiagram(4, (), (), ((1, 2), (3, 4)), ((1, 2), (3, 4)), ())
+    loops, matching = brauer_multiply(brauer_from_spin(cups), brauer_from_spin(cups), 4)
+    assert loops == 2
+    assert brauer_to_spin(4, matching) == cups
+
+
+def test_brauer_loop_through_four_middle_vertices():
+    # The middle row holds top's caps (1, 2), (3, 4) and bottom's cups
+    # (1, 4), (2, 3): one loop 1-2-3-4. The through strings 1 -> 6 -> 1 and
+    # 2 -> 5 -> 3 pass beside it.
+    top = SpinDiagram(6, (), (), ((3, 4), (5, 6)), ((1, 2), (3, 4)), ((1, 6), (2, 5)))
+    bottom = SpinDiagram(6, (), (), ((1, 4), (2, 3)), ((2, 4), (5, 6)), ((5, 3), (6, 1)))
+    loops, matching = brauer_multiply(brauer_from_spin(top), brauer_from_spin(bottom), 6)
+    assert loops == 1
+    assert brauer_to_spin(6, matching) == SpinDiagram(
+        6, (), (), ((3, 4), (5, 6)), ((2, 4), (5, 6)), ((1, 1), (2, 3)))
+
+
 def test_brauer_round_trip():
     for d in enumerate_basis(2):
         if d.top_isolated or d.bottom_isolated:
@@ -70,7 +89,7 @@ def test_brauer_round_trip():
         assert brauer_to_spin(2, brauer_from_spin(d)) == d
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_brauer_consistency(n):
     assert verify_brauer_consistency(n).passed
 
