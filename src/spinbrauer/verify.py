@@ -123,6 +123,36 @@ def _vacuum(space: SpaceSpec) -> list[range]:
     return [range(space.N)] * space.n
 
 
+def _mode_orbit_columns(space: SpaceSpec) -> list[int]:
+    """One Fock-mask-0 column, one of V^(x)n (x) |0>, per orbit of the mode
+    permutations, in column order: those whose modes first appear in the
+    order 1, 2, 3, ..., read slot by slot (a restricted growth string).
+
+    A permutation s of the m modes, w_i -> w_s(i) and w_i* -> w_s(i)* with
+    e fixed, keeps omega and has determinant sgn(s)^2 = 1, so it lies in
+    SO(N) and lifts to g in Spin(N). g conjugates each gamma(w_i*) to
+    gamma(w_s(i)*), so g|0> is annihilated by every contraction: it is a
+    nonzero multiple of |0>. So g permutes the vacuum columns up to nonzero
+    scalars, and a Pin(N)-equivariant map that vanishes on one column of
+    each orbit vanishes on all of them, and therefore everywhere (see
+    _realized_rank). Relabeling modes in order of first appearance takes
+    each column to its orbit's representative; it is the orbit's smallest
+    column index, since the codes order w_1 < ... < w_m < w_1* < ... < e
+    and the first slot is the most significant. The columns are listed
+    slot by slot, never by filtering all N^n.
+    """
+    m, N = space.m, space.N
+    prefixes = [(0, 0)]  # (index of the slots so far, modes used)
+    for _ in range(space.n):
+        grown = []
+        for idx, used in prefixes:
+            k = min(used + 1, m)  # the modes used so far and the next one
+            for c in chain(range(k), range(m, m + k), range(2 * m, N)):
+                grown.append((idx * N + c, max(used, c % m + 1) if c < 2 * m else used))
+        prefixes = grown
+    return [idx * space.fock_dim for idx, _ in prefixes]
+
+
 def _first_entry(lhs: LinearMap, rhs: LinearMap) -> dict:
     """The first entry where two unequal maps differ, for a counterexample."""
     row, col, left, right = lhs.first_difference(rhs)
@@ -139,11 +169,19 @@ def verify_homomorphism(
 ) -> VerificationReport:
     """multiply(top, bottom) realized at delta=N equals the matrix composite.
 
-    Both sides are Pin(N)-equivariant, so they are compared on the vacuum
-    columns alone (see _vacuum): the product's terms and the top factor are
-    realized there, and each bottom factor once, on the rows its top factors
-    reach: the only columns the composites read. Random mode draws from a
-    BasisView. A failure names the first entry, in column order, that differs.
+    Both sides are Pin(N)-equivariant, so they are compared on one vacuum
+    column per orbit of the mode permutations alone (see
+    _mode_orbit_columns): an equivariant map that vanishes there is zero.
+    The product's terms and the top factor are realized on those columns,
+    and each bottom factor once, on the rows its top factors reach: the
+    only columns the composites read. Random mode draws from a BasisView.
+
+    A failure names the first entry, in column order, where the two maps
+    differ on the vacuum columns, as a check on all of them would. Their
+    difference is equivariant, so the vacuum columns where it is nonzero
+    are a union of orbits: the first of them is the smallest column of its
+    orbit, its representative, and each representative column is realized
+    with all its rows.
     """
     space = SpaceSpec(N, n)
     _check_bound(space, bound)
@@ -157,9 +195,10 @@ def verify_homomorphism(
         pairs = [(rng.choice(view), rng.choice(view)) for _ in range(samples)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    contents = _vacuum(space)
+    columns = _mode_orbit_columns(space)
     # A product term that is no top factor is realized when used, not kept.
-    tops = {d: realize_diagram(d, space, contents) for d in dict.fromkeys(t for t, _ in pairs)}
+    tops = {d: realize_diagram(d, space, columns=columns)
+            for d in dict.fromkeys(t for t, _ in pairs)}
     reached = {d: m.rows() for d, m in tops.items()}
     reads: dict[SpinDiagram, set[int]] = {}
     for top, bottom in pairs:
@@ -172,7 +211,8 @@ def verify_homomorphism(
         for top, bottom in pairs:
             terms = multiply_diagrams(top, bottom).terms.items()
             lhs = LinearMap.combination(dim, dim, (
-                (c.eval_at(N), tops[d] if d in tops else realize_diagram(d, space, contents))
+                (c.eval_at(N),
+                 tops[d] if d in tops else realize_diagram(d, space, columns=columns))
                 for d, c in terms))
             rhs = below(bottom) @ tops[top]
             if lhs != rhs:

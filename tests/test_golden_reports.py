@@ -23,6 +23,8 @@ _PLAIN = {
         (0, "c9a2cd031c48d3f16bfecc3986d928d6bc643846b9e2292c27afa11e9d7ec7ea"),
     "homomorphism --n 3 --N 5 --mode random --samples 4 --seed 1":
         (0, "18cdcc64e0cac247403405f2a903988d58e5677eff9316b5ea3697178c7e5a9e"),
+    "homomorphism --n 4 --N 8 --mode random --samples 10 --seed 1 --bound 65536":
+        (0, "cfc38b0164006415ff3beba3e9e96aebf1d6c498323d45862fe1a105f4f3b707"),
     "equivariance --N 3 --map-kind projection":
         (0, "3c20be74ce6cf7d3390dc135c20868b619ecf61dd4a4726fce503ecc9586ce66"),
     "equivariance --N 3 --map-kind injection":
@@ -107,6 +109,8 @@ _FAULTED = {
         (1, "3b6d0977be1e48f61a2177644a3feae79e664430cf6d74d4b33c8067b4e9df1d"),
     ("plus-top", "homomorphism --n 2 --N 6"):
         (1, "05cfd92d28576de5da85fd9979f50c18963a3063a75fb0891e4b832a5464baad"),
+    ("plus-top", "homomorphism --n 3 --N 6"):
+        (1, "163088170363ad4a234d204d0151625a19f10b0b05a8c5c81fdddfcf5e920f20"),
     ("plus-top", "brauer --n 2"):
         (1, "afc92351b2bb33132d598073ff11ac4310224e8e2b6c81865678d81d96f19928"),
     ("plus-top", "filtration --n 2"):

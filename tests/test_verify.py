@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import tracemalloc
 from collections import Counter, defaultdict
@@ -171,33 +172,67 @@ def test_homomorphism_on_the_vacuum_columns_matches_the_whole_maps(n, N, fault, 
     top, bottom, lhs, rhs = first
     ce = report.counterexample
     assert (ce["top"], ce["bottom"]) == (emit_diagram(top), emit_diagram(bottom))
-    # The witness is an entry of a vacuum column where the whole maps differ.
+    # The witness is an entry of a vacuum column where the whole maps
+    # differ, the representative of its mode-permutation orbit.
     entry = ce["entry"]
     row, col = entry["row"], entry["col"]
     assert col % SpaceSpec(N, n).fock_dim == 0
+    assert col in verify._mode_orbit_columns(SpaceSpec(N, n))
     left = lhs.column(col).get(row, RootTwoNumber(0))
     right = rhs.column(col).get(row, RootTwoNumber(0))
     assert left != right
     assert (left.to_json(), right.to_json()) == (entry["lhs"], entry["rhs"])
 
 
+@pytest.mark.parametrize("n,N", [(n, N) for n in range(4) for N in range(2, 8)])
+def test_mode_orbit_columns_list_each_orbit_by_its_smallest_column(n, N):
+    # Brute force: permute the modes of every vacuum column in every way.
+    space = SpaceSpec(N, n)
+    m = space.m
+    listed = verify._mode_orbit_columns(space)
+    assert listed == sorted(set(listed))
+
+    def image(slots, s):  # w_i -> w_s(i), w_i* -> w_s(i)*, e fixed
+        return tuple(s[c] if c < m else m + s[c - m] if c < 2 * m else c for c in slots)
+
+    orbits = {frozenset(space.encode(image(slots, s), 0)
+                        for s in itertools.permutations(range(m)))
+              for slots in itertools.product(range(N), repeat=n)}
+    assert all(orbit & set(listed) == {min(orbit)} for orbit in orbits)
+    assert len(listed) == len(orbits)
+
+
+@pytest.mark.parametrize("n,N,count", [(3, 5, 63), (3, 6, 40), (4, 8, 240), (5, 10, 1664)])
+def test_mode_orbit_column_counts(n, N, count):
+    assert len(verify._mode_orbit_columns(SpaceSpec(N, n))) == count
+
+
 @pytest.mark.parametrize("mode", ["random", "exhaustive"])
 @pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
 def test_homomorphism_realizes_no_whole_matrix_and_no_column_twice(monkeypatch, n, N, mode):
-    realize = verify.realize_diagram
+    realize, orbit_columns = verify.realize_diagram, verify._mode_orbit_columns
+    listed = []  # the orbit columns, listed once per check
+    on_orbits = set()  # the top factors and terms realized on them
     built = defaultdict(set)  # each bottom factor's columns realized so far
 
+    def listing(space):
+        listed.append(orbit_columns(space))
+        return listed[-1]
+
     def spy(d, space, contents=None, columns=None):
-        assert contents is not None or columns is not None, f"{d} realized whole"
-        if columns is not None:
+        assert columns is not None, f"{d} realized without columns"
+        if listed and columns is listed[0]:
+            on_orbits.add(d)
+        else:
             columns = set(columns)
             assert not built[d] & columns, f"a column of {d} realized twice"
             built[d] |= columns
         return realize(d, space, contents, columns)
 
+    monkeypatch.setattr(verify, "_mode_orbit_columns", listing)
     monkeypatch.setattr(verify, "realize_diagram", spy)
     assert verify_homomorphism(n, N, mode, samples=30, seed=3).passed
-    assert built
+    assert len(listed) == 1 and on_orbits and built
 
 
 def test_equivariance_failure_names_first_differing_entry(monkeypatch):
