@@ -28,6 +28,7 @@ Evaluation is slot-based: slots are named, never renumbered mid-pipeline.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -47,6 +48,7 @@ __all__ = [
     "immersion_map",
     "contraction_map",
     "swap_map",
+    "ColumnSet",
     "realize_diagram",
     "commutant_dimension",
 ]
@@ -99,6 +101,11 @@ class SpaceSpec:
         """emits[mask]: the terms _emit emits from mask."""
         return [_emit(mask, self) for mask in range(self.fock_dim)]
 
+    @cached_property
+    def places(self) -> list[int]:
+        """places[p]: the index step of slot p; content c there adds c * places[p]."""
+        return [self.N ** (self.n - 1 - p) * self.fock_dim for p in range(self.n)]
+
     def with_n(self, n: int) -> SpaceSpec:
         return SpaceSpec(self.N, n)
 
@@ -106,10 +113,7 @@ class SpaceSpec:
     # docstring) and a Fock mask.
 
     def encode(self, slots: Sequence[int], mask: int) -> int:
-        idx = 0
-        for v in slots:
-            idx = idx * self.N + v
-        return idx * self.fock_dim + mask
+        return sum(map(operator.mul, slots, self.places)) + mask
 
     def basis(self) -> Iterator[tuple[tuple[int, ...], int]]:
         for slots in itertools.product(range(self.N), repeat=self.n):
@@ -374,9 +378,22 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
 # --- realizing diagrams -------------------------------------------------------
 
 
+class ColumnSet:
+    """Column indices of one space, checked once to lie in it, with what the
+    realization walk reads of them: each slot's contents (allowed[p]) and
+    the Fock masks (starts). Built once per check; a realization only walks."""
+
+    def __init__(self, space: SpaceSpec, indices: Iterable[int]):
+        self.space, self.indices = space, frozenset(indices)
+        dim, N, fock = space.total_dim, space.N, space.fock_dim
+        if self.indices and not 0 <= min(self.indices) <= max(self.indices) < dim:
+            raise ValueError(f"columns must lie in 0..{dim - 1}")
+        self.allowed = [sorted({j // step % N for j in self.indices}) for step in space.places]
+        self.starts = sorted({j % fock for j in self.indices})
+
+
 def realize_diagram(d: SpinDiagram, space: SpaceSpec,
-                    contents: Optional[Sequence[Iterable[int]]] = None,
-                    columns: Optional[Iterable[int]] = None) -> LinearMap:
+                    columns: Optional[ColumnSet] = None) -> LinearMap:
     """The endomorphism of V^(x)n (x) Delta carried by a canonical diagram.
 
     The building blocks act in the order of the module docstring, sharing
@@ -389,33 +406,20 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
     vertices and arcs depend only on the mask that is left, so their terms
     are tabulated once per mask reached.
 
-    Given contents, one collection of V-contents per slot, only the columns
-    at Fock mask 0 whose slot p holds a content of contents[p] are built
-    (the others are zero; the shape stays total_dim x total_dim). Given
-    columns instead, only those are built: their contents and masks prune
-    the walk, which drops the columns it reaches outside them. With
-    neither, the walk starts from every mask and every slot holds any content.
+    Given a column set of space, only its columns are built (the others are
+    zero; the shape stays total_dim x total_dim): its slot contents and
+    masks prune the walk, which drops the columns it reaches outside it.
+    Without one, the walk starts from every mask and a slot holds any content.
     """
     if d.n != space.n:
         raise DiagramError(f"diagram has n={d.n}, space has n={space.n}")
-    N, fock, dim = space.N, space.fock_dim, space.total_dim
-    place = [N ** (space.n - 1 - p) * fock for p in range(space.n)]
-    if columns is not None:
-        if contents is not None:
-            raise ValueError("give contents or columns, not both")
-        columns = set(columns)
-        if columns and not 0 <= min(columns) <= max(columns) < dim:
-            raise ValueError(f"columns must lie in 0..{dim - 1}")
-        allowed: list[Sequence[int]] = [sorted({j // step % N for j in columns}) for step in place]
-        starts: Iterable[int] = sorted({j % fock for j in columns})
-    elif contents is None:
-        allowed = [range(N)] * space.n
-        starts = range(fock)
+    dim, place = space.total_dim, space.places
+    if columns is None:
+        allowed, starts, keep = [range(space.N)] * space.n, range(space.fock_dim), None
+    elif columns.space != space:
+        raise ValueError(f"columns of {columns.space} given for {space}")
     else:
-        allowed = [sorted(set(slot)) for slot in contents]
-        if len(allowed) != space.n or not all(0 <= c < N for c in itertools.chain(*allowed)):
-            raise ValueError(f"contents must be {space.n} sets of contents in 0..{N - 1}")
-        starts = (0,)
+        allowed, starts, keep = columns.allowed, columns.starts, columns.indices
     pairs = _invariant_pairs(space)
     gamma, emits = space.gamma, space.emits
 
@@ -457,7 +461,7 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
         out = [(ro, _times(ca, cb, a, b)) for ro, a, b in table[mask]]
         for ac in arc_cols:
             for tc, tr in through:
-                if columns is None or ac + co + tc in columns:
+                if keep is None or ac + co + tc in keep:
                     cols[ac + co + tc] = {tr + ro: v for ro, v in out}
     # Each entry is a product of nonzero factors, each row gets one term and
     # the indices come from contents < N and masks < fock: the columns are

@@ -31,6 +31,7 @@ from .linalg import LinearMap, rank_of_vectors
 from .multiply import multiply_diagrams, multiply_elements
 from .realization import (
     BLOCKS,
+    ColumnSet,
     SpaceSpec,
     act_gamma,
     act_so,
@@ -111,16 +112,7 @@ class ResourceBoundError(RuntimeError):
 
 def _check_bound(space: SpaceSpec, bound: int) -> None:
     if space.total_dim > bound:
-        raise ResourceBoundError(
-            f"total dimension {space.total_dim} exceeds bound {bound}"
-        )
-
-
-def _vacuum(space: SpaceSpec) -> list[range]:
-    """The contents that select the Fock-mask-0 columns, those of
-    V^(x)n (x) |0>: every content in every slot. A Pin(N)-equivariant map
-    that vanishes there is zero (see _realized_rank)."""
-    return [range(space.N)] * space.n
+        raise ResourceBoundError(f"total dimension {space.total_dim} exceeds bound {bound}")
 
 
 def _mode_orbit_columns(space: SpaceSpec) -> list[int]:
@@ -195,15 +187,15 @@ def verify_homomorphism(
         pairs = [(rng.choice(view), rng.choice(view)) for _ in range(samples)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    columns = _mode_orbit_columns(space)
+    columns = ColumnSet(space, _mode_orbit_columns(space))
     # A product term that is no top factor is realized when used, not kept.
-    tops = {d: realize_diagram(d, space, columns=columns)
+    tops = {d: realize_diagram(d, space, columns)
             for d in dict.fromkeys(t for t, _ in pairs)}
     reached = {d: m.rows() for d, m in tops.items()}
     reads: dict[SpinDiagram, set[int]] = {}
     for top, bottom in pairs:
         reads.setdefault(bottom, set()).update(reached[top])
-    below = cache(lambda d: realize_diagram(d, space, columns=reads[d]))
+    below = cache(lambda d: realize_diagram(d, space, ColumnSet(space, reads[d])))
     dim = space.total_dim
     params = {"n": n, "N": N, "mode": mode, "pairs": len(pairs), "seed": seed}
 
@@ -212,7 +204,7 @@ def verify_homomorphism(
             terms = multiply_diagrams(top, bottom).terms.items()
             lhs = LinearMap.combination(dim, dim, (
                 (c.eval_at(N),
-                 tops[d] if d in tops else realize_diagram(d, space, columns=columns))
+                 tops[d] if d in tops else realize_diagram(d, space, columns))
                 for d, c in terms))
             rhs = below(bottom) @ tops[top]
             if lhs != rhs:
@@ -343,18 +335,18 @@ def verify_clifford_relation(N: int,
     return _verdict("clifford_relation", params, [{"failing_swaps": fails}] if fails else [])
 
 
-def _row_contents(arcs: tuple, isolated: tuple, space: SpaceSpec) -> list[tuple[int]]:
-    """The one Fock-mask-0 column of a top row (A, I), as one content per
-    slot: arc k of A carries w_k at its left end and w_k* at its right, a
-    vertex of I carries w_j, and every other vertex, a through string's top
-    end, carries w_j*, each j a mode of its own."""
-    m, contents = space.m, [()] * space.n
+def _row_column(arcs: tuple, isolated: tuple, space: SpaceSpec) -> int:
+    """The index of the one Fock-mask-0 column of a top row (A, I): arc k of
+    A carries w_k at its left end and w_k* at its right, a vertex of I
+    carries w_j, and every other vertex, a through string's top end,
+    carries w_j*, each j a mode of its own."""
+    m, contents = space.m, [0] * space.n
     for k, (a, b) in enumerate(arcs):
-        contents[a - 1], contents[b - 1] = (k,), (m + k,)
+        contents[a - 1], contents[b - 1] = k, m + k
     free = sorted(set(range(1, space.n + 1)).difference(*arcs))
     for j, v in enumerate(free, len(arcs)):
-        contents[v - 1] = (j,) if v in isolated else (m + j,)
-    return contents
+        contents[v - 1] = j if v in isolated else m + j
+    return space.encode(contents, 0)
 
 
 def _each_owns_a_row(maps: list[LinearMap]) -> bool:
@@ -374,8 +366,8 @@ def _blocks_certify(basis: list[SpinDiagram], space: SpaceSpec) -> bool:
     for d in basis:
         groups.setdefault((d.top_arcs, d.top_isolated), []).append(d)
     for (arcs, isolated), group in groups.items():
-        contents = _row_contents(arcs, isolated, space)
-        if not _each_owns_a_row([realize_diagram(d, space, contents) for d in group]):
+        column = ColumnSet(space, (_row_column(arcs, isolated, space),))
+        if not _each_owns_a_row([realize_diagram(d, space, column) for d in group]):
             return False
     return True
 
@@ -385,7 +377,7 @@ def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
 
     For N >= 2n, full rank is first certified group by group: the basis is
     grouped by top row (A, I), its top arcs A and top isolated vertices I,
-    and each group is realized on its row's one column (see _row_contents).
+    and each group is realized on its row's one column (see _row_column).
     Arc k of A holds w_k and w_k* on mode k, and each of the n - 2|A| other
     vertices a mode of its own, so the row needs n - |A| modes of the
     m = N // 2 there are. The rows without arcs need n, hence N >= 2n.
@@ -415,15 +407,17 @@ def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
     full rank exactly over Q(sqrt2), with no prime and nothing eliminated.
 
     When a diagram owns no row in its group, and always for N < 2n, each
-    diagram is realized on the Fock-mask-0 columns only, those of
-    V^(x)n (x) |0>, then flattened and eliminated modulo primes (see
-    linalg). Restricting to these columns keeps the rank. Each realization
-    is Pin(N)-equivariant, a composite of the blocks that
-    verify_equivariance checks, and g in Pin(N) maps
-    V^(x)n (x) |0> onto V^(x)n (x) g|0>. The vectors g|0> span Delta: so(N)
-    carries the vacuum onto Delta_+ (all of Delta at odd N), and the odd
-    reflection carries Delta_+ onto Delta_-. So an equivariant map, such as
-    a combination of realizations, that vanishes there is zero.
+    diagram is realized on one vacuum column, one of V^(x)n (x) |0>, per
+    orbit of the mode permutations (see _mode_orbit_columns; all vacuum
+    columns at N = 2 and 3), then flattened and eliminated modulo primes
+    (see linalg). This keeps the rank. A combination of realizations is
+    Pin(N)-equivariant, each being a composite of the blocks that
+    verify_equivariance checks. So if it vanishes on one column per orbit,
+    it vanishes on every vacuum column, which the mode permutations permute
+    up to nonzero scalars, and then everywhere: g in Pin(N) maps
+    V^(x)n (x) |0> onto V^(x)n (x) g|0>, and the vectors g|0> span Delta
+    (so(N) carries the vacuum onto Delta_+, all of Delta at odd N, and the
+    odd reflection carries Delta_+ onto Delta_-).
 
     Equivariance also bounds the rank by the ceiling commutant_dimension(space)
     = dim End_Pin(N)(V^(x)n (x) Delta), and a rank modulo a prime is at most
@@ -433,8 +427,8 @@ def _realized_rank(basis: list[SpinDiagram], space: SpaceSpec) -> int:
     """
     if space.N >= 2 * space.n and _blocks_certify(basis, space):
         return len(basis)
-    vacuum = _vacuum(space)
-    return rank_of_vectors([realize_diagram(d, space, vacuum).flatten() for d in basis],
+    orbits = ColumnSet(space, _mode_orbit_columns(space))
+    return rank_of_vectors([realize_diagram(d, space, orbits).flatten() for d in basis],
                            ceiling=commutant_dimension(space))
 
 

@@ -63,6 +63,8 @@ _PLAIN = {
         (0, "72686914648dd027f4b28a7447ee4a746340a6568f3ea85bec494a4820facb3d"),
     "surjectivity --n 3 --N 4":
         (0, "376457f9e3db6a89bec9c5fd6761ffe263e04b876ab9e10d8b203720ea10f54f"),
+    "surjectivity --n 4 --N 4":
+        (0, "a33786c115fab58a93a7bd91459a489b11bcb9ad235414bb39ed2889538e42f5"),
     "brauer --n 3":
         (0, "53bc545d1b94453f1a1de1a59fa5adbb64e0af1d0c3ef80ff800fe2c819dc859"),
     "brauer --n 4":

@@ -11,6 +11,7 @@ from spinbrauer.linalg import LinearMap
 from spinbrauer.multiply import multiply_diagrams
 from spinbrauer.realization import (
     BLOCKS,
+    ColumnSet,
     SpaceSpec,
     _absorb,
     _emit,
@@ -361,8 +362,8 @@ def _restricted(m, columns):
                          + [(3, [3]), (6, [3])],
                          ids=[f"N{N}-n<=2" for N in range(2, 9)] + ["N3-n3", "N6-n3"])
 def test_realize_on_columns_equals_the_restricted_realization(N, ns):
-    # Slot contents select the Fock-mask-0 columns whose slot p holds a
-    # content of contents[p].
+    # Column sets at Fock mask 0 given slot by slot: the columns whose slot p
+    # holds a content of contents[p].
     rng = random.Random(N)
     for n in ns:
         space = SpaceSpec(N, n)
@@ -374,57 +375,51 @@ def test_realize_on_columns_equals_the_restricted_realization(N, ns):
             full = realize_diagram(d, space)
             every = [range(N)] * n
             for p in range(n):
-                empty = every[:p] + [[]] + every[p + 1:]
+                empty = ColumnSet(space, columns(every[:p] + [[]] + every[p + 1:]))
                 assert realize_diagram(d, space, empty) == LinearMap.zero(dim, dim)
-            assert realize_diagram(d, space, every) == _restricted(full, columns(every))
+            vacuum = ColumnSet(space, columns(every))
+            assert realize_diagram(d, space, vacuum) == _restricted(full, columns(every))
             for _ in range(3):
                 contents = [rng.sample(range(N), rng.randint(1, N)) for _ in range(n)]
-                part = realize_diagram(d, space, contents)
+                part = realize_diagram(d, space, ColumnSet(space, columns(contents)))
                 assert part == _restricted(full, columns(contents)), (d, contents)
 
 
 @pytest.mark.parametrize("N, ns", [(N, range(3)) for N in range(2, 9)] + [(5, [3]), (6, [3])],
                          ids=[f"N{N}-n<=2" for N in range(2, 9)] + ["N5-n3", "N6-n3"])
 def test_realize_on_a_column_set_equals_the_whole_realization_there(N, ns):
-    # An explicit column set may hold any Fock mask; only its columns are
-    # built, each equal to the whole realization's.
+    # A column set may hold any Fock mask; only its columns are built, each
+    # equal to the whole realization's.
     rng = random.Random(N)
     for n in ns:
         space = SpaceSpec(N, n)
         dim, fock = space.total_dim, space.fock_dim
         for d in enumerate_basis(n):
             full = realize_diagram(d, space)
-            assert realize_diagram(d, space, columns=range(dim)) == full
-            assert realize_diagram(d, space, columns=[]) == LinearMap.zero(dim, dim)
+            assert realize_diagram(d, space, ColumnSet(space, range(dim))) == full
+            assert realize_diagram(d, space, ColumnSet(space, [])) == LinearMap.zero(dim, dim)
             sets = [rng.sample(range(dim), rng.randint(1, min(dim, 24))) for _ in range(3)]
             sets.append(range(fock - 1, dim, fock))  # the last mask only
             sets.append(rng.sample(sorted(full.rows()), min(len(full.rows()), 24)))
             assert any(j % fock for columns in sets for j in columns)
             for columns in sets:
-                part = realize_diagram(d, space, columns=columns)
+                part = realize_diagram(d, space, ColumnSet(space, columns))
                 assert part == _restricted(full, columns), (d, columns)
 
 
 @pytest.mark.parametrize("columns", [[-1], [0, 64], [10**6], [3, 2, 64]])
 def test_realize_rejects_a_column_set_outside_the_space(columns):
-    d = enumerate_basis(2)[0]
     with pytest.raises(ValueError, match=r"columns must lie in 0\.\.63"):
-        realize_diagram(d, SpaceSpec(4, 2), columns=columns)
+        ColumnSet(SpaceSpec(4, 2), columns)
 
 
-def test_realize_takes_contents_or_columns_not_both():
+def test_realize_refuses_a_column_set_of_another_space():
+    columns = ColumnSet(SpaceSpec(4, 2), [0])
     d = enumerate_basis(2)[0]
-    with pytest.raises(ValueError, match="not both"):
-        realize_diagram(d, SpaceSpec(4, 2), [(0,), (0,)], columns=[0])
-
-
-@pytest.mark.parametrize("contents", [
-    [(0,), (-1,)], [(0,), (4,)], [(0,), (64,)], [(0,)], [(0,), (1,), (2,)],
-], ids=["-1", "4", "64", "one-slot", "three-slots"])
-def test_realize_rejects_a_column_outside_the_space(contents):
-    d = enumerate_basis(2)[0]
-    with pytest.raises(ValueError, match=r"must be 2 sets of contents in 0\.\.3"):
-        realize_diagram(d, SpaceSpec(4, 2), contents)
+    assert realize_diagram(d, SpaceSpec(4, 2), columns).nnz() > 0
+    for space in (SpaceSpec(5, 2), SpaceSpec(4, 2).with_n(1)):
+        with pytest.raises(ValueError, match="columns of .* given for"):
+            realize_diagram(enumerate_basis(space.n)[0], space, columns)
 
 
 def _digest(maps):
@@ -514,10 +509,10 @@ def test_maps_built_unchecked_are_canonical(N):
     half = RootTwoNumber(Fraction(1, 2), 1)
     for n in range(3):
         space = SpaceSpec(N, n)
+        vacuum = ColumnSet(space, range(0, space.total_dim, space.fock_dim))
         maps = []
         for d in enumerate_basis(n):
-            maps += [realize_diagram(d, space),
-                     realize_diagram(d, space, contents=[range(N)] * n)]
+            maps += [realize_diagram(d, space), realize_diagram(d, space, vacuum)]
         # act_so brings den 2, so that composites and multiples reduce den.
         maps += [act_so(pair, space) for pair in so_basis(space)[:3]]
         built = []

@@ -16,7 +16,7 @@ from spinbrauer.diagrams import (
 )
 from spinbrauer.linalg import LinearMap
 from spinbrauer.multiply import multiply_diagrams
-from spinbrauer.realization import SpaceSpec, commutant_dimension, realize_diagram
+from spinbrauer.realization import ColumnSet, SpaceSpec, commutant_dimension, realize_diagram
 from spinbrauer.scalars import DeltaPolynomial, RootTwoNumber
 from spinbrauer.verify import (
     ResourceBoundError,
@@ -210,8 +210,10 @@ def test_mode_orbit_column_counts(n, N, count):
 @pytest.mark.parametrize("mode", ["random", "exhaustive"])
 @pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
 def test_homomorphism_realizes_no_whole_matrix_and_no_column_twice(monkeypatch, n, N, mode):
-    realize, orbit_columns = verify.realize_diagram, verify._mode_orbit_columns
+    realize, orbit_columns, building = (
+        verify.realize_diagram, verify._mode_orbit_columns, verify.ColumnSet)
     listed = []  # the orbit columns, listed once per check
+    sets = []  # the column sets built, the orbit set first
     on_orbits = set()  # the top factors and terms realized on them
     built = defaultdict(set)  # each bottom factor's columns realized so far
 
@@ -219,20 +221,26 @@ def test_homomorphism_realizes_no_whole_matrix_and_no_column_twice(monkeypatch, 
         listed.append(orbit_columns(space))
         return listed[-1]
 
-    def spy(d, space, contents=None, columns=None):
+    def building_once(space, indices):
+        sets.append(building(space, indices))
+        return sets[-1]
+
+    def spy(d, space, columns=None):
         assert columns is not None, f"{d} realized without columns"
-        if listed and columns is listed[0]:
+        if columns is sets[0]:
             on_orbits.add(d)
         else:
-            columns = set(columns)
-            assert not built[d] & columns, f"a column of {d} realized twice"
-            built[d] |= columns
-        return realize(d, space, contents, columns)
+            assert not built[d] & columns.indices, f"a column of {d} realized twice"
+            built[d] |= columns.indices
+        return realize(d, space, columns)
 
     monkeypatch.setattr(verify, "_mode_orbit_columns", listing)
+    monkeypatch.setattr(verify, "ColumnSet", building_once)
     monkeypatch.setattr(verify, "realize_diagram", spy)
     assert verify_homomorphism(n, N, mode, samples=30, seed=3).passed
     assert len(listed) == 1 and on_orbits and built
+    # The orbit set is built once, and one set for each bottom factor.
+    assert sets[0].indices == set(listed[0]) and len(sets) == 1 + len(built)
 
 
 def test_equivariance_failure_names_first_differing_entry(monkeypatch):
@@ -411,15 +419,45 @@ def test_row_columns_see_only_top_rows_below_their_own(n, N):
     basis = enumerate_basis(n)
     rows = {(d.top_arcs, d.top_isolated) for d in basis}
     for row in rows:
-        contents = verify._row_contents(*row, space)
-        assert all(len(slot) == 1 for slot in contents)
+        column = verify._row_column(*row, space)
+        assert column % space.fock_dim == 0
+        one = ColumnSet(space, [column])
         for d in basis:
             own = (d.top_arcs, d.top_isolated)
-            nnz = realize_diagram(d, space, contents).nnz()
+            nnz = realize_diagram(d, space, one).nnz()
             if not _top_row_below(own, row):
                 assert nnz == 0, (d, row)
             elif own == row:
                 assert nnz > 0, (d, row)
+
+
+@pytest.mark.parametrize("n, N, certified", [(2, 4, True), (3, 6, True), (3, 4, False),
+                                             (2, 2, False)])
+def test_rank_builds_each_column_set_once(monkeypatch, n, N, certified):
+    # The certificate builds one set per top-row group, each of one column,
+    # and the elimination fallback one set, of the mode-orbit columns.
+    space, basis = SpaceSpec(N, n), enumerate_basis(n)
+    building, realize = verify.ColumnSet, verify.realize_diagram
+    sets, used = [], set()
+
+    def building_once(space, indices):
+        sets.append(building(space, indices))
+        return sets[-1]
+
+    def spy(d, space, columns=None):
+        used.add(id(columns))
+        return realize(d, space, columns)
+
+    monkeypatch.setattr(verify, "ColumnSet", building_once)
+    monkeypatch.setattr(verify, "realize_diagram", spy)
+    assert verify._realized_rank(basis, space) == commutant_dimension(space)
+    assert used == {id(s) for s in sets}
+    if certified:
+        groups = {(d.top_arcs, d.top_isolated) for d in basis}
+        assert len(sets) == len(groups) and all(len(s.indices) == 1 for s in sets)
+    else:
+        assert len(sets) == 1
+        assert sorted(sets[0].indices) == verify._mode_orbit_columns(space)
 
 
 def test_blocks_certify_independent_realizations():
@@ -495,14 +533,17 @@ def test_rank_elimination_stops_at_the_commutant_dimension(monkeypatch):
 
 @pytest.mark.parametrize("n", range(4))
 def test_vacuum_columns_keep_the_rank(n):
-    # V^(x)n (x) |0> generates V^(x)n (x) Delta under Pin(N); the restricted
-    # rank is found without a ceiling, the whole one under the true ceiling.
+    # V^(x)n (x) |0> generates V^(x)n (x) Delta under Pin(N), and the mode
+    # permutations permute its columns up to scalars: the rank on one column
+    # per orbit is found without a ceiling, the whole one under the true
+    # ceiling.
     basis = enumerate_basis(n)
     for N in range(2, 6):
         space = SpaceSpec(N, n)
         whole = [realize_diagram(d, space).flatten() for d in basis]
-        vacuum = [realize_diagram(d, space, [range(N)] * n).flatten() for d in basis]
-        assert linalg.rank_of_vectors(vacuum) == linalg.rank_of_vectors(
+        orbits = ColumnSet(space, verify._mode_orbit_columns(space))
+        restricted = [realize_diagram(d, space, orbits).flatten() for d in basis]
+        assert linalg.rank_of_vectors(restricted) == linalg.rank_of_vectors(
             whole, ceiling=commutant_dimension(space)), (n, N)
 
 
