@@ -17,10 +17,10 @@ from typing import Sequence
 
 from .cellular import CellFormError, irreducible_indices, phi_ell
 from .diagrams import (
+    BasisView,
     DiagramError,
     cell_encode,
     emit_diagram,
-    enumerate_basis,
     involution,
     parse_diagram,
     pretty,
@@ -150,13 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=sorted(CHECKS))
     p.add_argument("--n", type=int)
     p.add_argument("--N", type=int)
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--map-kind", default="projection", choices=tuple(_EQUIVARIANT_FAMILIES))
-    p.add_argument("--type", dest="circuit_type", default="IV", choices=tuple(_CIRCUITS))
-    p.add_argument("--arcs", type=int, default=0)
+    p.add_argument("--mode", choices=("exhaustive", "random"))
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--bound", type=int)
+    p.add_argument("--map-kind", choices=tuple(_EQUIVARIANT_FAMILIES))
+    p.add_argument("--type", dest="circuit_type", choices=tuple(_CIRCUITS))
+    p.add_argument("--arcs", type=int)
     return parser
 
 
@@ -184,23 +184,22 @@ def _check_n(n: int, config: CliConfig) -> None:
 def _run_verify(args, config: CliConfig, stream) -> int:
     """Fill each check's parameters from the argparse dests of the same name.
 
-    Parameters without a default are required; seed and bound fall back to
-    the config, and n must lie in 0..max_n.
+    An unset flag falls back to the config (seed, bound) or else to the
+    check's own default; a parameter with neither is required, and n must
+    lie in 0..max_n.
     """
     check = CHECKS[args.check]
     params = inspect.signature(check).parameters.values()
+    given = {"seed": config.seed, "bound": config.max_total_dimension,
+             **{name: value for name, value in vars(args).items() if value is not None}}
+    kwargs = {p.name: given[p.name] for p in params if p.name in given}
     missing = [f"--{p.name}" for p in params
-               if p.default is p.empty and getattr(args, p.name) is None]
+               if p.default is p.empty and p.name not in kwargs]
     if missing:
         print(f"verify {args.check} requires {' '.join(missing)}", file=sys.stderr)
         return 2
-    kwargs = {p.name: getattr(args, p.name) for p in params}
-    if kwargs.get("n") is not None:
+    if "n" in kwargs:
         _check_n(kwargs["n"], config)
-    fallback = {"seed": config.seed, "bound": config.max_total_dimension}
-    for name, value in fallback.items():
-        if name in kwargs and kwargs[name] is None:
-            kwargs[name] = value
     report: VerificationReport = check(**kwargs)
     _emit(report.to_json(), stream)
     return 0 if report.passed else 1
@@ -222,7 +221,7 @@ def run_command(argv: Sequence[str], stream=None) -> int:
     try:
         if args.command == "enumerate":
             _check_n(args.n, config)
-            basis = enumerate_basis(args.n)
+            basis = BasisView(args.n)
             if args.count_only:
                 _emit({"n": args.n, "count": len(basis)}, stream)
             elif config.output == "pretty":

@@ -133,9 +133,8 @@ class SpinDiagram:
 
     # Adopt the fields, in order, unchecked. The caller guarantees ascending
     # isolated lists, arcs (a, b) with a < b in sorted order, sorted through
-    # pairs, and rows that cover 1..n. Only the normal form and
-    # enumerate_basis build diagrams this way; every other diagram is
-    # validated.
+    # pairs, and rows that cover 1..n. Only the normal form and BasisView
+    # build diagrams this way; every other diagram is validated.
     _trusted = classmethod(_unchecked_instance)
 
     @property
@@ -475,72 +474,61 @@ def enumerate_S(n: int, ell: int) -> list[tuple[Partition, tuple[Block, ...]]]:
     """All (partition, S) pairs with S an ell-subset of the singletons."""
     if not 0 <= ell <= n:
         return []
-    out = []
-    for p in enumerate_size_le2_partitions(n):
-        sing = singletons(p)
-        if len(sing) < ell:
-            continue
-        for S in itertools.combinations(sing, ell):
-            out.append((p, S))
-    return out
-
-
-def _basis_rows(n: int) -> Iterator[tuple[int, list[tuple]]]:
-    """The basis order: ell descending, its sorted rows (x, S) decoded as by
-    cell_decode, then top row, bottom row, sigma in permutations order."""
-    if n < 0:
-        raise DiagramError("n must be nonnegative")
-    for ell in range(n, -1, -1):
-        yield ell, [(*_row_of(x, S), tuple(b[0] for b in S))
-                    for x, S in sorted(enumerate_S(n, ell))]
+    return [(p, S) for p in enumerate_size_le2_partitions(n)
+            for S in itertools.combinations(singletons(p), ell)]
 
 
 def enumerate_basis(n: int) -> list[SpinDiagram]:
-    """Every diagram on n+n vertices exactly once, in a deterministic order.
-
-    Order: through count descending, then lexicographically by the cell
-    encoding (x, S, y, T, sigma). Only the row partitions bound n (at 12);
-    the basis holds 140,152 diagrams at n = 6, so callers bound n.
-    """
-    out: list[SpinDiagram] = []
-    trusted = SpinDiagram._trusted
-    for ell, rows in _basis_rows(n):
-        sigmas = list(itertools.permutations(range(ell)))
-        for top_iso, top_arcs, tops in rows:
-            for bot_iso, bot_arcs, bots in rows:
-                for sigma in sigmas:
-                    through = tuple(zip(tops, [bots[k] for k in sigma]))
-                    out.append(trusted(n, top_iso, bot_iso, top_arcs, bot_arcs, through))
-    return out
+    """Every diagram on n+n vertices exactly once, listed in BasisView's order."""
+    return list(BasisView(n))
 
 
 class BasisView(Sequence):
-    """enumerate_basis(n) as a sequence that builds a diagram when indexed
-    (no negative index): random.choice draws the same, listing rows only."""
+    """The basis order, walked or indexed (no negative index): a diagram is
+    built when it is reached, and only the rows are listed.
+
+    Order: through count descending, then lexicographically by the cell
+    encoding (x, S, y, T, sigma), so each top row's diagrams form one run.
+    Only the row partitions bound n (at 12); the basis holds 140,152
+    diagrams at n = 6, so callers bound n.
+    """
 
     def __init__(self, n: int):
+        if n < 0:
+            raise DiagramError("n must be nonnegative")
         self.n = n
-        self._blocks = [(len(rows) ** 2 * math.factorial(ell), ell, rows)
-                        for ell, rows in _basis_rows(n)]
+        # Per ell, descending: its sorted rows (x, S), decoded as by cell_decode.
+        self._blocks = [(ell, [(*_row_of(x, S), tuple(b[0] for b in S))
+                               for x, S in sorted(enumerate_S(n, ell))])
+                        for ell in range(n, -1, -1)]
+        self._len = sum(len(rows) ** 2 * math.factorial(ell) for ell, rows in self._blocks)
 
     def __len__(self) -> int:
-        return sum(size for size, _, _ in self._blocks)
+        return self._len
+
+    def _diagram(self, top: tuple, bottom: tuple, sigma: tuple[int, ...]) -> SpinDiagram:
+        (top_iso, top_arcs, tops), (bot_iso, bot_arcs, bots) = top, bottom
+        through = tuple(zip(tops, [bots[k] for k in sigma]))
+        return SpinDiagram._trusted(self.n, top_iso, bot_iso, top_arcs, bot_arcs, through)
+
+    def __iter__(self) -> Iterator[SpinDiagram]:
+        for ell, rows in self._blocks:
+            for top, bottom, sigma in itertools.product(
+                    rows, rows, itertools.permutations(range(ell))):
+                yield self._diagram(top, bottom, sigma)
 
     def __getitem__(self, i: int) -> SpinDiagram:
         if not 0 <= i < len(self):
             raise IndexError(f"basis index {i} outside 0..{len(self) - 1}")
-        for size, ell, rows in self._blocks:
+        for ell, rows in self._blocks:
+            size = len(rows) ** 2 * math.factorial(ell)
             if i < size:
                 break
             i -= size
         pair, k = divmod(i, math.factorial(ell))
-        (top_iso, top_arcs, tops), (bot_iso, bot_arcs, bots) = map(
-            rows.__getitem__, divmod(pair, len(rows)))
-        pool, through = list(range(ell)), []
-        for top, left in zip(tops, range(ell - 1, -1, -1)):  # the k-th sigma, lexicographic
-            q, k = divmod(k, math.factorial(left))
-            through.append((top, bots[pool.pop(q)]))
-        return SpinDiagram._trusted(self.n, top_iso, bot_iso, top_arcs, bot_arcs, tuple(through))
+        top, bottom = divmod(pair, len(rows))
+        sigma = next(itertools.islice(itertools.permutations(range(ell)), k, None))
+        return self._diagram(rows[top], rows[bottom], sigma)
 
 
 # --- pretty printing --------------------------------------------------------

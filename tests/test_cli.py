@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import io
 import json
 import os
@@ -306,6 +307,19 @@ def test_verify_cli_matches_direct_call(name):
     assert out == json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False) + "\n"
 
 
+@pytest.mark.parametrize("name", sorted(SMALLEST_CHECKS))
+def test_verify_defaults_are_the_checks_own(name):
+    # Given only its required flags, the CLI runs the check as a direct call
+    # with only those arguments does: each default has one source.
+    argv, kwargs = SMALLEST_CHECKS[name]
+    required = {p.name: kwargs[p.name]
+                for p in inspect.signature(CHECKS[name]).parameters.values()
+                if p.default is p.empty}
+    report = CHECKS[name](**required)
+    assert run(["verify", name, *argv])[1] == json.dumps(
+        report.to_json(), sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def _readme_checks_paragraph():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     return re.search(r"Available checks: (.*?)\.\n", text, re.DOTALL).group(1)
@@ -315,6 +329,21 @@ def test_readme_names_every_check():
     names = re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", _readme_checks_paragraph(),
                                             flags=re.DOTALL))
     assert names == list(CHECKS)
+
+
+def test_readme_command_lines_parse():
+    # Each line of the "Command line" block, its comment removed, is accepted
+    # by the parser; nothing is run.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.DOTALL).group(1)
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert lines and all(words[0] == "spinbrauer" for words in lines)
+    parser = _build_parser()
+    for words in lines:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(words)}")
 
 
 def test_readme_names_every_map_kind():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from spinbrauer.diagrams import (
     cell_encode,
     diagram_key,
     emit_diagram,
+    enumerate_S,
     enumerate_basis,
     identity_diagram,
     involution,
@@ -225,6 +227,14 @@ def test_basis_view_equals_the_basis(n):
     for i in (-1, len(view), len(view) + 1, -len(view)):
         with pytest.raises(IndexError):
             view[i]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_each_top_row_is_one_run_of_the_view(n):
+    runs = [row for row, _ in itertools.groupby(
+        (d.top_arcs, d.top_isolated) for d in BasisView(n))]
+    rows = sum(len(enumerate_S(n, ell)) for ell in range(n + 1))
+    assert len(runs) == len(set(runs)) == rows
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -422,6 +422,30 @@ def test_realize_refuses_a_column_set_of_another_space():
             realize_diagram(enumerate_basis(space.n)[0], space, columns)
 
 
+_EMBEDDINGS = [(N, N2) for N in range(2, 8) for N2 in range(N + 1, 9)
+               if not (N % 2 and N2 % 2 == 0)]
+
+
+@pytest.mark.parametrize("N, N2", _EMBEDDINGS)
+def test_realizations_embed_into_more_modes(N, N2):
+    # The mode-embedding lemma: w_i -> w_i, w_i* -> w_i*, e -> e, the Fock
+    # mask kept, takes the space at N into the one at N2 (odd N has no image
+    # of e at even N2). On the image columns and rows a diagram's
+    # realization at N2 is its realization at N, entry for entry.
+    for n in range(4):
+        small, big = SpaceSpec(N, n), SpaceSpec(N2, n)
+        m, m2 = small.m, big.m
+        content = [c if c < m else c - m + m2 if c < 2 * m else 2 * m2 for c in range(N)]
+        image = [big.encode([content[c] for c in slots], mask)
+                 for slots, mask in small.basis()]
+        index = {j2: j for j, j2 in enumerate(image)}
+        columns = ColumnSet(big, image)
+        for d in enumerate_basis(n):
+            embedded = {(index[r], index[c]): v
+                        for r, c, v in realize_diagram(d, big, columns).entries() if r in index}
+            assert embedded == {(r, c): v for r, c, v in realize_diagram(d, small).entries()}, d
+
+
 def _digest(maps):
     h = hashlib.sha256()
     for m in maps:

@@ -1,4 +1,5 @@
 import inspect
+import io
 import itertools
 import json
 import tracemalloc
@@ -6,7 +7,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from spinbrauer import cellular, linalg, verify
+from spinbrauer import cellular, cli, linalg, verify
 from spinbrauer.diagrams import (
     AlgebraElement,
     SpinDiagram,
@@ -495,6 +496,33 @@ def test_full_rank_needs_no_prime(monkeypatch, n, N):
     assert verify_surjectivity(n, N, bound=SpaceSpec(N, n).total_dim).passed
 
 
+def test_blocks_certify_refuses_a_split_top_row():
+    # Each half of a split group owns its rows, but the certificate needs a
+    # whole group: a top row that recurs after its run fails.
+    basis, space = enumerate_basis(2), SpaceSpec(4, 2)
+    assert (basis[0].top_arcs, basis[0].top_isolated) == (basis[1].top_arcs,
+                                                          basis[1].top_isolated)
+    assert verify._blocks_certify(basis, space)
+    assert not verify._blocks_certify(basis[1:] + basis[:1], space)
+
+
+def test_basis_checks_walk_the_view(monkeypatch):
+    # rank and surjectivity (the certificate and the elimination fallback),
+    # involution and enumerate --count-only never list the basis.
+    def refused(n):
+        raise AssertionError("listed the basis")
+
+    monkeypatch.setattr(verify, "enumerate_basis", refused)
+    monkeypatch.setattr(cli, "enumerate_basis", refused, raising=False)
+    assert verify_rank(3, 6).passed
+    assert verify_rank(3, 5).info["rank"] == 75
+    assert verify_surjectivity(2, 4).passed and verify_surjectivity(2, 3).passed
+    assert verify_involution_compatibility(3).passed
+    stream = io.StringIO()
+    assert cli.run_command(["enumerate", "--n", "4", "--count-only"], stream) == 0
+    assert json.loads(stream.getvalue()) == {"n": 4, "count": 764}
+
+
 def test_rank_falls_back_to_elimination_when_a_block_fails(monkeypatch):
     basis = enumerate_basis(2)
     doubled = basis + [basis[3]]
@@ -506,7 +534,7 @@ def test_rank_falls_back_to_elimination_when_a_block_fails(monkeypatch):
         calls["rank_of_vectors", ceiling] += 1
         return exact(vectors, ceiling=ceiling)
 
-    monkeypatch.setattr(verify, "enumerate_basis", lambda n: doubled)
+    monkeypatch.setattr(verify, "BasisView", lambda n: doubled)
     monkeypatch.setattr(verify, "rank_of_vectors", counted)
     report = verify_rank(2, 6)
     # The elimination runs once, under the commutant dimension of (2, 6).
@@ -586,7 +614,7 @@ def test_surjectivity_failure_names_both_numbers(monkeypatch, n, N, offset, info
 
 def test_surjectivity_bound_checked_before_any_realization(monkeypatch):
     monkeypatch.setattr(verify, "realize_diagram", None)
-    monkeypatch.setattr(verify, "enumerate_basis", None)
+    monkeypatch.setattr(verify, "BasisView", None)
     with pytest.raises(ResourceBoundError, match="total dimension 500 exceeds bound 499"):
         verify_surjectivity(3, 5, bound=499)
 
