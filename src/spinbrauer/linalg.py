@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .scalars import RootTwoNumber
 
-__all__ = ["LinearMap", "rank_of_vectors"]
+__all__ = ["LinearMap", "rank_of_vectors", "rank_reaches"]
 
 Column = dict[int, RootTwoNumber]
 Pair = tuple[int, int]
@@ -345,7 +345,7 @@ def _primes() -> Iterator[int]:
     yield from filter(_is_prime, count(_M61 - 8, -8))
 
 
-def _rank_mod(vectors: list[PairColumn], p: int) -> int:
+def _rank_mod(vectors: Iterable[Mapping[int, Pair]], p: int) -> int:
     """Rank over F_p, sqrt2 sent to the square root 2^((p+1)/4) of 2 mod p.
 
     Each pivot row is scaled to 1 at its lead, its least index.
@@ -417,3 +417,9 @@ def rank_of_vectors(vectors: Iterable[Mapping[int, Pair]], *,
             rows, cols = _weights(primitive)
         if modulus > min(prod(rows[:best + 1]), prod(cols[:best + 1])):
             return best
+
+
+def rank_reaches(vectors: Iterable[Mapping[int, Pair]], ceiling: int) -> bool:
+    """Whether the streamed vectors' rank over Q(sqrt2) reaches the ceiling, the
+    caller's upper bound, read modulo one prime, where it is never higher."""
+    return _rank_mod(vectors, _M61) == ceiling

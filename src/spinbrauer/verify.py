@@ -27,7 +27,7 @@ from .diagrams import (
     enumerate_basis,
     involution,
 )
-from .linalg import LinearMap, rank_of_vectors
+from .linalg import LinearMap, rank_of_vectors, rank_reaches
 from .multiply import multiply_diagrams, multiply_elements
 from .realization import (
     BLOCKS,
@@ -115,6 +115,24 @@ def _check_bound(space: SpaceSpec, bound: int) -> None:
         raise ResourceBoundError(f"total dimension {space.total_dim} exceeds bound {bound}")
 
 
+def _orbit_walk(space: SpaceSpec) -> list[tuple[int, tuple[int, ...]]]:
+    """The columns of _mode_orbit_columns with their V-weights (w_i adds
+    eps_i, w_i* subtracts it): each prefix carries its own, none is decoded."""
+    m, N = space.m, space.N
+    steps = [1] * m + [-1] * m + [0] * (N - 2 * m)  # each content's sign on eps_(c mod m)
+    prefixes = [(0, 0, (0,) * m)]  # (index of the slots so far, modes used, V-weight)
+    for _ in range(space.n):
+        grown = []
+        for idx, used, weight in prefixes:
+            k = min(used + 1, m)  # the modes used so far and the next one
+            for c in chain(range(k), range(m, m + k), range(2 * m, N)):
+                i, step = c % m, steps[c]
+                grown.append((idx * N + c, max(used, i + 1) if step else used,
+                              weight[:i] + (weight[i] + step,) + weight[i + 1:]))
+        prefixes = grown
+    return [(idx * space.fock_dim, weight) for idx, _, weight in prefixes]
+
+
 def _mode_orbit_columns(space: SpaceSpec) -> list[int]:
     """One Fock-mask-0 column, one of V^(x)n (x) |0>, per orbit of the mode
     permutations, in column order: those whose modes first appear in the
@@ -131,18 +149,18 @@ def _mode_orbit_columns(space: SpaceSpec) -> list[int]:
     each column to its orbit's representative; it is the orbit's smallest
     column index, since the codes order w_1 < ... < w_m < w_1* < ... < e
     and the first slot is the most significant. The columns are listed
-    slot by slot, never by filtering all N^n.
+    slot by slot, never by filtering all N^n (see _orbit_walk).
     """
-    m, N = space.m, space.N
-    prefixes = [(0, 0)]  # (index of the slots so far, modes used)
-    for _ in range(space.n):
-        grown = []
-        for idx, used in prefixes:
-            k = min(used + 1, m)  # the modes used so far and the next one
-            for c in chain(range(k), range(m, m + k), range(2 * m, N)):
-                grown.append((idx * N + c, max(used, c % m + 1) if c < 2 * m else used))
-        prefixes = grown
-    return [idx * space.fock_dim for idx, _ in prefixes]
+    return [column for column, _ in _orbit_walk(space)]
+
+
+def _weight_orbit_columns(space: SpaceSpec) -> list[int]:
+    """The orbit columns of V-weight 0, or eps_j when none has weight 0 (n
+    odd, N even), in column order: exact at N >= 3 (see _realized_rank)."""
+    walk, zero = _orbit_walk(space), (0,) * space.m
+    units = {zero[:j] + (1,) + zero[j + 1:] for j in range(space.m)}
+    return ([column for column, weight in walk if weight == zero]
+            or [column for column, weight in walk if weight in units])
 
 
 def _first_entry(lhs: LinearMap, rhs: LinearMap) -> dict:
@@ -168,12 +186,21 @@ def verify_homomorphism(
     and each bottom factor once, on the rows its top factors reach: the
     only columns the composites read. Random mode draws from a BasisView.
 
+    At N >= 3 the pairs pass if they agree on the kept weight's orbit
+    columns (_weight_orbit_columns), exact by _realized_rank's argument,
+    whose rank tests are the evidence: the odd reflection pairs the halves
+    of Delta at even N; the vacuum line is a character of its parabolic, so
+    a g-map V^(x)n (x) Delta_+- -> L(lambda) is fixed on V^(x)n (x) |0>;
+    and a degree induction from the kept weight, minuscule in its coset,
+    finishes. At N = 2 they fall short.
+
     A failure names the first entry, in column order, where the two maps
-    differ on the vacuum columns, as a check on all of them would. Their
-    difference is equivariant, so the vacuum columns where it is nonzero
-    are a union of orbits: the first of them is the smallest column of its
-    orbit, its representative, and each representative column is realized
-    with all its rows.
+    differ on the vacuum columns, as a check on all of them would: any
+    difference on the kept columns reruns the pairs on all orbit columns.
+    Their difference is equivariant, so the vacuum columns where it is
+    nonzero are a union of orbits: the first of them is the smallest column
+    of its orbit, its representative, and each representative column is
+    realized with all its rows.
     """
     space = SpaceSpec(N, n)
     _check_bound(space, bound)
@@ -187,19 +214,18 @@ def verify_homomorphism(
         pairs = [(rng.choice(view), rng.choice(view)) for _ in range(samples)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    columns = ColumnSet(space, _mode_orbit_columns(space))
-    # A product term that is no top factor is realized when used, not kept.
-    tops = {d: realize_diagram(d, space, columns)
-            for d in dict.fromkeys(t for t, _ in pairs)}
-    reached = {d: m.rows() for d, m in tops.items()}
-    reads: dict[SpinDiagram, set[int]] = {}
-    for top, bottom in pairs:
-        reads.setdefault(bottom, set()).update(reached[top])
-    below = cache(lambda d: realize_diagram(d, space, ColumnSet(space, reads[d])))
     dim = space.total_dim
     params = {"n": n, "N": N, "mode": mode, "pairs": len(pairs), "seed": seed}
 
-    def failures():
+    def failures(columns: ColumnSet):
+        # A product term that is no top factor is realized when used, not kept.
+        tops = {d: realize_diagram(d, space, columns)
+                for d in dict.fromkeys(t for t, _ in pairs)}
+        reached = {d: m.rows() for d, m in tops.items()}
+        reads: dict[SpinDiagram, set[int]] = {}
+        for top, bottom in pairs:
+            reads.setdefault(bottom, set()).update(reached[top])
+        below = cache(lambda d: realize_diagram(d, space, ColumnSet(space, reads[d])))
         for top, bottom in pairs:
             terms = multiply_diagrams(top, bottom).terms.items()
             lhs = LinearMap.combination(dim, dim, (
@@ -209,7 +235,9 @@ def verify_homomorphism(
             rhs = below(bottom) @ tops[top]
             if lhs != rhs:
                 yield {**_pair(top, bottom), "entry": _first_entry(lhs, rhs)}
-    return _verdict("homomorphism", params, failures())
+    if N >= 3 and next(failures(ColumnSet(space, _weight_orbit_columns(space))), None) is None:
+        return _verdict("homomorphism", params, ())
+    return _verdict("homomorphism", params, failures(ColumnSet(space, _mode_orbit_columns(space))))
 
 
 # Each block's domain sizes n and the positions its builder takes there. The
@@ -415,11 +443,11 @@ def _realized_rank(basis: Sequence[SpinDiagram], space: SpaceSpec) -> int:
     row's column maps to its column at N', so private rows stay private,
     and the <= argument does not depend on N.
 
-    When a diagram owns no row in its group, and always for N < 2n, each
-    diagram is realized on one vacuum column, one of V^(x)n (x) |0>, per
-    orbit of the mode permutations (see _mode_orbit_columns; all vacuum
-    columns at N = 2 and 3), then flattened and eliminated modulo primes
-    (see linalg). This keeps the rank. A combination of realizations is
+    When a diagram owns no row in its group, or N < 2n and the kept columns
+    below fall short, each diagram is realized on one vacuum column, one of
+    V^(x)n (x) |0>, per orbit of the mode permutations (see
+    _mode_orbit_columns), then flattened and eliminated modulo primes (see
+    linalg). This keeps the rank. A combination of realizations is
     Pin(N)-equivariant, each being a composite of the blocks that
     verify_equivariance checks. So if it vanishes on one column per orbit,
     it vanishes on every vacuum column, which the mode permutations permute
@@ -433,12 +461,38 @@ def _realized_rank(basis: Sequence[SpinDiagram], space: SpaceSpec) -> int:
     the rank, so a prime that reaches the ceiling settles it; when the
     realization is onto the commutant, the first prime does unless it
     divides every maximal minor. Otherwise the Hadamard bound decides.
+
+    For 3 <= N < 2n the kept weight's orbit columns (_weight_orbit_columns)
+    come first, reduced modulo one prime as they stream (rank_reaches), and
+    are taken only if they reach the ceiling. At N = 2 they fall short (4
+    of 6 at n = 2). Why they are exact at N >= 3: let an equivariant map
+    vanish there, and F be its part onto an irreducible L(lambda) of so(N). At
+    even N the odd reflection pairs the two halves of Delta, so F may be
+    taken on V^(x)n (x) Delta_+. The vacuum line is a character of the
+    parabolic p = l + u that fixes it (l = gl(m); u, spanned by the
+    w_i* ^ w_j* and e ^ w_i*, kills |0>), and |0> generates Delta_+: F is
+    determined by its restriction F0 to V^(x)n (x) |0>, which commutes
+    with u. A degree induction finishes, a weight's degree being its
+    coordinate sum, which u lowers. In the kept degree each l-irreducible
+    part holds a mode permutation of the kept weight, so F0 vanishes there,
+    and below, which u reaches from there. Above, where F0 vanishes on the
+    lower degrees, u carries F0 into the u-invariants of L(lambda), its
+    lowest component. The kept weight plus the vacuum's is the minuscule
+    weight of its coset, so a weight of every L(lambda) that occurs, and
+    its degree bounds that component: F0 vanishes. The rank tests on the
+    kept columns (the ceiling reached for n <= 3 at N = 3..9, (4, 4) and
+    (4, 8)) are the executable evidence for this argument.
     """
     if space.N >= 2 * space.n and _blocks_certify(basis, space):
         return len(basis)
+    ceiling = commutant_dimension(space)
+    if 3 <= space.N < 2 * space.n:
+        kept = ColumnSet(space, _weight_orbit_columns(space))
+        if rank_reaches((realize_diagram(d, space, kept).flatten() for d in basis), ceiling):
+            return ceiling
     orbits = ColumnSet(space, _mode_orbit_columns(space))
     return rank_of_vectors([realize_diagram(d, space, orbits).flatten() for d in basis],
-                           ceiling=commutant_dimension(space))
+                           ceiling=ceiling)
 
 
 def verify_rank(n: int, N: int, bound: int = DEFAULT_DIMENSION_BOUND) -> VerificationReport:

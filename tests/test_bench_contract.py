@@ -102,13 +102,13 @@ def test_traced_homomorphism_work(monkeypatch):
     # The realizations, composites and comparisons of two pairs, through the
     # names the tracer wraps; pinned so that a change under src/ that alters
     # the work fails here and not only in the benchmark. The product terms
-    # and top factors are realized on one vacuum column per mode-permutation
-    # orbit, the bottom factors only on the rows their top factors reach:
-    # one diagram of the two pairs is realized both ways.
+    # and top factors are realized on the mode-permutation orbit columns of
+    # the kept V-weight, the bottom factors only on the rows their top
+    # factors reach: one diagram of the two pairs is realized both ways.
     assert counts["realization.realize.calls"] == 7
-    assert counts["realization.realized_nnz"] == 640
+    assert counts["realization.realized_nnz"] == 149
     assert counts["linalg.compose.calls"] == 2
-    assert counts["linalg.compose_madds"] == 235
+    assert counts["linalg.compose_madds"] == 65
     assert counts["linalg.equal.calls"] == 2
 
 

@@ -57,6 +57,9 @@ _PLAIN = {
         (0, "21a57e01984aa44475367d0c9f858e7829b73eddcecf712969b6725d8a56cc32"),
     "rank --n 3 --N 5":
         (0, "933ff352dba0ac1a53e6579d2da5f5b41e79a9339a13f25aca4146da1795b34b"),
+    # Below N = 2n at N >= 3: the rank from the kept weight's orbit columns.
+    "rank --n 4 --N 3":
+        (0, "edae7a13c7d85c4313366f82392da4ebf4d42c2c8ec3c0195fd3b852b203b9e4"),
     "rank --n 3 --N 8":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "surjectivity --n 2 --N 3":
@@ -65,6 +68,10 @@ _PLAIN = {
         (0, "376457f9e3db6a89bec9c5fd6761ffe263e04b876ab9e10d8b203720ea10f54f"),
     "surjectivity --n 4 --N 4":
         (0, "a33786c115fab58a93a7bd91459a489b11bcb9ad235414bb39ed2889538e42f5"),
+    "surjectivity --n 4 --N 5":
+        (0, "7e4473593f43c1a126493b16562289fe38daeca10259b62350fd8312bd1e5eea"),
+    "surjectivity --n 4 --N 6 --bound 10368":
+        (0, "19976302d2f067fd684a89dccb47189bd5b02f8f8f5282d8c59f900b63c1ecdd"),
     "brauer --n 3":
         (0, "53bc545d1b94453f1a1de1a59fa5adbb64e0af1d0c3ef80ff800fe2c819dc859"),
     "brauer --n 4":
@@ -95,6 +102,8 @@ _FAULTS = {
     "no-involution": ("involution", lambda d: d),
     "commutant-plus-one": ("commutant_dimension",
                            lambda space: _real["commutant_dimension"](space) + 1),
+    "commutant-minus-one": ("commutant_dimension",
+                            lambda space: _real["commutant_dimension"](space) - 1),
     "rank-minus-one": ("_realized_rank", lambda basis, space: len(basis) - 1),
     "modmult-false": ("modmult_check", lambda top, bottom, references: False),
     "root-two-plus-one": ("RootTwoNumber", lambda a, b=0: RootTwoNumber(a + 1, b)),
@@ -113,6 +122,12 @@ _FAULTED = {
         (1, "05cfd92d28576de5da85fd9979f50c18963a3063a75fb0891e4b832a5464baad"),
     ("plus-top", "homomorphism --n 3 --N 6"):
         (1, "163088170363ad4a234d204d0151625a19f10b0b05a8c5c81fdddfcf5e920f20"),
+    # The witness comes from the rerun on all orbit columns.
+    ("plus-top", "homomorphism --n 3 --N 5"):
+        (1, "e05f20e476c3ab932386dffdae16b9dc49020a2ee4cad0c454abf68c2054f840"),
+    # N = 2 compares on the orbit columns from the start.
+    ("plus-top", "homomorphism --n 3 --N 2"):
+        (1, "65210a81b8fe66be5127862e4b874339e30700542f549ef774fc7dd73d6a81ae"),
     ("plus-top", "brauer --n 2"):
         (1, "afc92351b2bb33132d598073ff11ac4310224e8e2b6c81865678d81d96f19928"),
     ("plus-top", "filtration --n 2"):
@@ -127,6 +142,9 @@ _FAULTED = {
         (1, "4f5d821c3ec10d12e2565706b56093a6f795c54ec4e5acf35d87dced1cfba2c3"),
     ("commutant-plus-one", "rank --n 2 --N 3"):
         (0, "ff6a147267434f7baa9a5d7f8afaa85e7ba2c2b514b8eede61d67a86260c82c8"),
+    # A ceiling set too low is still seen: the rank 70 against 69.
+    ("commutant-minus-one", "surjectivity --n 3 --N 4"):
+        (1, "c6f5aceccf817483f0f25c02839c46ec4c63383de12713acb1802728373c2bff"),
     ("rank-minus-one", "rank --n 2 --N 4"):
         (1, "628a48eee334047b4719b9555d500b9839ed46f3cbbe085cfbdff320d4109658"),
     ("modmult-false", "modmult --n 2"):

@@ -208,18 +208,120 @@ def test_mode_orbit_column_counts(n, N, count):
     assert len(verify._mode_orbit_columns(SpaceSpec(N, n))) == count
 
 
+def _v_weight(slots, m):
+    """The V-weight of a column's slot contents: w_i adds eps_i, w_i*
+    subtracts it and e adds nothing."""
+    weight = [0] * m
+    for c in slots:
+        if c < 2 * m:
+            weight[c % m] += 1 if c < m else -1
+    return tuple(weight)
+
+
+@pytest.mark.parametrize("n,N", [(n, N) for n in range(4) for N in range(3, 8)])
+def test_weight_orbit_columns_keep_each_orbit_of_the_kept_weight(n, N):
+    # Brute force: decode every vacuum column, keep the weight 0 ones (eps_j
+    # when there are none), and take each of their orbits' smallest column.
+    space = SpaceSpec(N, n)
+    m = space.m
+    weights = {space.encode(slots, 0): _v_weight(slots, m)
+               for slots in itertools.product(range(N), repeat=n)}
+    zero = (0,) * m
+    units = {zero[:j] + (1,) + zero[j + 1:] for j in range(m)}
+    target = {zero} if zero in weights.values() else units
+    orbit_of = {}
+    for slots in itertools.product(range(N), repeat=n):
+        orbit = [space.encode(tuple(s[c] if c < m else m + s[c - m] if c < 2 * m else c
+                                    for c in slots), 0)
+                 for s in itertools.permutations(range(m))]
+        orbit_of[space.encode(slots, 0)] = min(orbit)
+    expected = sorted({orbit_of[col] for col, w in weights.items() if w in target})
+    kept = verify._weight_orbit_columns(space)
+    assert kept == expected
+    assert all(weights[col] in target for col in kept)
+    assert set(kept) <= set(verify._mode_orbit_columns(space))
+
+
+@pytest.mark.parametrize("n,N,count", [
+    *((3, N, c) for N, c in zip(range(3, 8), (7, 9, 7, 9, 7))),
+    *((4, N, c) for N, c in zip(range(3, 10), (19, 18, 31, 18, 31, 18, 31))),
+    (5, 10, 160)])
+def test_weight_orbit_column_counts(n, N, count):
+    assert len(verify._weight_orbit_columns(SpaceSpec(N, n))) == count
+
+
+def _kept_rank(n, N, ceiling=None):
+    space = SpaceSpec(N, n)
+    kept = ColumnSet(space, verify._weight_orbit_columns(space))
+    return linalg.rank_of_vectors(
+        [realize_diagram(d, space, kept).flatten() for d in enumerate_basis(n)], ceiling=ceiling)
+
+
+@pytest.mark.parametrize("n,N", [(n, N) for n in range(4) for N in range(3, 10)]
+                         + [(4, 4), (4, 8)])
+def test_kept_columns_are_injective_on_the_commutant(n, N):
+    # The executable evidence for the argument in _realized_rank: the basis
+    # spans the commutant, and its restriction to the kept columns keeps
+    # the whole dimension (the ceiling is an upper bound, so reaching it is
+    # exact), so an equivariant map that vanishes there is zero.
+    ceiling = commutant_dimension(SpaceSpec(N, n))
+    assert _kept_rank(n, N, ceiling) == ceiling
+
+
+@pytest.mark.parametrize("n, rank, ceiling", [(2, 4, 6), (3, 9, 20)])
+def test_kept_columns_fall_short_at_two(n, rank, ceiling):
+    # Why N = 2 keeps every orbit column: there the kept ones lose rank.
+    assert (_kept_rank(n, 2), commutant_dimension(SpaceSpec(2, n))) == (rank, ceiling)
+
+
+def test_rank_falls_back_when_the_kept_columns_fall_short(monkeypatch):
+    # Without its last two kept columns, (3, 4) reaches rank 64 of 70 there:
+    # the one prime tried falls short, and the orbit columns give the rank.
+    kept, rank_mod = verify._weight_orbit_columns, linalg._rank_mod
+    primes = []
+
+    def counted(vectors, p):
+        primes.append(p)
+        return rank_mod(vectors, p)
+
+    monkeypatch.setattr(verify, "_weight_orbit_columns", lambda space: kept(space)[:-2])
+    monkeypatch.setattr(linalg, "_rank_mod", counted)
+    assert verify._realized_rank(enumerate_basis(3), SpaceSpec(4, 3)) == 70
+    # One prime on the kept columns, one on the orbit columns.
+    assert len(primes) == 2
+
+
+def _no_kept_columns(space):
+    raise AssertionError("built a kept column set")
+
+
+@pytest.mark.parametrize("fault", ["none", "plus-top"])
+def test_homomorphism_at_two_builds_no_kept_set(monkeypatch, fault):
+    monkeypatch.setattr(verify, "multiply_diagrams", _PRODUCT_FAULTS[fault])
+    monkeypatch.setattr(verify, "_weight_orbit_columns", _no_kept_columns)
+    assert verify_homomorphism(3, 2).passed == (fault == "none")
+
+
+def test_rank_at_two_builds_no_kept_set(monkeypatch):
+    monkeypatch.setattr(verify, "_weight_orbit_columns", _no_kept_columns)
+    assert verify_rank(3, 2).info["rank"] == 20
+    assert verify_surjectivity(2, 2).passed
+
+
 @pytest.mark.parametrize("mode", ["random", "exhaustive"])
 @pytest.mark.parametrize("n,N", [(2, 4), (3, 5)])
 def test_homomorphism_realizes_no_whole_matrix_and_no_column_twice(monkeypatch, n, N, mode):
-    realize, orbit_columns, building = (
-        verify.realize_diagram, verify._mode_orbit_columns, verify.ColumnSet)
-    listed = []  # the orbit columns, listed once per check
-    sets = []  # the column sets built, the orbit set first
-    on_orbits = set()  # the top factors and terms realized on them
+    # At N >= 3 a passing check compares on the kept weight's orbit columns
+    # alone: the mode-orbit columns are never listed.
+    realize, kept_columns, building = (
+        verify.realize_diagram, verify._weight_orbit_columns, verify.ColumnSet)
+    listed = []  # the kept columns, listed once per check
+    sets = []  # the column sets built, the kept set first
+    on_kept = set()  # the top factors and terms realized on them
     built = defaultdict(set)  # each bottom factor's columns realized so far
 
     def listing(space):
-        listed.append(orbit_columns(space))
+        listed.append(kept_columns(space))
         return listed[-1]
 
     def building_once(space, indices):
@@ -229,18 +331,22 @@ def test_homomorphism_realizes_no_whole_matrix_and_no_column_twice(monkeypatch, 
     def spy(d, space, columns=None):
         assert columns is not None, f"{d} realized without columns"
         if columns is sets[0]:
-            on_orbits.add(d)
+            on_kept.add(d)
         else:
             assert not built[d] & columns.indices, f"a column of {d} realized twice"
             built[d] |= columns.indices
         return realize(d, space, columns)
 
-    monkeypatch.setattr(verify, "_mode_orbit_columns", listing)
+    def refused(space):
+        raise AssertionError("listed the mode-orbit columns")
+
+    monkeypatch.setattr(verify, "_weight_orbit_columns", listing)
+    monkeypatch.setattr(verify, "_mode_orbit_columns", refused)
     monkeypatch.setattr(verify, "ColumnSet", building_once)
     monkeypatch.setattr(verify, "realize_diagram", spy)
     assert verify_homomorphism(n, N, mode, samples=30, seed=3).passed
-    assert len(listed) == 1 and on_orbits and built
-    # The orbit set is built once, and one set for each bottom factor.
+    assert len(listed) == 1 and on_kept and built
+    # The kept set is built once, and one set for each bottom factor.
     assert sets[0].indices == set(listed[0]) and len(sets) == 1 + len(built)
 
 
@@ -435,8 +541,10 @@ def test_row_columns_see_only_top_rows_below_their_own(n, N):
 @pytest.mark.parametrize("n, N, certified", [(2, 4, True), (3, 6, True), (3, 4, False),
                                              (2, 2, False)])
 def test_rank_builds_each_column_set_once(monkeypatch, n, N, certified):
-    # The certificate builds one set per top-row group, each of one column,
-    # and the elimination fallback one set, of the mode-orbit columns.
+    # The certificate builds one set per top-row group, each of one column.
+    # The elimination fallback builds one set: the kept weight's orbit
+    # columns at N >= 3, where they reach the rank, the mode-orbit columns at
+    # N = 2.
     space, basis = SpaceSpec(N, n), enumerate_basis(n)
     building, realize = verify.ColumnSet, verify.realize_diagram
     sets, used = [], set()
@@ -458,7 +566,8 @@ def test_rank_builds_each_column_set_once(monkeypatch, n, N, certified):
         assert len(sets) == len(groups) and all(len(s.indices) == 1 for s in sets)
     else:
         assert len(sets) == 1
-        assert sorted(sets[0].indices) == verify._mode_orbit_columns(space)
+        listed = verify._weight_orbit_columns if N >= 3 else verify._mode_orbit_columns
+        assert sorted(sets[0].indices) == listed(space)
 
 
 def test_blocks_certify_independent_realizations():
