@@ -497,9 +497,15 @@ class BasisView(Sequence):
         if n < 0:
             raise DiagramError("n must be nonnegative")
         self.n = n
-        # Per ell, descending: its sorted rows (x, S), decoded as by cell_decode.
+        # Per ell, descending: its sorted rows (x, S), decoded as by cell_decode,
+        # from one listing of the row partitions.
+        rows: list[list] = [[] for _ in range(n + 1)]
+        for x in enumerate_size_le2_partitions(n):
+            ones = singletons(x)
+            for ell in range(len(ones) + 1):
+                rows[ell] += ((x, S) for S in itertools.combinations(ones, ell))
         self._blocks = [(ell, [(*_row_of(x, S), tuple(b[0] for b in S))
-                               for x, S in sorted(enumerate_S(n, ell))])
+                               for x, S in sorted(rows[ell])])
                         for ell in range(n, -1, -1)]
         self._len = sum(len(rows) ** 2 * math.factorial(ell) for ell, rows in self._blocks)
 

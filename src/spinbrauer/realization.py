@@ -98,8 +98,11 @@ class SpaceSpec:
 
     @cached_property
     def emits(self) -> list[list[tuple[int, int, int, int]]]:
-        """emits[mask]: the terms _emit emits from mask."""
-        return [_emit(mask, self) for mask in range(self.fock_dim)]
+        """emits[mask]: the terms the injection emits from mask, as (content,
+        a, b, new mask): the dual of each content gamma absorbs, with gamma's
+        factor."""
+        return [[(_dual(c, self), *row[mask]) for c, row in enumerate(self.gamma)
+                 if row[mask] is not None] for mask in range(self.fock_dim)]
 
     @cached_property
     def places(self) -> list[int]:
@@ -163,20 +166,6 @@ def _absorb(c: int, mask: int, space: SpaceSpec) -> Optional[tuple[int, int, int
     if bool(mask & bit) == (c < m):  # wedge onto an occupied mode, or contract an empty one
         return None
     return 0, (-1 if bin(mask & (bit - 1)).count("1") % 2 else 1), mask ^ bit
-
-
-def _emit(mask: int, space: SpaceSpec) -> list[tuple[int, int, int, int]]:
-    """Emit a new slot from Delta, as the injection does.
-
-    Each content c that gamma absorbs emits its dual with gamma's factor.
-    Returns the terms as (content, a, b, new mask).
-    """
-    out = []
-    for c in range(space.N):
-        res = _absorb(c, mask, space)
-        if res is not None:
-            out.append((_dual(c, space), *res))
-    return out
 
 
 def _invariant_pairs(space: SpaceSpec) -> list[tuple[int, int]]:
@@ -379,17 +368,14 @@ def act_gamma(space: SpaceSpec) -> LinearMap:
 
 
 class ColumnSet:
-    """Column indices of one space, checked once to lie in it, with what the
-    realization walk reads of them: each slot's contents (allowed[p]) and
-    the Fock masks (starts). Built once per check; a realization only walks."""
+    """Column indices of one space, checked once to lie in it. Built once
+    per check; a realization evaluates its columns and no others."""
 
     def __init__(self, space: SpaceSpec, indices: Iterable[int]):
         self.space, self.indices = space, frozenset(indices)
-        dim, N, fock = space.total_dim, space.N, space.fock_dim
+        dim = space.total_dim
         if self.indices and not 0 <= min(self.indices) <= max(self.indices) < dim:
             raise ValueError(f"columns must lie in 0..{dim - 1}")
-        self.allowed = [sorted({j // step % N for j in self.indices}) for step in space.places]
-        self.starts = sorted({j % fock for j in self.indices})
 
 
 def realize_diagram(d: SpinDiagram, space: SpaceSpec,
@@ -397,37 +383,34 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
     """The endomorphism of V^(x)n (x) Delta carried by a canonical diagram.
 
     The building blocks act in the order of the module docstring, sharing
-    the block maps' kernels. Indices are computed arithmetically: content c
-    in slot p adds c * place[p] to an index, so each part of the diagram
-    contributes a list of index offsets, and a column is one choice from
-    each list. Top arcs choose paired contents, through strings copy a
-    content from the column to the row, and the top isolated vertices
-    absorb their contents into the mask in label order. The bottom isolated
-    vertices and arcs depend only on the mask that is left, so their terms
-    are tabulated once per mask reached.
+    the block maps' kernels. Each column is evaluated on its own: its slot
+    contents are read off its index (content c in slot p adds c * place[p]),
+    the top arcs must pair them by omega, the top isolated vertices absorb
+    theirs into the mask in label order, and the through strings copy theirs
+    from the column to the row. The bottom isolated vertices and arcs depend
+    only on the mask that is left, so their terms are tabulated once per mask
+    reached, and columns with one top coefficient and mask share one list of
+    entries. Coefficients multiply as in _times, written out on this hot path.
 
-    Given a column set of space, only its columns are built (the others are
-    zero; the shape stays total_dim x total_dim): its slot contents and
-    masks prune the walk, which drops the columns it reaches outside it.
-    Without one, the walk starts from every mask and a slot holds any content.
+    Given a column set of space, only its columns are evaluated (the others
+    are zero; the shape stays total_dim x total_dim); without one, every
+    column is.
     """
     if d.n != space.n:
         raise DiagramError(f"diagram has n={d.n}, space has n={space.n}")
-    dim, place = space.total_dim, space.places
-    if columns is None:
-        allowed, starts, keep = [range(space.N)] * space.n, range(space.fock_dim), None
-    elif columns.space != space:
+    if columns is not None and columns.space != space:
         raise ValueError(f"columns of {columns.space} given for {space}")
-    else:
-        allowed, starts, keep = columns.allowed, columns.starts, columns.indices
-    pairs = _invariant_pairs(space)
-    gamma, emits = space.gamma, space.emits
+    dim, N, fock, place = space.total_dim, space.N, space.fock_dim, space.places
+    pairs, gamma, emits = _invariant_pairs(space), space.gamma, space.emits
+    dual = [cy for _, cy in pairs]
+    isolated = [place[v - 1] for v in d.top_isolated]
+    through = [(place[i - 1], place[j - 1]) for i, j in d.through]
 
     def bottom(mask: int) -> list[tuple[int, int, int]]:
         """The bottom terms from one mask, as (row offset, a, b)."""
         terms = [(0, 1, 0, mask)]  # (row offset, a, b, mask)
         for v in d.bottom_isolated:
-            terms = [(ro + c * place[v - 1], *_times(ta, tb, a, b), mk)
+            terms = [(ro + c * place[v - 1], ta * a + 2 * tb * b, ta * b + tb * a, mk)
                      for ro, ta, tb, tmask in terms for c, a, b, mk in emits[tmask]]
         for a, b in d.bottom_arcs:
             terms = [(ro + cx * place[a - 1] + cy * place[b - 1], ta, tb, tmask)
@@ -435,34 +418,32 @@ def realize_diagram(d: SpinDiagram, space: SpaceSpec,
         # The contents a term emits determine its path, so its row is its own.
         return [(ro + tmask, ta, tb) for ro, ta, tb, tmask in terms]
 
-    arc_cols = [0]
+    live: Iterable[int] = range(dim) if columns is None else columns.indices
     for a, b in d.top_arcs:
-        ends = [(u, _dual(u, space)) for u in allowed[a - 1]]
-        arc_cols = [o + u * place[a - 1] + w * place[b - 1]
-                    for o in arc_cols for u, w in ends if w in allowed[b - 1]]
-    through = [(0, 0)]  # (column offset, row offset)
-    for i, j in d.through:
-        through = [(co + c * place[i - 1], ro + c * place[j - 1])
-                   for co, ro in through for c in allowed[i - 1]]
-    top = [(mask, 1, 0, mask) for mask in starts]  # (column offset, a, b, mask)
-    for v in d.top_isolated:
-        absorbed = []
-        for co, ca, cb, mask in top:
-            for c in allowed[v - 1]:
-                res = gamma[c][mask]
-                if res is not None:
-                    a, b, mk = res
-                    absorbed.append((co + c * place[v - 1], *_times(ca, cb, a, b), mk))
-        top = absorbed
-
-    table = {mask: bottom(mask) for mask in {t[3] for t in top}}
+        pa, pb = place[a - 1], place[b - 1]
+        live = [j for j in live if j // pb % N == dual[j // pa % N]]
+    table: dict[int, list[tuple[int, int, int]]] = {}
+    shared: dict[tuple[int, int, int], list[tuple[int, tuple[int, int]]]] = {}
     cols: dict[int, PairColumn] = {}
-    for co, ca, cb, mask in top:
-        out = [(ro, _times(ca, cb, a, b)) for ro, a, b in table[mask]]
-        for ac in arc_cols:
-            for tc, tr in through:
-                if keep is None or ac + co + tc in keep:
-                    cols[ac + co + tc] = {tr + ro: v for ro, v in out}
+    for j in live:
+        ca, cb, mask = 1, 0, j % fock
+        for p in isolated:
+            res = gamma[j // p % N][mask]
+            if res is None:
+                break
+            a, b, mask = res
+            ca, cb = ca * a + 2 * cb * b, ca * b + cb * a
+        else:
+            out = shared.get((ca, cb, mask))
+            if out is None:
+                if mask not in table:
+                    table[mask] = bottom(mask)
+                out = shared[ca, cb, mask] = [(ro, (ca * a + 2 * cb * b, ca * b + cb * a))
+                                              for ro, a, b in table[mask]]
+            tr = 0
+            for pi, pj in through:
+                tr += j // pi % N * pj
+            cols[j] = {tr + ro: v for ro, v in out}
     # Each entry is a product of nonzero factors, each row gets one term and
     # the indices come from contents < N and masks < fock: the columns are
     # canonical as built.

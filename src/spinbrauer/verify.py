@@ -115,22 +115,26 @@ def _check_bound(space: SpaceSpec, bound: int) -> None:
         raise ResourceBoundError(f"total dimension {space.total_dim} exceeds bound {bound}")
 
 
-def _orbit_walk(space: SpaceSpec) -> list[tuple[int, tuple[int, ...]]]:
-    """The columns of _mode_orbit_columns with their V-weights (w_i adds
-    eps_i, w_i* subtracts it): each prefix carries its own, none is decoded."""
+def _orbit_walk(space: SpaceSpec, distance: Callable[[tuple[int, ...]], int]) -> list[int]:
+    """The columns of _mode_orbit_columns of a V-weight sought (w_i adds
+    eps_i, w_i* subtracts it), listed slot by slot. distance(weight) is the
+    fewest slots that take a weight to one sought: each prefix carries its
+    own weight, none is decoded, and is extended only while that is at
+    most the slots left."""
     m, N = space.m, space.N
     steps = [1] * m + [-1] * m + [0] * (N - 2 * m)  # each content's sign on eps_(c mod m)
     prefixes = [(0, 0, (0,) * m)]  # (index of the slots so far, modes used, V-weight)
-    for _ in range(space.n):
+    for left in reversed(range(space.n)):
         grown = []
         for idx, used, weight in prefixes:
             k = min(used + 1, m)  # the modes used so far and the next one
             for c in chain(range(k), range(m, m + k), range(2 * m, N)):
                 i, step = c % m, steps[c]
-                grown.append((idx * N + c, max(used, i + 1) if step else used,
-                              weight[:i] + (weight[i] + step,) + weight[i + 1:]))
+                moved = weight[:i] + (weight[i] + step,) + weight[i + 1:]
+                if distance(moved) <= left:
+                    grown.append((idx * N + c, max(used, i + 1) if step else used, moved))
         prefixes = grown
-    return [(idx * space.fock_dim, weight) for idx, _, weight in prefixes]
+    return [idx * space.fock_dim for idx, _, _ in prefixes]
 
 
 def _mode_orbit_columns(space: SpaceSpec) -> list[int]:
@@ -151,16 +155,24 @@ def _mode_orbit_columns(space: SpaceSpec) -> list[int]:
     and the first slot is the most significant. The columns are listed
     slot by slot, never by filtering all N^n (see _orbit_walk).
     """
-    return [column for column, _ in _orbit_walk(space)]
+    return _orbit_walk(space, lambda weight: 0)
 
 
 def _weight_orbit_columns(space: SpaceSpec) -> list[int]:
     """The orbit columns of V-weight 0, or eps_j when none has weight 0 (n
-    odd, N even), in column order: exact at N >= 3 (see _realized_rank)."""
-    walk, zero = _orbit_walk(space), (0,) * space.m
-    units = {zero[:j] + (1,) + zero[j + 1:] for j in range(space.m)}
-    return ([column for column, weight in walk if weight == zero]
-            or [column for column, weight in walk if weight in units])
+    odd, N even), in column order: exact at N >= 3 (see _realized_rank).
+
+    A slot moves one coordinate of the weight by one, or none (e), and mode
+    1 is always free: so a weight w reaches 0 in |w|_1 slots, and some eps_j
+    in |w|_1 - 1 when a coordinate is positive, else |w|_1 + 1. Slots to
+    spare hold e at odd N; at even N the coordinate sum has the parity of
+    the slots filled, so they come in pairs, w_1 w_1*. The walk extends only
+    the prefixes that can still reach the kept weight.
+    """
+    if space.odd or space.n % 2 == 0:
+        return _orbit_walk(space, lambda weight: sum(map(abs, weight)))
+    return _orbit_walk(space, lambda weight: (sum(map(abs, weight))
+                                              + (-1 if max(weight) > 0 else 1)))
 
 
 def _first_entry(lhs: LinearMap, rhs: LinearMap) -> dict:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import io
 import json
@@ -63,6 +64,47 @@ def test_realize_entry_order(fixtures_dir, tmp_path):
     coords = [(c, r) for r, c, _ in data["entries"]]
     assert coords == sorted(coords)
     assert all(e[0] == e[1] for e in data["entries"])
+
+
+# realize stdout of the fixture diagrams, recorded from the walk-based
+# realization: (fixture, N, max_total_dimension) -> (exit code, sha256 of
+# stdout). Exit code 2 is the bound refusing the space; the larger bound
+# lets the n = 7 diagrams in at N = 3 and the n = 5 one at N = 5.
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_REALIZED = {
+    ("product_demo_top", 2, 4096):
+        (0, "1ae9730994c88f7ff1309e3088db6e33b3e90847ae3471b6ac53d3556f3fe47a"),
+    ("product_demo_top", 3, 4096): (2, _EMPTY),
+    ("product_demo_top", 4, 4096): (2, _EMPTY),
+    ("product_demo_top", 5, 4096): (2, _EMPTY),
+    ("product_demo_bottom", 2, 4096):
+        (0, "31dd5dc6eca4610b8455ef79240b0bbd8fe085bf289a457295ba0fe835f56bf8"),
+    ("product_demo_bottom", 3, 4096): (2, _EMPTY),
+    ("product_demo_bottom", 4, 4096): (2, _EMPTY),
+    ("product_demo_bottom", 5, 4096): (2, _EMPTY),
+    ("five_vertex_datum", 2, 4096):
+        (0, "afcd5b2112b907f4e8d2de4211041c500cbc15b062f121b94c1decde31c17208"),
+    ("five_vertex_datum", 3, 4096):
+        (0, "8b32b48e171e57b189ca648bd029925e1dbe578bb5c94885fc290e2f3572d90b"),
+    ("five_vertex_datum", 4, 4096):
+        (0, "e3a2dd9c0cb4e72a24a4195f0cd807f84f3531741259f27cd648722f0eeb78be"),
+    ("five_vertex_datum", 5, 4096): (2, _EMPTY),
+    ("product_demo_top", 3, 20000):
+        (0, "96cc5e13637651f93980cdbe965be8cb20196bff26d7e3b9e3665244b70ff880"),
+    ("product_demo_bottom", 3, 20000):
+        (0, "ea1ec8fa2b12f6a5861dacef27824980be5f0dc7d5150b95911edcad40ffb379"),
+    ("five_vertex_datum", 5, 20000):
+        (0, "7162ea2424d3a730da2b4695cf8179e599d86404e5da39a95a8bbfe6eafc4b01"),
+}
+
+
+@pytest.mark.parametrize("name, N, bound", _REALIZED)
+def test_realize_stdout_bytes(fixtures_dir, tmp_path, name, N, bound):
+    cfg = tmp_path / "spinbrauer.toml"
+    cfg.write_text(f"max_total_dimension = {bound}\n")
+    code, out = run(["--config", str(cfg), "realize", str(fixtures_dir / f"{name}.json"),
+                     "--N", str(N)])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _REALIZED[name, N, bound]
 
 
 def test_cell_phi_fixture(fixtures_dir):

@@ -237,6 +237,18 @@ def test_each_top_row_is_one_run_of_the_view(n):
     assert len(runs) == len(set(runs)) == rows
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_basis_view_rows_are_the_sorted_cell_rows(n):
+    # The view lists the row partitions once; per ell, descending, its rows
+    # are still sorted(enumerate_S(n, ell)), each read as (isolated, arcs,
+    # string ends).
+    expected = [(ell, [(tuple(b[0] for b in x if len(b) == 1 and b not in S),
+                        tuple(b for b in x if len(b) == 2), tuple(b[0] for b in S))
+                       for x, S in sorted(enumerate_S(n, ell))])
+                for ell in range(n, -1, -1)]
+    assert BasisView(n)._blocks == expected
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_choice_draws_the_same_diagrams_from_the_view(n):
     # random.choice reads only len and one index, so seeded draws agree.

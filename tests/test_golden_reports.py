@@ -51,6 +51,8 @@ _PLAIN = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "clifford --N 4":
         (0, "c113d95d7752623b4c1601f53847dec259508b0d351ff8c743789653cab15cf0"),
+    "homomorphism --n 3 --N 5 --mode exhaustive":
+        (0, "e7e509ce4c61ffe58640c07ecfd2e8c2bedd3d130f70406af3e64b2bca8cf38b"),
     "rank --n 2 --N 4":
         (0, "a42f3be2f5a685c3b8f7be0eef02dd6e1f878172376cabcc12bded66b2e0bf00"),
     "rank --n 3 --N 2":
@@ -60,6 +62,8 @@ _PLAIN = {
     # Below N = 2n at N >= 3: the rank from the kept weight's orbit columns.
     "rank --n 4 --N 3":
         (0, "edae7a13c7d85c4313366f82392da4ebf4d42c2c8ec3c0195fd3b852b203b9e4"),
+    "rank --n 4 --N 8 --bound 65536":
+        (0, "88b63887df1e0ad51dfaa29c20bccdcac03843145d24c4b340824f508f1612d3"),
     "rank --n 3 --N 8":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "surjectivity --n 2 --N 3":

@@ -250,6 +250,22 @@ def test_weight_orbit_column_counts(n, N, count):
     assert len(verify._weight_orbit_columns(SpaceSpec(N, n))) == count
 
 
+@pytest.mark.parametrize("n,N", [(n, N) for n in range(6) for N in range(3, 13)]
+                         + [(6, N) for N in range(3, 9)])
+def test_pruned_weight_walk_equals_the_filtered_orbit_walk(n, N):
+    # The walk extends only the prefixes that can still reach the kept
+    # weight; filtering every orbit column of the unpruned walk by its
+    # weight keeps the same columns, in the same order.
+    space = SpaceSpec(N, n)
+    zero = (0,) * space.m
+    units = {zero[:j] + (1,) + zero[j + 1:] for j in range(space.m)}
+    weights = [(col, _v_weight([col // p % N for p in space.places], space.m))
+               for col in verify._mode_orbit_columns(space)]
+    expected = ([col for col, w in weights if w == zero]
+                or [col for col, w in weights if w in units])
+    assert verify._weight_orbit_columns(space) == expected
+
+
 def _kept_rank(n, N, ceiling=None):
     space = SpaceSpec(N, n)
     kept = ColumnSet(space, verify._weight_orbit_columns(space))
